@@ -15,9 +15,10 @@ from .corpus import (
     generate_corpus,
     oracle_path,
     read_records,
+    validate_path,
     write_records,
 )
-from .decoder import DecodeConfig, DecodedPath, decode, validate_path
+from .decoder import DecodeConfig, DecodedPath, decode
 from .evaluator import EvalReport, evaluate, evaluate_records
 from .lattice import LatticeCoord, Workspace, default_workspace, desk_workspace
 from .model import LossConfig, ModelConfig, Optimizer, OptimizerConfig, PathModel

@@ -50,6 +50,17 @@ def save_checkpoint(path, model: PathModel, optimizer: Optimizer | None = None, 
 
 
 def load_checkpoint(path) -> tuple[PathModel, Optimizer | None, int]:
+    """Model, optimizer (or None) and step; a malformed file is a CheckpointFormatError."""
+    try:
+        return _read_checkpoint(path)
+    except CheckpointFormatError:
+        raise
+    except (zipfile.BadZipFile, EOFError, KeyError, ValueError) as e:
+        detail = f"{type(e).__name__}: {e}"
+        raise CheckpointFormatError(f"{path}: malformed checkpoint ({detail})") from None
+
+
+def _read_checkpoint(path) -> tuple[PathModel, Optimizer | None, int]:
     with np.load(path, allow_pickle=False) as f:
         if "__meta__" not in f:
             raise CheckpointFormatError("not a checkpoint: missing metadata entry")

@@ -21,6 +21,7 @@ anything is written. Failures exit nonzero after printing a single line
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -32,6 +33,7 @@ from .corpus import (
     UnreachableGoalError,
     generate_corpus,
     read_records,
+    write_jsonl,
     write_records,
 )
 from .decoder import DecodeConfig, decode_records
@@ -94,26 +96,31 @@ def _resolve(defaults: dict, file_cfg: dict, overrides: dict) -> dict:
     return cfg
 
 
-def _write_outputs(out_dir: str, command: str, cfg: dict, files: dict[str, str],
-                   extra_outputs: tuple[str, ...] = ()) -> None:
-    """Write all prepared text files plus the manifest in one pass."""
+def _write_outputs(out_dir: str, command: str, cfg: dict, files: dict) -> None:
+    """Write every output plus the manifest, or leave none of them behind.
+
+    A file's content is its text, or a function that writes the file at the
+    path it is given. Each file is staged under a temporary name and moved
+    into place only once all are written, manifest.json last.
+    """
     os.makedirs(out_dir, exist_ok=True)
-    manifest = {
-        "command": command,
-        "config": cfg,
-        "outputs": sorted(list(files) + list(extra_outputs)) + ["manifest.json"],
-    }
-    files = dict(files)
-    files["manifest.json"] = json.dumps(manifest, sort_keys=True) + "\n"
-    for name, content in sorted(files.items()):
-        with open(os.path.join(out_dir, name), "w", encoding="utf-8") as f:
-            f.write(content)
-
-
-def _records_text(records) -> str:
-    from .corpus import record_to_dict
-
-    return "".join(json.dumps(record_to_dict(r), sort_keys=True) + "\n" for r in records)
+    manifest = {"command": command, "config": cfg, "outputs": sorted(files) + ["manifest.json"]}
+    files = {**files, "manifest.json": json.dumps(manifest, sort_keys=True) + "\n"}
+    staged = {name: os.path.join(out_dir, f".{name}.partial") for name in files}
+    try:
+        for name, content in files.items():
+            if callable(content):
+                content(staged[name])
+            else:
+                with open(staged[name], "w", encoding="utf-8") as f:
+                    f.write(content)
+    except BaseException:
+        for tmp in staged.values():
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
+        raise
+    for name, tmp in staged.items():
+        os.replace(tmp, os.path.join(out_dir, name))
 
 
 # gen ------------------------------------------------------------------------------
@@ -156,8 +163,8 @@ def cmd_gen(args) -> int:
     train = [r for r in records if r.split_tag == "train"]
     val = [r for r in records if r.split_tag == "validation"]
     _write_outputs(args.out, "gen", cfg, {
-        "corpus_train.jsonl": _records_text(train),
-        "corpus_validation.jsonl": _records_text(val),
+        "corpus_train.jsonl": lambda path: write_records(path, train),
+        "corpus_validation.jsonl": lambda path: write_records(path, val),
     })
     return 0
 
@@ -264,9 +271,10 @@ def cmd_train(args) -> int:
     fit(model, items, loss_cfg, optimizer,
         epochs=int(cfg["epochs"]), batch_size=int(cfg["batch_size"]), seed=seed, log=log)
 
-    _write_outputs(args.out, "train", cfg, {"loss_log.tsv": "\n".join(log_lines) + "\n"},
-                   extra_outputs=("model.npz",))
-    save_checkpoint(os.path.join(args.out, "model.npz"), model, optimizer, step=optimizer.step_count)
+    _write_outputs(args.out, "train", cfg, {
+        "loss_log.tsv": "\n".join(log_lines) + "\n",
+        "model.npz": lambda path: save_checkpoint(path, model, optimizer, optimizer.step_count),
+    })
     return 0
 
 
@@ -316,7 +324,9 @@ def cmd_decode(args) -> int:
         raise CliError("config", str(e)) from None
     records = read_records(cfg["records"])
     preds = decode_records(model, records, dcfg)
-    _write_outputs(args.out, "decode", cfg, {"predictions.jsonl": _records_text(preds)})
+    _write_outputs(args.out, "decode", cfg, {
+        "predictions.jsonl": lambda path: write_records(path, preds),
+    })
     return 0
 
 
@@ -358,10 +368,7 @@ def cmd_sim(args) -> int:
     }
     cfg = _resolve(defaults, _load_config_file(args.config), overrides)
     if cfg["scenarios"] is not None:
-        try:
-            scenarios = read_scenarios(cfg["scenarios"])
-        except ValueError as e:
-            raise CliError("schema", str(e)) from None
+        scenarios = read_scenarios(cfg["scenarios"])
     else:
         scenarios = default_scenario_pack()
     if not scenarios:
@@ -380,20 +387,18 @@ def cmd_sim(args) -> int:
         planner = OraclePlanner()
 
     results = run_scenarios(scenarios, planner)
-    rows = []
-    for s, r in results:
-        rows.append(json.dumps({
-            "name": s.name,
-            "tags": list(s.tags),
-            "outcome": r.outcome.to_dict(),
-            "expected_ok": check_expectation(s, r.outcome),
-            "grasped": r.grasped,
-            "released": r.released,
-            "ticks": r.ticks,
-            "trace": [list(p.as_tuple()) for p in r.trace.points],
-        }, sort_keys=True))
+    rows = [{
+        "name": s.name,
+        "tags": list(s.tags),
+        "outcome": r.outcome.to_dict(),
+        "expected_ok": check_expectation(s, r.outcome),
+        "grasped": r.grasped,
+        "released": r.released,
+        "ticks": r.ticks,
+        "trace": [list(p.as_tuple()) for p in r.trace.points],
+    } for s, r in results]
     _write_outputs(args.out, "sim", cfg, {
-        "outcomes.jsonl": "".join(row + "\n" for row in rows),
+        "outcomes.jsonl": lambda path: write_jsonl(path, rows),
         "table.txt": format_outcome_table(results),
     })
     return 0

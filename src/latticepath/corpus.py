@@ -2,7 +2,9 @@
 
 Ground-truth paths come from breadth-first search on the obstacle-masked
 lattice, expanded in canonical move order so the whole corpus is a pure
-function of (config, seed). Records serialize one-per-line as JSON.
+function of (config, seed). Records serialize one-per-line as JSON; the
+JSON-lines reader and writer here carry every record file the package
+writes, and validate_path is the one bounds-and-adjacency rule for paths.
 """
 
 from __future__ import annotations
@@ -48,6 +50,29 @@ class Trajectory:
 
     def __len__(self) -> int:
         return len(self.points)
+
+
+@dataclass(frozen=True)
+class PathValidation:
+    valid: bool
+    first_violation: int | None = None
+
+
+def validate_path(t: Trajectory, w: Workspace) -> PathValidation:
+    """Bounds-and-adjacency check; reports the first offending point index."""
+    pts = t.points
+    for i, p in enumerate(pts):
+        if not in_bounds(p, w) or (i and manhattan(pts[i - 1], p) != 1):
+            return PathValidation(False, i)
+    return PathValidation(True, None)
+
+
+def check_trajectory(traj: Trajectory, w: Workspace) -> None:
+    """Raise if the trajectory violates adjacency or bounds (corpus invariant)."""
+    i = validate_path(traj, w).first_violation
+    if i is not None:
+        p = traj.points[i]
+        raise ValueError(f"trajectory point {i} = {p} is out of bounds or not a unit move")
 
 
 @dataclass(frozen=True)
@@ -242,34 +267,32 @@ def record_from_dict(d: dict) -> CorpusRecord:
     )
 
 
-def write_records(path, records) -> None:
-    """Write records as JSON lines; key order fixed for byte-stable output."""
+def write_jsonl(path, rows) -> None:
+    """Write dicts as JSON lines, one key-sorted object per line (byte-stable)."""
     with open(path, "w", encoding="utf-8") as f:
-        for r in records:
-            f.write(json.dumps(record_to_dict(r), sort_keys=True) + "\n")
+        for row in rows:
+            f.write(json.dumps(row, sort_keys=True) + "\n")
 
 
-def read_records(path) -> list[CorpusRecord]:
-    records = []
+def read_jsonl(path, parse) -> list:
+    """parse() each non-blank line's object; errors name the file and line."""
+    out = []
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             if not line.strip():
                 continue
             try:
-                d = json.loads(line)
-                records.append(record_from_dict(d))
+                out.append(parse(json.loads(line)))
             except CorpusFormatError as e:
                 raise CorpusFormatError(f"{path}: line {lineno}: {e}") from None
             except (ValueError, KeyError, TypeError) as e:
                 raise CorpusFormatError(f"{path}: line {lineno}: malformed record ({e})") from None
-    return records
+    return out
 
 
-def check_trajectory(traj: Trajectory, w: Workspace) -> None:
-    """Raise if the trajectory violates adjacency or bounds (corpus invariant)."""
-    for i, p in enumerate(traj.points):
-        if not in_bounds(p, w):
-            raise ValueError(f"trajectory point {i} = {p} is out of bounds")
-    for i in range(len(traj.points) - 1):
-        if manhattan(traj.points[i], traj.points[i + 1]) != 1:
-            raise ValueError(f"trajectory step {i} -> {i + 1} is not a unit move")
+def write_records(path, records) -> None:
+    write_jsonl(path, (record_to_dict(r) for r in records))
+
+
+def read_records(path) -> list[CorpusRecord]:
+    return read_jsonl(path, record_from_dict)

@@ -12,12 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .corpus import CorpusRecord, Trajectory
+from .corpus import CorpusRecord, Trajectory, validate_path  # noqa: F401 (re-exported)
 from .lattice import STOP, LatticeCoord, Workspace, apply_move, in_bounds, manhattan
 from .model import masked_softmax
 from .taskgrid import TaskContext
 
-TERMINATION_KINDS = ("stop_token", "max_steps", "self_loop")
+TERMINATION_KINDS = ("stop_token", "max_steps")
 
 
 @dataclass(frozen=True)
@@ -49,25 +49,6 @@ class DecodedPath:
             raise ValueError(f"unknown termination kind {self.terminated_by!r}")
 
 
-@dataclass(frozen=True)
-class PathValidation:
-    valid: bool
-    first_violation: int | None = None
-
-
-def validate_path(t: Trajectory, w: Workspace) -> PathValidation:
-    """Adjacency-and-bounds check; reports the first offending point index."""
-    pts = t.points
-    if not in_bounds(pts[0], w):
-        return PathValidation(False, 0)
-    for i in range(1, len(pts)):
-        if not in_bounds(pts[i], w):
-            return PathValidation(False, i)
-        if manhattan(pts[i - 1], pts[i]) != 1:
-            return PathValidation(False, i)
-    return PathValidation(True, None)
-
-
 def _coverage_penalty(end: LatticeCoord, ctx: TaskContext, cfg: DecodeConfig) -> float:
     """Weighted remaining distance to the context target; 0 when no target."""
     if ctx.target is None or cfg.coverage_penalty_weight == 0.0:
@@ -85,8 +66,8 @@ def decode_greedy(
     """Argmax rollout under the legality mask.
 
     Each step takes the highest-probability legal action (ties resolve to the
-    lowest canonical move index); the rollout stops on STOP, when max_steps
-    moves have been taken, or if a move would revisit the current cell.
+    lowest canonical move index); the rollout stops on STOP or when max_steps
+    moves have been taken.
     """
     if not in_bounds(start, w):
         raise ValueError(f"start {start} is out of bounds")
@@ -100,11 +81,7 @@ def decode_greedy(
         if action == STOP:
             terminated = "stop_token"
             break
-        nxt = apply_move(points[-1], action)
-        if nxt == points[-1]:
-            terminated = "self_loop"
-            break
-        points.append(nxt)
+        points.append(apply_move(points[-1], action))
     traj = Trajectory(points=tuple(points))
     score = log_sum - _coverage_penalty(points[-1], ctx, cfg)
     return DecodedPath(trajectory=traj, score=score, terminated_by=terminated)

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .corpus import CorpusRecord, Trajectory
-from .decoder import validate_path
+from .corpus import CorpusRecord, Trajectory, validate_path
 from .lattice import Workspace
 
 ERROR_LABELS = (
@@ -46,20 +45,28 @@ class EvalReport:
         }
 
 
+def _pair_counts(pred: Trajectory, gold: Trajectory) -> tuple[int, int, int, int, int]:
+    """(position matches, longer length, shared cells, pred cells, gold cells)."""
+    ps, gs = set(pred.points), set(gold.points)
+    matches = sum(1 for a, b in zip(pred.points, gold.points) if a == b)
+    return matches, max(len(pred), len(gold)), len(ps & gs), len(ps), len(gs)
+
+
+def _f1(precision: float, recall: float) -> float:
+    return 0.0 if precision + recall == 0 else 2 * precision * recall / (precision + recall)
+
+
 def stepwise_accuracy(pred: Trajectory, gold: Trajectory) -> float:
     """Fraction of positions that agree, over the longer of the two paths."""
-    matches = sum(1 for a, b in zip(pred.points, gold.points) if a == b)
-    return matches / max(len(pred), len(gold))
+    matches, length, *_ = _pair_counts(pred, gold)
+    return matches / length
 
 
 def coordinate_prf(pred: Trajectory, gold: Trajectory) -> tuple[float, float, float]:
     """Set-overlap precision/recall/F1 over visited cells (duplicates collapse)."""
-    ps, gs = set(pred.points), set(gold.points)
-    inter = len(ps & gs)
-    precision = inter / len(ps)
-    recall = inter / len(gs)
-    f1 = 0.0 if precision + recall == 0 else 2 * precision * recall / (precision + recall)
-    return precision, recall, f1
+    _, _, inter, n_pred, n_gold = _pair_counts(pred, gold)
+    precision, recall = inter / n_pred, inter / n_gold
+    return precision, recall, _f1(precision, recall)
 
 
 def valid_path_percent(preds: list[Trajectory], w: Workspace) -> float:
@@ -110,33 +117,20 @@ def evaluate(triples: list[tuple[Trajectory, Trajectory, Workspace]]) -> EvalRep
     """Aggregate report over (pred, gold, workspace) triples."""
     if not triples:
         raise ValueError("evaluate requires at least one (pred, gold) pair")
-    match_sum = 0
-    len_sum = 0
-    inter_sum = 0
-    pred_set_sum = 0
-    gold_set_sum = 0
-    valid_count = 0
+    matches, length, inter, n_pred, n_gold = map(
+        sum, zip(*(_pair_counts(pred, gold) for pred, gold, _ in triples))
+    )
     counts = {label: 0 for label in ERROR_LABELS}
     for pred, gold, w in triples:
-        match_sum += sum(1 for a, b in zip(pred.points, gold.points) if a == b)
-        len_sum += max(len(pred), len(gold))
-        ps, gs = set(pred.points), set(gold.points)
-        inter_sum += len(ps & gs)
-        pred_set_sum += len(ps)
-        gold_set_sum += len(gs)
-        if validate_path(pred, w).valid:
-            valid_count += 1
         for label in classify_errors(pred, gold, w):
             counts[label] += 1
-    precision = inter_sum / pred_set_sum
-    recall = inter_sum / gold_set_sum
-    f1 = 0.0 if precision + recall == 0 else 2 * precision * recall / (precision + recall)
+    precision, recall = inter / n_pred, inter / n_gold
     return EvalReport(
-        stepwise_accuracy=match_sum / len_sum,
+        stepwise_accuracy=matches / length,
         precision=precision,
         recall=recall,
-        f1=f1,
-        valid_path_percent=valid_count / len(triples),
+        f1=_f1(precision, recall),
+        valid_path_percent=(len(triples) - counts["L1_illegal_jump"]) / len(triples),
         error_counts=counts,
         n_pairs=len(triples),
     )

@@ -28,10 +28,9 @@ deterministic: scripted events, BFS with canonical tie-breaking, no RNG.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 
-from .corpus import Trajectory, UnreachableGoalError, oracle_path
+from .corpus import Trajectory, UnreachableGoalError, oracle_path, read_jsonl, write_jsonl
 from .decoder import DecodeConfig, decode
 from .lattice import LatticeCoord, Workspace, in_bounds, manhattan
 from .taskgrid import TaskContext, build_context, reach_only_graph
@@ -445,22 +444,11 @@ class Scenario:
 
 
 def write_scenarios(path, scenarios: list[Scenario]) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for s in scenarios:
-            f.write(json.dumps(s.to_dict(), sort_keys=True) + "\n")
+    write_jsonl(path, (s.to_dict() for s in scenarios))
 
 
 def read_scenarios(path) -> list[Scenario]:
-    out = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                out.append(Scenario.from_dict(json.loads(line)))
-            except (ValueError, KeyError, TypeError) as exc:
-                raise ValueError(f"{path}: bad scenario on line {lineno}: {exc}") from exc
-    return out
+    return read_jsonl(path, Scenario.from_dict)
 
 
 def check_expectation(scenario: Scenario, outcome: EpisodeOutcome) -> bool:

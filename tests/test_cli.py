@@ -1,8 +1,10 @@
 import json
+import zipfile
 
 import numpy as np
 import pytest
 
+from latticepath import cli
 from latticepath.checkpoint import load_checkpoint
 from latticepath.cli import main
 from latticepath.corpus import read_records
@@ -267,3 +269,81 @@ def test_pipeline_reports_are_bit_identical_across_runs(tmp_path):
                     "--out", evald]) == 0
         reports.append((evald / "report.json").read_bytes())
     assert reports[0] == reports[1]
+
+
+# malformed inputs and failed writes -----------------------------------------------
+
+
+def _truncated(ckpt, path):
+    path.write_bytes(ckpt.read_bytes()[: ckpt.stat().st_size // 2])
+
+
+def _empty(ckpt, path):
+    path.write_bytes(b"")
+
+
+def _not_a_checkpoint(ckpt, path):
+    path.write_text("epoch\tseq\n")
+
+
+def _without_slots(ckpt, path):
+    with zipfile.ZipFile(ckpt) as src, zipfile.ZipFile(path, "w") as dst:
+        for info in src.infolist():
+            if not info.filename.startswith("slot/"):
+                dst.writestr(info, src.read(info))
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    base = tmp_path_factory.mktemp("trained")
+    corpus = gen(base)
+    ckpt = train(base, corpus, extra=["--optimizer", "adam"]) / "model.npz"
+    with zipfile.ZipFile(ckpt) as zf:
+        assert any(n.startswith("slot/") for n in zf.namelist())
+    return corpus, ckpt
+
+
+@pytest.mark.parametrize("corrupt", [_truncated, _empty, _not_a_checkpoint, _without_slots])
+@pytest.mark.parametrize("command", ["train", "decode"])
+def test_malformed_checkpoint_is_one_schema_error(trained, tmp_path, capsys, corrupt, command):
+    corpus, ckpt = trained
+    bad = tmp_path / "bad.npz"
+    corrupt(ckpt, bad)
+    out = tmp_path / "out"
+    if command == "train":
+        argv = ["train", "--corpus", corpus / "corpus_train.jsonl", "--resume", bad,
+                "--epochs", "1", "--batch-size", "16"]
+    else:
+        argv = ["decode", "--checkpoint", bad, "--records", corpus / "corpus_validation.jsonl"]
+    assert run([*argv, "--out", out, "--seed", "0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: schema:") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+def test_failed_checkpoint_save_leaves_no_outputs(tmp_path, capsys, monkeypatch):
+    corpus = gen(tmp_path)
+
+    def failing_save(path, *args, **kwargs):
+        with open(path, "wb") as f:
+            f.write(b"PK")  # a partial write before the failure
+        raise OSError("No space left on device")
+
+    monkeypatch.setattr(cli, "save_checkpoint", failing_save)
+    out = tmp_path / "run"
+    assert run(["train", "--corpus", corpus / "corpus_train.jsonl", "--out", out,
+                "--seed", "0", "--epochs", "1", "--batch-size", "16",
+                "--embed-dim", "8", "--num-layers", "1", "--num-heads", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: io:") and err.count("\n") == 1, err
+    assert list(out.iterdir()) == []  # no manifest, loss log, checkpoint or staged file
+
+
+def test_sim_rejects_bad_scenario_line(tmp_path, capsys):
+    pack_path = tmp_path / "pack.jsonl"
+    pack_path.write_text('{"schema_version": 99}\n')
+    out = tmp_path / "sim_bad"
+    assert run(["sim", "--scenarios", pack_path, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: schema:") and "line 1" in err
+    assert not out.exists()

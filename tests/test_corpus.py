@@ -10,11 +10,14 @@ from latticepath.corpus import (
     check_trajectory,
     generate_corpus,
     oracle_path,
+    read_jsonl,
     read_records,
     record_from_dict,
     record_to_dict,
     split_records,
     splitmix64,
+    validate_path,
+    write_jsonl,
     write_records,
 )
 from latticepath.lattice import LatticeCoord, Workspace, desk_workspace, manhattan
@@ -191,3 +194,20 @@ def test_check_trajectory_flags_bad_paths():
     wob = w.with_obstacles({C(1, 0, 0)})
     with pytest.raises(ValueError):
         check_trajectory(Trajectory(points=(C(0, 0, 0), C(1, 0, 0))), wob)  # obstacle
+
+
+def test_check_trajectory_reports_the_first_violation_validate_path_finds():
+    w = desk_workspace()
+    t = Trajectory(points=(C(0, 0, 0), C(2, 0, 0), C(2, 0, -1)))  # jump, then out of box
+    assert validate_path(t, w).first_violation == 1
+    with pytest.raises(ValueError, match="point 1 "):
+        check_trajectory(t, w)
+
+
+def test_read_jsonl_names_file_and_line_for_any_parser(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    write_jsonl(path, [{"b": 1, "a": 2}, {"a": 3}])
+    assert path.read_text() == '{"a": 2, "b": 1}\n{"a": 3}\n'
+    assert read_jsonl(path, lambda d: d["a"]) == [2, 3]
+    with pytest.raises(CorpusFormatError, match="rows.jsonl: line 2: malformed record"):
+        read_jsonl(path, lambda d: d["b"])
