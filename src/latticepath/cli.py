@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import os
 import sys
@@ -36,10 +37,10 @@ from .corpus import (
     write_jsonl,
     write_records,
 )
-from .decoder import DecodeConfig, decode_records
+from .decoder import DecodeConfig, DecodeCounters, decode_records
 from .evaluator import ERROR_LABELS, EvalReport, evaluate_records, format_report, format_table
 from .lattice import Workspace, desk_workspace
-from .model import LossConfig, ModelConfig, Optimizer, OptimizerConfig, PathModel, fit
+from .model import LossConfig, ModelConfig, Optimizer, OptimizerConfig, PathModel, context_features, fit
 from .twinsim import (
     ModelPlanner,
     OraclePlanner,
@@ -96,15 +97,18 @@ def _resolve(defaults: dict, file_cfg: dict, overrides: dict) -> dict:
     return cfg
 
 
-def _write_outputs(out_dir: str, command: str, cfg: dict, files: dict) -> None:
+def _write_outputs(out_dir: str, command: str, cfg: dict, files: dict, counters: dict | None = None) -> None:
     """Write every output plus the manifest, or leave none of them behind.
 
     A file's content is its text, or a function that writes the file at the
     path it is given. Each file is staged under a temporary name and moved
-    into place only once all are written, manifest.json last.
+    into place only once all are written, manifest.json last. Counters, if
+    given, are seed-determined tallies recorded in the manifest.
     """
     os.makedirs(out_dir, exist_ok=True)
     manifest = {"command": command, "config": cfg, "outputs": sorted(files) + ["manifest.json"]}
+    if counters is not None:
+        manifest["counters"] = counters
     files = {**files, "manifest.json": json.dumps(manifest, sort_keys=True) + "\n"}
     staged = {name: os.path.join(out_dir, f".{name}.partial") for name in files}
     try:
@@ -322,12 +326,22 @@ def cmd_decode(args) -> int:
         )
     except (ValueError, TypeError) as e:
         raise CliError("config", str(e)) from None
-    records = read_records(cfg["records"])
-    preds = decode_records(model, records, dcfg)
+    records = read_records(cfg["records"], check=lambda r: _check_decodable(model, r))
+    counters = DecodeCounters()
+    preds = decode_records(model, records, dcfg, counters)
     _write_outputs(args.out, "decode", cfg, {
         "predictions.jsonl": lambda path: write_records(path, preds),
-    })
+    }, counters=dataclasses.asdict(counters))
     return 0
+
+
+def _check_decodable(model: PathModel, record) -> None:
+    """Every cell a decode may visit must lie in the model box; contexts must fit the model."""
+    try:
+        model.check_workspace(record.workspace)
+        context_features(record.context, model.cfg)
+    except ValueError as e:
+        raise CorpusFormatError(str(e)) from None
 
 
 # eval -----------------------------------------------------------------------------

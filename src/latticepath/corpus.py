@@ -294,5 +294,18 @@ def write_records(path, records) -> None:
     write_jsonl(path, (record_to_dict(r) for r in records))
 
 
-def read_records(path) -> list[CorpusRecord]:
-    return read_jsonl(path, record_from_dict)
+def read_records(path, check=None) -> list[CorpusRecord]:
+    """Records of a corpus file.
+
+    check(record), if given, raises CorpusFormatError for a record the caller
+    cannot use; like a malformed line, the error names the file and line.
+    """
+    if check is None:
+        return read_jsonl(path, record_from_dict)
+
+    def parse(d):
+        r = record_from_dict(d)
+        check(r)
+        return r
+
+    return read_jsonl(path, parse)

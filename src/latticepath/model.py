@@ -96,11 +96,35 @@ class StepLogits:
 
 def masked_softmax(s: StepLogits) -> np.ndarray:
     """Probabilities over legal entries; exactly zero on illegal ones."""
-    if not s.legal_mask.any():
-        raise ValueError("masked_softmax requires at least one legal entry")
-    shifted = s.masked - s.masked[s.legal_mask].max()
-    e = np.exp(shifted)
-    return e / e.sum()
+    return ad.softmax(Tensor(s.raw), mask=s.legal_mask).data
+
+
+class KVCache:
+    """Per-layer attention keys and values of rows decoded one position at a time.
+
+    Inference only: it holds plain arrays, so no gradient flows through cached
+    positions. `t` counts the positions cached so far; every row has the same
+    count. `keep` selects and reorders rows by index.
+    """
+
+    def __init__(self):
+        self.t = 0
+        self.keys: list[np.ndarray] = []
+        self.values: list[np.ndarray] = []
+
+    def extend(self, layer: int, k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Append (rows, heads, T, dh) keys and values; return every cached position."""
+        if layer == len(self.keys):
+            self.keys.append(k)
+            self.values.append(v)
+        else:
+            self.keys[layer] = np.concatenate([self.keys[layer], k], axis=2)
+            self.values[layer] = np.concatenate([self.values[layer], v], axis=2)
+        return self.keys[layer], self.values[layer]
+
+    def keep(self, rows: np.ndarray) -> None:
+        self.keys = [k[rows] for k in self.keys]
+        self.values = [v[rows] for v in self.values]
 
 
 def context_features(ctx: TaskContext, cfg: ModelConfig) -> np.ndarray:
@@ -123,6 +147,10 @@ def context_features(ctx: TaskContext, cfg: ModelConfig) -> np.ndarray:
             1.0,
         ])
     return np.concatenate([feat, goal])
+
+
+def _box_text(b) -> str:
+    return f"x {b[0]}..{b[1]}, y {b[2]}..{b[3]}, z {b[4]}..{b[5]}"
 
 
 class PathModel:
@@ -192,6 +220,12 @@ class PathModel:
                 raise ValueError(f"coordinate outside the model box on axis {name} (bounds {lo}..{hi})")
         return xi, yi, zi
 
+    def check_workspace(self, w: Workspace) -> None:
+        """Raise ValueError unless every cell of w lies inside the model box."""
+        box = self.cfg.bounds
+        if any(w.bounds[a] < box[a] or w.bounds[a + 1] > box[a + 1] for a in (0, 2, 4)):
+            raise ValueError(f"workspace box {_box_text(w.bounds)} exceeds the model box {_box_text(box)}")
+
     def embed_step(self, p: LatticeCoord, ctx: TaskContext, t: int) -> np.ndarray:
         """Summed coordinate/task/position embedding for one step."""
         if not (0 <= t < self.cfg.max_seq_len):
@@ -209,17 +243,23 @@ class PathModel:
 
     # forward passes ----------------------------------------------------------
 
-    def forward_batch(self, points: np.ndarray, ctx_mat: np.ndarray) -> Tensor:
+    def forward_batch(self, points: np.ndarray, ctx_mat: np.ndarray, cache: KVCache | None = None) -> Tensor:
         """Logits (B, T, 7) for every position of each padded point sequence.
 
         points is an int array (B, T, 3); padded slots must repeat a valid
         cell. ctx_mat is (B, task_feature_width + goal block) as produced by
         context_features. Causal masking keeps position t blind to later
         positions, so right padding never leaks into real positions.
+
+        With a cache (inference under ad.no_grad only), points holds the
+        cells at positions cache.t .. cache.t + T - 1 of each row: their keys
+        and values are appended to the cache, they attend over every cached
+        position, and cache.t advances by T.
         """
         B, T, _ = points.shape
-        if T > self.cfg.max_seq_len:
-            raise ValueError(f"sequence length {T} exceeds max_seq_len {self.cfg.max_seq_len}")
+        t0 = 0 if cache is None else cache.t
+        if t0 + T > self.cfg.max_seq_len:
+            raise ValueError(f"sequence length {t0 + T} exceeds max_seq_len {self.cfg.max_seq_len}")
         d = self.cfg.embed_dim
         H = self.cfg.num_heads
         dh = d // H
@@ -228,14 +268,16 @@ class PathModel:
         x = self.params["coord_x"][xi] + self.params["coord_y"][yi] + self.params["coord_z"][zi]
         task = Tensor(ctx_mat) @ self.params["task_w"] + self.params["task_b"]
         x = x + task.reshape(B, 1, d)
-        x = x + self.params["seq"][np.arange(T)]
+        x = x + self.params["seq"][np.arange(t0, t0 + T)]
 
-        causal = np.tril(np.ones((T, T), dtype=bool))
+        causal = np.tril(np.ones((T, t0 + T), dtype=bool), k=t0)
         for i in range(self.cfg.num_layers):
             h = ad.layer_norm(x, self.params[f"l{i}.ln1_g"], self.params[f"l{i}.ln1_b"])
             q = (h @ self.params[f"l{i}.wq"] + self.params[f"l{i}.bq"]).reshape(B, T, H, dh).transpose((0, 2, 1, 3))
             k = (h @ self.params[f"l{i}.wk"] + self.params[f"l{i}.bk"]).reshape(B, T, H, dh).transpose((0, 2, 1, 3))
             v = (h @ self.params[f"l{i}.wv"] + self.params[f"l{i}.bv"]).reshape(B, T, H, dh).transpose((0, 2, 1, 3))
+            if cache is not None:
+                k, v = (Tensor(a) for a in cache.extend(i, k.data, v.data))
             scores = (q @ k.transpose((0, 1, 3, 2))) * (1.0 / math.sqrt(dh))
             att = ad.softmax(scores, mask=causal)
             ctx = (att @ v).transpose((0, 2, 1, 3)).reshape(B, T, d)
@@ -243,6 +285,8 @@ class PathModel:
             h2 = ad.layer_norm(x, self.params[f"l{i}.ln2_g"], self.params[f"l{i}.ln2_b"])
             ff = (h2 @ self.params[f"l{i}.w1"] + self.params[f"l{i}.b1"]).gelu()
             x = x + ff @ self.params[f"l{i}.w2"] + self.params[f"l{i}.b2"]
+        if cache is not None:
+            cache.t += T
 
         x = ad.layer_norm(x, self.params["lnf_g"], self.params["lnf_b"])
         return x @ self.params["head_w"] + self.params["head_b"]

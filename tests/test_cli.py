@@ -215,6 +215,51 @@ def test_decode_rejects_missing_checkpoint(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+def test_decode_manifest_counters_are_seed_determined(tmp_path):
+    corpus = gen(tmp_path)
+    model_dir = train(tmp_path, corpus)
+    manifests = []
+    for name in ("first", "second"):
+        assert run(["decode", "--checkpoint", model_dir / "model.npz",
+                    "--records", corpus / "corpus_validation.jsonl", "--out", tmp_path / name,
+                    "--seed", "0", "--mode", "beam", "--beam-width", "3"]) == 0
+        manifests.append((tmp_path / name / "manifest.json").read_bytes())
+    assert manifests[0] == manifests[1]
+    counters = json.loads(manifests[0])["counters"]
+    assert sum(counters["terminated"].values()) == 8  # one per validation record
+    assert 0 < counters["model_steps"] <= counters["rows_stepped"]
+
+
+def test_decode_rejects_records_outside_the_model_box(tmp_path, capsys):
+    desk = gen(tmp_path)
+    model_dir = train(tmp_path, desk)
+    big = gen(tmp_path, "big", extra=["--box", "-6", "6", "-6", "6", "0", "8"])
+    records = big / "corpus_validation.jsonl"
+    out = tmp_path / "decoded"
+    capsys.readouterr()
+    assert run(["decode", "--checkpoint", model_dir / "model.npz", "--records", records,
+                "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: schema: {records}: line 1: ") and err.count("\n") == 1, err
+    assert "model box" in err
+    assert not out.exists()
+
+
+def test_decode_into_an_existing_file_writes_nothing(tmp_path, capsys):
+    corpus = gen(tmp_path)
+    model_dir = train(tmp_path, corpus)
+    taken = tmp_path / "taken"
+    taken.write_text("keep me\n")
+    before = sorted(p.name for p in tmp_path.iterdir())
+    capsys.readouterr()
+    assert run(["decode", "--checkpoint", model_dir / "model.npz",
+                "--records", corpus / "corpus_validation.jsonl", "--out", taken]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: io:") and err.count("\n") == 1, err
+    assert taken.read_text() == "keep me\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
 # sim ----------------------------------------------------------------------------
 
 
