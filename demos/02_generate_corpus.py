@@ -9,11 +9,12 @@ import tempfile
 
 from latticepath.corpus import (
     GenerationConfig,
+    GenerationCounters,
     generate_corpus,
     read_records,
     write_records,
 )
-from latticepath.lattice import desk_workspace
+from latticepath.lattice import default_workspace, desk_workspace
 
 cfg = GenerationConfig(
     workspace=desk_workspace(),
@@ -58,3 +59,11 @@ with tempfile.TemporaryDirectory() as d:
 again = generate_corpus(cfg, seed=42)
 assert again == records
 print("regeneration with seed 42 is identical")
+
+# full-envelope records (45x45x35 cells) are practical too; the counters show
+# how many attempts were rejected on start-goal distance before any search
+envelope = GenerationConfig(workspace=default_workspace(), count=5, obstacle_density=0.05)
+counters = GenerationCounters()
+big = generate_corpus(envelope, seed=0, counters=counters)
+print("envelope records: %d, lengths %s" % (len(big), [len(r.trajectory) for r in big]))
+print("envelope counters:", counters)

@@ -31,6 +31,7 @@ from .checkpoint import CheckpointFormatError, load_checkpoint, save_checkpoint
 from .corpus import (
     CorpusFormatError,
     GenerationConfig,
+    GenerationCounters,
     UnreachableGoalError,
     generate_corpus,
     read_records,
@@ -163,13 +164,14 @@ def cmd_gen(args) -> int:
     except (ValueError, KeyError, TypeError) as e:
         raise CliError("config", str(e)) from None
 
-    records = generate_corpus(gcfg, int(cfg["seed"]))
+    counters = GenerationCounters()
+    records = generate_corpus(gcfg, int(cfg["seed"]), counters)
     train = [r for r in records if r.split_tag == "train"]
     val = [r for r in records if r.split_tag == "validation"]
     _write_outputs(args.out, "gen", cfg, {
         "corpus_train.jsonl": lambda path: write_records(path, train),
         "corpus_validation.jsonl": lambda path: write_records(path, val),
-    })
+    }, counters=dataclasses.asdict(counters))
     return 0
 
 

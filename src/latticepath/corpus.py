@@ -13,7 +13,8 @@ import json
 from collections import deque
 from dataclasses import dataclass, field, replace
 
-from .lattice import LatticeCoord, Workspace, in_bounds, manhattan, neighbors
+from .lattice import LatticeCoord, LegalityGrid, Workspace, in_bounds, manhattan
+from .lattice import neighbors  # noqa: F401 (perfbench/tracer.py wraps corpus.neighbors)
 from .taskgrid import TaskContext, TaskGraph, build_context, chain_graph
 
 SCHEMA_VERSION = 1
@@ -105,6 +106,26 @@ class GenerationConfig:
             raise ValueError("train_fraction must lie strictly between 0 and 1")
         if self.max_path_length < 2:
             raise ValueError("max_path_length must be at least 2")
+        if self.max_resample_attempts < 1:
+            raise ValueError("max_resample_attempts must be at least 1")
+
+
+@dataclass
+class GenerationCounters:
+    """Seed-determined tallies of corpus generation; no timings.
+
+    Each attempt yields a record or is rejected for one reason: the
+    start-goal distance alone exceeds max_path_length (no search runs), the
+    goal is unreachable, or the shortest path is too long. bfs_runs counts
+    oracle searches and bfs_cells_expanded the cells they took off the queue.
+    """
+
+    attempts: int = 0
+    bfs_runs: int = 0
+    bfs_cells_expanded: int = 0
+    rejected_distance: int = 0
+    rejected_unreachable: int = 0
+    rejected_too_long: int = 0
 
 
 def splitmix64(state: int) -> int:
@@ -117,11 +138,14 @@ def splitmix64(state: int) -> int:
     return z ^ (z >> 31)
 
 
-def oracle_path(start: LatticeCoord, goal: LatticeCoord, w: Workspace) -> Trajectory:
+def oracle_path(
+    start: LatticeCoord, goal: LatticeCoord, w: Workspace, counters: GenerationCounters | None = None
+) -> Trajectory:
     """Shortest obstacle-avoiding path from start to goal, both endpoints included.
 
-    BFS with frontier expansion in canonical move order; each cell keeps the
-    first parent that discovers it, so ties resolve deterministically.
+    BFS over the flat indices of w.grid with frontier expansion in canonical
+    move order; each cell keeps the first parent that discovers it, so ties
+    resolve deterministically. counters, if given, tallies the search.
     """
     if not in_bounds(start, w):
         raise ValueError(f"start {start} is out of bounds")
@@ -129,20 +153,40 @@ def oracle_path(start: LatticeCoord, goal: LatticeCoord, w: Workspace) -> Trajec
         raise ValueError(f"goal {goal} is out of bounds")
     if start == goal:
         return Trajectory(points=(start,))
-    parent: dict[LatticeCoord, LatticeCoord] = {start: start}
-    queue = deque([start])
+    grid = w.grid
+    s, g = grid.index(start), grid.index(goal)
+    parent, expanded = _bfs_parents(grid, s, g)
+    if counters is not None:
+        counters.bfs_runs += 1
+        counters.bfs_cells_expanded += expanded
+    if parent is None:
+        raise UnreachableGoalError(f"goal {goal} is unreachable from {start}")
+    path = [g]
+    while path[-1] != s:
+        path.append(parent[path[-1]])
+    return Trajectory(points=tuple(grid.coord(i) for i in reversed(path)))
+
+
+def _bfs_parents(grid: LegalityGrid, s: int, g: int) -> tuple[dict[int, int] | None, int]:
+    """Parent links of the BFS from s up to the discovery of g (None if never), and cells expanded."""
+    strides = grid.strides
+    unseen = bytearray(grid.free)
+    unseen[s] = 0
+    parent: dict[int, int] = {}
+    queue = deque([s])
+    expanded = 0
     while queue:
         p = queue.popleft()
-        for u in neighbors(p, w):
-            if u not in parent:
+        expanded += 1
+        for d in strides:
+            u = p + d
+            if unseen[u]:
+                unseen[u] = 0
                 parent[u] = p
-                if u == goal:
-                    path = [u]
-                    while path[-1] != start:
-                        path.append(parent[path[-1]])
-                    return Trajectory(points=tuple(reversed(path)))
+                if u == g:
+                    return parent, expanded
                 queue.append(u)
-    raise UnreachableGoalError(f"goal {goal} is unreachable from {start}")
+    return None, expanded
 
 
 _TASK_TEMPLATES: tuple[tuple[tuple[str, ...], int], ...] = (
@@ -153,41 +197,54 @@ _TASK_TEMPLATES: tuple[tuple[tuple[str, ...], int], ...] = (
 )
 
 
-def _sample_cell(rng, w: Workspace, exclude=frozenset()) -> LatticeCoord:
+def _sample_rank(rng, w: Workspace, taken: set[int], exclude: int = -1) -> int:
+    """Rank in x/y/z order of a uniformly drawn box cell that is neither taken nor exclude."""
+    _, ny, nz = w.shape
     while True:
-        c = LatticeCoord(
-            rng.randrange(w.x_min, w.x_max + 1),
-            rng.randrange(w.y_min, w.y_max + 1),
-            rng.randrange(w.z_min, w.z_max + 1),
-        )
-        if in_bounds(c, w) and c not in exclude:
-            return c
+        x = rng.randrange(w.x_min, w.x_max + 1) - w.x_min
+        y = rng.randrange(w.y_min, w.y_max + 1) - w.y_min
+        z = rng.randrange(w.z_min, w.z_max + 1) - w.z_min
+        i = (x * ny + y) * nz + z
+        if i not in taken and i != exclude:
+            return i
 
 
-def _generate_record(record_seed: int, cfg: GenerationConfig) -> CorpusRecord:
+def _generate_record(record_seed: int, cfg: GenerationConfig, counters: GenerationCounters) -> CorpusRecord:
+    """One record of a seeded attempt loop; cells are handled by their rank in x/y/z order.
+
+    Each attempt draws the obstacles, then start and goal; the workspace is
+    built and searched only when the start-goal distance allows a path of at
+    most max_path_length cells.
+    """
     import random
 
     rng = random.Random(record_seed)
     base = cfg.workspace
-    for _ in range(cfg.max_resample_attempts):
-        n_obstacles = int(round(cfg.obstacle_density * base.volume()))
-        cells = [
-            LatticeCoord(x, y, z)
-            for x in range(base.x_min, base.x_max + 1)
-            for y in range(base.y_min, base.y_max + 1)
-            for z in range(base.z_min, base.z_max + 1)
-        ]
-        obstacles = frozenset(rng.sample(cells, n_obstacles)) if n_obstacles else frozenset()
-        w = base.with_obstacles(obstacles)
-        if w.volume() - len(obstacles) < 2:
+    volume = base.volume()
+    n_obstacles = int(round(cfg.obstacle_density * volume))
+    # with fewer than two free cells no attempt can succeed
+    attempts = cfg.max_resample_attempts if volume - n_obstacles >= 2 else 0
+    _, ny, nz = base.shape
+
+    def cell(i: int) -> LatticeCoord:
+        return LatticeCoord(base.x_min + i // (ny * nz), base.y_min + i // nz % ny, base.z_min + i % nz)
+
+    for _ in range(attempts):
+        counters.attempts += 1
+        blocked = set(rng.sample(range(volume), n_obstacles))
+        s = _sample_rank(rng, base, blocked)
+        start, goal = cell(s), cell(_sample_rank(rng, base, blocked, exclude=s))
+        if manhattan(start, goal) + 1 > cfg.max_path_length:
+            counters.rejected_distance += 1  # no path can be short enough
             continue
-        start = _sample_cell(rng, w)
-        goal = _sample_cell(rng, w, exclude={start})
+        w = base.with_obstacles(cell(i) for i in blocked)
         try:
-            traj = oracle_path(start, goal, w)
+            traj = oracle_path(start, goal, w, counters)
         except UnreachableGoalError:
+            counters.rejected_unreachable += 1
             continue
         if len(traj) > cfg.max_path_length:
+            counters.rejected_too_long += 1
             continue
         kinds, active = _TASK_TEMPLATES[rng.randrange(len(_TASK_TEMPLATES))]
         graph = chain_graph(kinds)
@@ -207,14 +264,15 @@ def _generate_record(record_seed: int, cfg: GenerationConfig) -> CorpusRecord:
     )
 
 
-def generate_corpus(cfg: GenerationConfig, seed: int) -> list[CorpusRecord]:
+def generate_corpus(cfg: GenerationConfig, seed: int, counters: GenerationCounters | None = None) -> list[CorpusRecord]:
     """Deterministic corpus of cfg.count records, split-tagged by record seed."""
+    counters = GenerationCounters() if counters is None else counters
     state = splitmix64(seed)
     records = []
     for _ in range(cfg.count):
         record_seed = state
         state = splitmix64(state)
-        records.append(_generate_record(record_seed, cfg))
+        records.append(_generate_record(record_seed, cfg, counters))
     return split_records(records, cfg.train_fraction)
 
 

@@ -22,7 +22,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .corpus import CorpusRecord, Trajectory, validate_path  # noqa: F401 (re-exported)
-from .lattice import STOP, LatticeCoord, Workspace, apply_move, in_bounds, legal_moves, manhattan
+from .lattice import STOP, LatticeCoord, Workspace, apply_move, in_bounds, manhattan
 from .model import KVCache, PathModel, context_features
 from .model import masked_softmax  # noqa: F401 (re-exported; perfbench/tracer.py wraps it)
 from .taskgrid import TaskContext
@@ -117,11 +117,12 @@ class _CachedStep:
         self.cache = KVCache()
 
     def __call__(self, rows: list[tuple[int, _Hypothesis]]) -> tuple[np.ndarray, np.ndarray]:
-        cells = [h.points[-1] for _, h in rows]
-        pts = np.array([[c.as_tuple()] for c in cells], dtype=np.int64)
+        pts = np.array([[h.points[-1].as_tuple()] for _, h in rows], dtype=np.int64)
         with ad.no_grad():
             raw = self.model.forward_batch(pts, self.ctx_mat, self.cache).data[:, 0]
-        legal = np.array([legal_moves(c, self.jobs[j][2]) + [True] for c, (j, _) in zip(cells, rows)])
+        legal = np.ones((len(rows), STOP + 1), dtype=bool)
+        for r, (j, _) in enumerate(rows):
+            legal[r, :STOP] = self.jobs[j][2].grid.move_mask(pts[r, 0])
         return raw, legal
 
     def keep(self, parents: np.ndarray) -> None:

@@ -3,13 +3,18 @@
 Everything downstream (corpus synthesis, model masks, decoding, the twin
 simulator) shares the conventions fixed here: unit moves are the six axis
 steps in the canonical order +x, -x, +y, -y, +z, -z, and a cell is legal
-iff it lies inside the workspace box and is not an obstacle.
+iff it lies inside the workspace box and is not an obstacle. A workspace's
+LegalityGrid is the flat-index form of that rule that the BFS oracle and
+every legality mask read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+
+import numpy as np
 
 
 @dataclass(frozen=True, order=True)
@@ -121,6 +126,11 @@ class Workspace:
                     if c not in self.obstacles:
                         yield c
 
+    @cached_property
+    def grid(self) -> "LegalityGrid":
+        """The legality grid of this workspace, built on first use."""
+        return LegalityGrid(self)
+
     def with_obstacles(self, obstacles) -> "Workspace":
         return Workspace(
             self.x_min, self.x_max, self.y_min, self.y_max, self.z_min, self.z_max,
@@ -145,6 +155,55 @@ class Workspace:
             obstacles=frozenset(LatticeCoord(*map(int, c)) for c in d.get("obstacles", [])),
             resolution_mm=float(d.get("resolution_mm", 20.0)),
         )
+
+
+class LegalityGrid:
+    """Flat legality table of a workspace box padded by one cell on every side.
+
+    free[i] is 1 on in-box non-obstacle cells and 0 on obstacles and on the
+    padding, so from any cell i of the box the canonical move m lands on
+    i + strides[m] and is legal iff free at that index; no bounds check is
+    needed.
+    """
+
+    def __init__(self, w: Workspace):
+        nx, ny, nz = w.shape
+        sy = nz + 2
+        sx = (ny + 2) * sy
+        self.origin = (w.x_min - 1, w.y_min - 1, w.z_min - 1)
+        self.strides = (sx, -sx, sy, -sy, 1, -1)
+        self._axis = (sx, sy)
+        free = bytearray(sx * (nx + 2))
+        run = b"\x01" * nz
+        for x in range(1, nx + 1):
+            for y in range(1, ny + 1):
+                i = x * sx + y * sy + 1
+                free[i : i + nz] = run
+        for c in w.obstacles:
+            free[self.index(c)] = 0
+        self.free = free
+        self._free = np.frombuffer(free, dtype=bool)
+        self._cell_weights = np.array([sx, sy, 1], dtype=np.int64)
+        self._move_strides = np.array(self.strides, dtype=np.int64)
+
+    def index(self, p: LatticeCoord) -> int:
+        """Flat index of a cell of the box."""
+        ox, oy, oz = self.origin
+        sx, sy = self._axis
+        return (p.x - ox) * sx + (p.y - oy) * sy + (p.z - oz)
+
+    def coord(self, i: int) -> LatticeCoord:
+        """Cell at flat index i; inverse of index."""
+        ox, oy, oz = self.origin
+        sx, sy = self._axis
+        x, r = divmod(i, sx)
+        y, z = divmod(r, sy)
+        return LatticeCoord(x + ox, y + oy, z + oz)
+
+    def move_mask(self, cells: np.ndarray) -> np.ndarray:
+        """Legality (..., 6) of the canonical moves from integer cells (..., 3) of the box."""
+        flat = (np.asarray(cells, dtype=np.int64) - self.origin) @ self._cell_weights
+        return self._free[flat[..., None] + self._move_strides]
 
 
 def default_workspace() -> Workspace:
@@ -184,7 +243,11 @@ def neighbors(p: LatticeCoord, w: Workspace) -> list[LatticeCoord]:
 
 
 def legal_moves(p: LatticeCoord, w: Workspace) -> list[bool]:
-    """Boolean legality of each of the six canonical moves from p."""
+    """Boolean legality of each of the six canonical moves from p.
+
+    The cell-by-cell rule; LegalityGrid.move_mask gives the same answer for
+    whole arrays of cells of the box.
+    """
     return [in_bounds(p.offset(*m), w) for m in MOVES]
 
 

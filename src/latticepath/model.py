@@ -18,7 +18,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .corpus import Trajectory, check_trajectory
-from .lattice import MOVES, STOP, LatticeCoord, Workspace, in_bounds, legal_moves, move_index
+from .lattice import MOVES, STOP, LatticeCoord, Workspace, in_bounds, move_index
+from .lattice import legal_moves  # noqa: F401 (perfbench/tracer.py wraps model.legal_moves)
 from .taskgrid import TASK_FEATURE_WIDTH, TaskContext
 
 MOVE_VOCAB = len(MOVES) + 1  # six canonical moves + STOP
@@ -305,9 +306,9 @@ class PathModel:
         cv = context_features(ctx, self.cfg)[None, :]
         with ad.no_grad():
             logits = self.forward_batch(pts, cv)
-        raw = logits.data[0, -1]
-        legal = np.array(legal_moves(prefix[-1], w) + [True])
-        return StepLogits(raw=raw, legal_mask=legal)
+        legal = np.ones(MOVE_VOCAB, dtype=bool)
+        legal[:STOP] = w.grid.move_mask(pts[0, -1])
+        return StepLogits(raw=logits.data[0, -1], legal_mask=legal)
 
 
 # composite loss ---------------------------------------------------------------
@@ -389,6 +390,7 @@ def make_loss_batch(items: list[tuple[Trajectory, TaskContext, Workspace]], cfg:
     ctx_mat = np.zeros((B, cfg.task_feature_width + GOAL_FEATURE_WIDTH))
     gold_moves = np.zeros((B, T), dtype=np.int64)
     legal = np.zeros((B, T, MOVE_VOCAB), dtype=bool)
+    legal[:, :, STOP] = True
     move_pos = np.zeros((B, T))
     all_pos = np.zeros((B, T))
     gold_cells = np.zeros((B, n_cells))
@@ -401,9 +403,8 @@ def make_loss_batch(items: list[tuple[Trajectory, TaskContext, Workspace]], cfg:
         points[b, :L] = pts
         points[b, L:] = pts[-1]
         ctx_mat[b] = context_features(ctx, cfg)
+        legal[b, :L, :STOP] = w.grid.move_mask(pts)
         for t, p in enumerate(traj.points):
-            legal[b, t, :6] = legal_moves(p, w)
-            legal[b, t, 6] = True
             if t < L - 1:
                 gold_moves[b, t] = move_index(p, traj.points[t + 1])
             else:

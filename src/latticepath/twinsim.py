@@ -277,10 +277,14 @@ def run_episode_detailed(scene: Scene, planner, event_script: tuple[Event, ...] 
             grasped=state["grasped"], released=state["released"], ticks=tick,
         )
 
+    live = {"n_active": 0, "workspace": scene.workspace}
+
     def active_workspace() -> Workspace:
-        if not active:
-            return scene.workspace
-        return scene.workspace.with_obstacles(scene.workspace.obstacles | active)
+        """Scene workspace plus the activated obstacles, rebuilt only when `active` grows."""
+        if live["n_active"] != len(active):
+            live["n_active"] = len(active)
+            live["workspace"] = scene.workspace.with_obstacles(scene.workspace.obstacles | active)
+        return live["workspace"]
 
     def live_drop() -> LatticeCoord:
         return scene.drop_cell if scene.container is not None else current_target

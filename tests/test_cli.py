@@ -98,6 +98,30 @@ def test_gen_custom_box_with_obstacles(tmp_path):
         assert validate_path(r.trajectory, r.workspace).valid
 
 
+@pytest.mark.parametrize("attempts", [0, -3])
+def test_gen_rejects_nonpositive_resample_attempts(tmp_path, capsys, attempts):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"max_resample_attempts": attempts}))
+    out = tmp_path / "never"
+    assert run(["gen", "--config", cfg, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:") and "max_resample_attempts" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+def test_gen_manifest_counters_are_seed_determined(tmp_path):
+    extra = ["--obstacle-density", "0.2", "--max-path-length", "6"]
+    a, b = gen(tmp_path, "a", extra), gen(tmp_path, "b", extra)
+    assert (a / "manifest.json").read_bytes() == (b / "manifest.json").read_bytes()
+    counters = json.loads((a / "manifest.json").read_text())["counters"]
+    rejections = counters["rejected_distance"] + counters["rejected_unreachable"] + counters["rejected_too_long"]
+    assert counters["rejected_distance"] > 0
+    assert counters["attempts"] == 40 + rejections  # one record per accepted attempt
+    assert counters["bfs_runs"] == counters["attempts"] - counters["rejected_distance"]
+    assert counters["bfs_cells_expanded"] >= counters["bfs_runs"]
+
+
 # train -----------------------------------------------------------------------
 
 
