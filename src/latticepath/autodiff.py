@@ -70,8 +70,12 @@ class Tensor:
 
     def _accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # copy, not alias g; empty_like keeps self.data's memory layout,
+            # which later BLAS calls on the gradient depend on bit for bit
+            self.grad = np.empty_like(self.data)
+            np.copyto(self.grad, g)
+        else:
+            self.grad += g
 
     def backward(self) -> None:
         """Reverse-mode sweep from a scalar output."""
@@ -217,12 +221,13 @@ class Tensor:
         c = math.sqrt(2.0 / math.pi)
         a = 0.044715
         x = self.data
-        u = c * (x + a * x ** 3)
+        x2 = x * x
+        u = c * (x + a * (x2 * x))
         t = np.tanh(u)
         out = _make(0.5 * x * (1.0 + t), (self,))
         if out._parents:
             def backward(g):
-                du = c * (1.0 + 3.0 * a * x ** 2)
+                du = c * (1.0 + 3.0 * a * x2)
                 self._accumulate(g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t ** 2) * du))
             out._backward = backward
         return out
@@ -250,9 +255,8 @@ class Tensor:
         out = _make(self.data[index], (self,))
         if out._parents:
             def backward(g):
-                full = np.zeros_like(self.data)
-                np.add.at(full, index, g)
-                self._accumulate(full)
+                flat = np.arange(self.data.size).reshape(self.data.shape)[index]
+                self._accumulate(_bincount(flat, g, self.data.shape))
             out._backward = backward
         return out
 
@@ -262,12 +266,9 @@ class Tensor:
         out = _make(self.data.sum(axis=axis, keepdims=keepdims), (self,))
         if out._parents:
             def backward(g):
-                if axis is None:
-                    self._accumulate(np.broadcast_to(g, self.data.shape).copy())
-                    return
-                if not keepdims:
+                if axis is not None and not keepdims:
                     g = np.expand_dims(g, axis)
-                self._accumulate(np.broadcast_to(g, self.data.shape).copy())
+                self._accumulate(np.broadcast_to(g, self.data.shape))
             out._backward = backward
         return out
 
@@ -293,17 +294,46 @@ def _make(data: np.ndarray, parents: tuple[Tensor, ...]) -> Tensor:
     return out
 
 
+def _bincount(flat: np.ndarray, weights: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Array of `shape` whose flat entry i sums the weights at flat == i.
+
+    Sums in input order starting from 0, exactly as np.add.at into zeros.
+    """
+    size = math.prod(shape)
+    return np.bincount(flat.ravel(), weights=weights.ravel(), minlength=size).reshape(shape)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b for a 2-D weight, as one GEMM over x's flattened leading axes.
+
+    The weight gradient is one GEMM too, so its sum over the leading axes is
+    associated differently from a per-batch-element matmul.
+    """
+    x2 = x.data.reshape(-1, x.data.shape[-1])
+    y = x2 @ w.data + b.data
+    out = _make(y.reshape(x.data.shape[:-1] + y.shape[-1:]), (x, w, b))
+    if out._parents:
+        def backward(g):
+            g2 = g.reshape(-1, g.shape[-1])
+            if x.requires_grad:
+                x._accumulate((g2 @ w.data.T).reshape(x.data.shape))
+            if w.requires_grad:
+                w._accumulate(x2.T @ g2)
+            if b.requires_grad:
+                b._accumulate(g2.sum(axis=0))
+        out._backward = backward
+    return out
+
+
 def gather_last(x: Tensor, index: np.ndarray) -> Tensor:
     """out[..., ] = x[..., index[...]] along the last axis; index is constant."""
     index = np.asarray(index, dtype=np.int64)
     picked = np.take_along_axis(x.data, index[..., None], axis=-1)[..., 0]
     out = _make(picked, (x,))
     if out._parents:
-        lead = tuple(np.indices(index.shape))
+        flat = (np.arange(index.size) * x.data.shape[-1]).reshape(index.shape) + index
         def backward(g):
-            full = np.zeros_like(x.data)
-            np.add.at(full, lead + (index,), g)
-            x._accumulate(full)
+            x._accumulate(_bincount(flat, g, x.data.shape))
         out._backward = backward
     return out
 
@@ -316,15 +346,21 @@ def scatter_add_last(values: Tensor, index: np.ndarray, size: int) -> Tensor:
     index = np.asarray(index, dtype=np.int64)
     if index.shape != values.data.shape:
         raise ValueError("scatter index must match values shape")
-    out_data = np.zeros(values.data.shape[:-1] + (size,))
-    lead = tuple(np.indices(index.shape))
-    np.add.at(out_data, lead[:-1] + (index,), values.data)
-    out = _make(out_data, (values,))
+    lead = index.shape[:-1]
+    flat = (np.arange(math.prod(lead)) * size).reshape(lead + (1,)) + index
+    out = _make(_bincount(flat, values.data, lead + (size,)), (values,))
     if out._parents:
         def backward(g):
-            values._accumulate(g[lead[:-1] + (index,)])
+            values._accumulate(np.take_along_axis(g, index, axis=-1))
         out._backward = backward
     return out
+
+
+def _mask_logits(logits: np.ndarray, mask, op: str) -> np.ndarray:
+    """Logits with masked-out entries at -inf; every row must keep an entry."""
+    if not mask.any(axis=-1).all():
+        raise ValueError(f"{op} mask leaves a row with no legal entries")
+    return np.where(mask, logits, -np.inf)
 
 
 def softmax(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
@@ -335,10 +371,7 @@ def softmax(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
     """
     logits = x.data
     if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        if not mask.any(axis=-1).all():
-            raise ValueError("softmax mask leaves a row with no legal entries")
-        logits = np.where(mask, logits, -np.inf)
+        logits = _mask_logits(logits, np.asarray(mask, dtype=bool), "softmax")
     shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     p = e / e.sum(axis=-1, keepdims=True)
@@ -356,9 +389,7 @@ def log_softmax(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
     logits = x.data
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
-        if not mask.any(axis=-1).all():
-            raise ValueError("log_softmax mask leaves a row with no legal entries")
-        logits = np.where(mask, logits, -np.inf)
+        logits = _mask_logits(logits, mask, "log_softmax")
     m = logits.max(axis=-1, keepdims=True)
     shifted = logits - m
     e = np.exp(shifted)
@@ -366,10 +397,9 @@ def log_softmax(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
     out = _make(logits - lse, (x,))
     if out._parents:
         p = e / e.sum(axis=-1, keepdims=True)
-        grad_gate = mask if mask is not None else None
         def backward(g):
-            if grad_gate is not None:
-                g = np.where(grad_gate, g, 0.0)
+            if mask is not None:
+                g = np.where(mask, g, 0.0)
             inner = g.sum(axis=-1, keepdims=True)
             x._accumulate(g - p * inner)
         out._backward = backward

@@ -41,7 +41,16 @@ from .corpus import (
 from .decoder import DecodeConfig, DecodeCounters, decode_records
 from .evaluator import ERROR_LABELS, EvalReport, evaluate_records, format_report, format_table
 from .lattice import Workspace, desk_workspace
-from .model import LossConfig, ModelConfig, Optimizer, OptimizerConfig, PathModel, context_features, fit
+from .model import (
+    LossConfig,
+    ModelConfig,
+    Optimizer,
+    OptimizerConfig,
+    PathModel,
+    TrainCounters,
+    context_features,
+    fit,
+)
 from .twinsim import (
     ModelPlanner,
     OraclePlanner,
@@ -226,35 +235,27 @@ def cmd_train(args) -> int:
     if int(cfg["batch_size"]) < 1:
         raise CliError("config", "batch_size must be positive")
 
-    records = read_records(cfg["corpus"])
+    seed = int(cfg["seed"])
+    model = optimizer = mcfg = None
+    if cfg["resume"] is not None:
+        model, optimizer, _ = load_checkpoint(cfg["resume"])
+        mcfg = model.cfg  # checkpoint architecture wins on resume
+
+    def check(record):
+        nonlocal mcfg
+        if mcfg is None:  # a fresh model's box and context width come from the first record
+            mcfg = _model_config(cfg["model"], record)
+        _check_decodable(mcfg, record)
+
+    records = read_records(cfg["corpus"], check=check)
     if not records:
         raise CliError("config", f"corpus {cfg['corpus']} contains no records")
     items = [(r.trajectory, r.context, r.workspace) for r in records]
     longest = max(len(r.trajectory) for r in records)
-
-    seed = int(cfg["seed"])
-    if cfg["resume"] is not None:
-        model, optimizer, _ = load_checkpoint(cfg["resume"])
-        if optimizer is None:
-            optimizer = Optimizer(_optimizer_config(cfg["optimizer"]))
-        cfg["model"] = model.cfg.to_dict()  # checkpoint architecture wins on resume
-    else:
-        m = cfg["model"]
-        bounds = m.get("bounds") or records[0].workspace.bounds
-        width = m.get("task_feature_width") or len(records[0].context.task_feature_vector)
-        try:
-            mcfg = ModelConfig(
-                embed_dim=int(m["embed_dim"]),
-                num_layers=int(m["num_layers"]),
-                num_heads=int(m["num_heads"]),
-                max_seq_len=int(m["max_seq_len"]),
-                task_feature_width=int(width),
-                bounds=tuple(int(v) for v in bounds),
-            )
-        except (ValueError, KeyError, TypeError) as e:
-            raise CliError("config", str(e)) from None
-        cfg["model"] = mcfg.to_dict()
+    cfg["model"] = mcfg.to_dict()
+    if model is None:
         model = PathModel(mcfg, seed=seed)
+    if optimizer is None:
         optimizer = Optimizer(_optimizer_config(cfg["optimizer"]))
     if longest > model.cfg.max_seq_len:
         raise CliError(
@@ -274,14 +275,32 @@ def cmd_train(args) -> int:
             f"\t{bd.cov:.10g}\t{bd.len:.10g}\t{bd.total:.10g}"
         )
 
-    fit(model, items, loss_cfg, optimizer,
-        epochs=int(cfg["epochs"]), batch_size=int(cfg["batch_size"]), seed=seed, log=log)
+    counters = TrainCounters()
+    fit(model, items, loss_cfg, optimizer, epochs=int(cfg["epochs"]),
+        batch_size=int(cfg["batch_size"]), seed=seed, log=log, counters=counters)
 
     _write_outputs(args.out, "train", cfg, {
         "loss_log.tsv": "\n".join(log_lines) + "\n",
         "model.npz": lambda path: save_checkpoint(path, model, optimizer, optimizer.step_count),
-    })
+    }, counters=dataclasses.asdict(counters))
     return 0
+
+
+def _model_config(m: dict, first) -> ModelConfig:
+    """A fresh model's config; unset bounds and context width come from the first record."""
+    bounds = m.get("bounds") or first.workspace.bounds
+    width = m.get("task_feature_width") or len(first.context.task_feature_vector)
+    try:
+        return ModelConfig(
+            embed_dim=int(m["embed_dim"]),
+            num_layers=int(m["num_layers"]),
+            num_heads=int(m["num_heads"]),
+            max_seq_len=int(m["max_seq_len"]),
+            task_feature_width=int(width),
+            bounds=tuple(int(v) for v in bounds),
+        )
+    except (ValueError, KeyError, TypeError) as e:
+        raise CliError("config", str(e)) from None
 
 
 def _optimizer_config(d: dict) -> OptimizerConfig:
@@ -328,7 +347,7 @@ def cmd_decode(args) -> int:
         )
     except (ValueError, TypeError) as e:
         raise CliError("config", str(e)) from None
-    records = read_records(cfg["records"], check=lambda r: _check_decodable(model, r))
+    records = read_records(cfg["records"], check=lambda r: _check_decodable(model.cfg, r))
     counters = DecodeCounters()
     preds = decode_records(model, records, dcfg, counters)
     _write_outputs(args.out, "decode", cfg, {
@@ -337,11 +356,11 @@ def cmd_decode(args) -> int:
     return 0
 
 
-def _check_decodable(model: PathModel, record) -> None:
-    """Every cell a decode may visit must lie in the model box; contexts must fit the model."""
+def _check_decodable(mcfg: ModelConfig, record) -> None:
+    """Every cell a record's paths may visit must lie in the model box; its context must fit the model."""
     try:
-        model.check_workspace(record.workspace)
-        context_features(record.context, model.cfg)
+        mcfg.check_workspace(record.workspace)
+        context_features(record.context, mcfg)
     except ValueError as e:
         raise CorpusFormatError(str(e)) from None
 

@@ -53,6 +53,12 @@ class ModelConfig:
         x0, x1, y0, y1, z0, z1 = self.bounds
         return (x1 - x0 + 1, y1 - y0 + 1, z1 - z0 + 1)
 
+    def check_workspace(self, w: Workspace) -> None:
+        """Raise ValueError unless every cell of w lies inside the model box."""
+        box = self.bounds
+        if any(w.bounds[a] < box[a] or w.bounds[a + 1] > box[a + 1] for a in (0, 2, 4)):
+            raise ValueError(f"workspace box {_box_text(w.bounds)} exceeds the model box {_box_text(box)}")
+
     def to_dict(self) -> dict:
         return {
             "embed_dim": self.embed_dim,
@@ -221,12 +227,6 @@ class PathModel:
                 raise ValueError(f"coordinate outside the model box on axis {name} (bounds {lo}..{hi})")
         return xi, yi, zi
 
-    def check_workspace(self, w: Workspace) -> None:
-        """Raise ValueError unless every cell of w lies inside the model box."""
-        box = self.cfg.bounds
-        if any(w.bounds[a] < box[a] or w.bounds[a + 1] > box[a + 1] for a in (0, 2, 4)):
-            raise ValueError(f"workspace box {_box_text(w.bounds)} exceeds the model box {_box_text(box)}")
-
     def embed_step(self, p: LatticeCoord, ctx: TaskContext, t: int) -> np.ndarray:
         """Summed coordinate/task/position embedding for one step."""
         if not (0 <= t < self.cfg.max_seq_len):
@@ -265,32 +265,37 @@ class PathModel:
         H = self.cfg.num_heads
         dh = d // H
 
+        P = self.params
+
+        def lin(h, layer, m):
+            return ad.linear(h, P[f"l{layer}.w{m}"], P[f"l{layer}.b{m}"])
+
+        def heads(a):
+            return a.reshape(B, T, H, dh).transpose((0, 2, 1, 3))
+
         xi, yi, zi = self._axis_indices(points)
-        x = self.params["coord_x"][xi] + self.params["coord_y"][yi] + self.params["coord_z"][zi]
-        task = Tensor(ctx_mat) @ self.params["task_w"] + self.params["task_b"]
+        x = P["coord_x"][xi] + P["coord_y"][yi] + P["coord_z"][zi]
+        task = ad.linear(Tensor(ctx_mat), P["task_w"], P["task_b"])
         x = x + task.reshape(B, 1, d)
-        x = x + self.params["seq"][np.arange(t0, t0 + T)]
+        x = x + P["seq"][np.arange(t0, t0 + T)]
 
         causal = np.tril(np.ones((T, t0 + T), dtype=bool), k=t0)
         for i in range(self.cfg.num_layers):
-            h = ad.layer_norm(x, self.params[f"l{i}.ln1_g"], self.params[f"l{i}.ln1_b"])
-            q = (h @ self.params[f"l{i}.wq"] + self.params[f"l{i}.bq"]).reshape(B, T, H, dh).transpose((0, 2, 1, 3))
-            k = (h @ self.params[f"l{i}.wk"] + self.params[f"l{i}.bk"]).reshape(B, T, H, dh).transpose((0, 2, 1, 3))
-            v = (h @ self.params[f"l{i}.wv"] + self.params[f"l{i}.bv"]).reshape(B, T, H, dh).transpose((0, 2, 1, 3))
+            h = ad.layer_norm(x, P[f"l{i}.ln1_g"], P[f"l{i}.ln1_b"])
+            q, k, v = (heads(lin(h, i, m)) for m in "qkv")
             if cache is not None:
                 k, v = (Tensor(a) for a in cache.extend(i, k.data, v.data))
             scores = (q @ k.transpose((0, 1, 3, 2))) * (1.0 / math.sqrt(dh))
             att = ad.softmax(scores, mask=causal)
             ctx = (att @ v).transpose((0, 2, 1, 3)).reshape(B, T, d)
-            x = x + ctx @ self.params[f"l{i}.wo"] + self.params[f"l{i}.bo"]
-            h2 = ad.layer_norm(x, self.params[f"l{i}.ln2_g"], self.params[f"l{i}.ln2_b"])
-            ff = (h2 @ self.params[f"l{i}.w1"] + self.params[f"l{i}.b1"]).gelu()
-            x = x + ff @ self.params[f"l{i}.w2"] + self.params[f"l{i}.b2"]
+            x = x + lin(ctx, i, "o")
+            h2 = ad.layer_norm(x, P[f"l{i}.ln2_g"], P[f"l{i}.ln2_b"])
+            x = x + lin(lin(h2, i, "1").gelu(), i, "2")
         if cache is not None:
             cache.t += T
 
-        x = ad.layer_norm(x, self.params["lnf_g"], self.params["lnf_b"])
-        return x @ self.params["head_w"] + self.params["head_b"]
+        x = ad.layer_norm(x, P["lnf_g"], P["lnf_b"])
+        return ad.linear(x, P["head_w"], P["head_b"])
 
     def forward(self, prefix, ctx: TaskContext, w: Workspace) -> StepLogits:
         """Move logits for the next step after the last prefix cell."""
@@ -374,12 +379,41 @@ def _flat_cell_index(points: np.ndarray, cfg: ModelConfig) -> np.ndarray:
     return np.where(inside, idx, nx * ny * nz)
 
 
-def make_loss_batch(items: list[tuple[Trajectory, TaskContext, Workspace]], cfg: ModelConfig) -> LossBatch:
-    """Assemble padded supervision arrays; raises on illegal gold trajectories."""
+@dataclass(frozen=True)
+class _Supervision:
+    """One record's batch-independent supervision, built once per record."""
+
+    points: np.ndarray      # (L, 3) int
+    legal: np.ndarray       # (L, 6) bool move legality
+    gold_moves: np.ndarray  # (L,) int, STOP last
+    ctx_row: np.ndarray     # (F,) context_features
+    cell_ids: np.ndarray    # (L,) flat cell index
+    n_distinct: int         # distinct gold cells
+
+
+def _supervision(traj: Trajectory, ctx: TaskContext, w: Workspace, cfg: ModelConfig) -> _Supervision:
+    """Check a gold trajectory and derive its supervision; raises if it is illegal."""
+    check_trajectory(traj, w)
+    pts = np.array([p.as_tuple() for p in traj.points], dtype=np.int64)
+    moves = [move_index(a, b) for a, b in zip(traj.points, traj.points[1:])] + [STOP]
+    return _Supervision(
+        points=pts, legal=w.grid.move_mask(pts), gold_moves=np.array(moves, dtype=np.int64),
+        ctx_row=context_features(ctx, cfg), cell_ids=_flat_cell_index(pts, cfg),
+        n_distinct=len(set(traj.points)),
+    )
+
+
+def make_loss_batch(items: list, cfg: ModelConfig) -> LossBatch:
+    """Assemble padded supervision arrays; raises on illegal gold trajectories.
+
+    Items are (trajectory, context, workspace) tuples or rows that fit has
+    already prepared with _supervision.
+    """
     if not items:
         raise ValueError("batch must be non-empty")
-    B = len(items)
-    lengths = np.array([len(traj) for traj, _, _ in items])
+    rows = [it if isinstance(it, _Supervision) else _supervision(*it, cfg) for it in items]
+    B = len(rows)
+    lengths = np.array([len(r.points) for r in rows])
     T = int(lengths.max())
     if T > cfg.max_seq_len:
         raise ValueError(f"gold trajectory of length {T} exceeds max_seq_len {cfg.max_seq_len}")
@@ -388,7 +422,7 @@ def make_loss_batch(items: list[tuple[Trajectory, TaskContext, Workspace]], cfg:
 
     points = np.zeros((B, T, 3), dtype=np.int64)
     ctx_mat = np.zeros((B, cfg.task_feature_width + GOAL_FEATURE_WIDTH))
-    gold_moves = np.zeros((B, T), dtype=np.int64)
+    gold_moves = np.full((B, T), STOP, dtype=np.int64)  # padding stays legal so gathered log-probs are finite
     legal = np.zeros((B, T, MOVE_VOCAB), dtype=bool)
     legal[:, :, STOP] = True
     move_pos = np.zeros((B, T))
@@ -396,30 +430,22 @@ def make_loss_batch(items: list[tuple[Trajectory, TaskContext, Workspace]], cfg:
     gold_cells = np.zeros((B, n_cells))
     start_onehot = np.zeros((B, n_cells))
 
-    for b, (traj, ctx, w) in enumerate(items):
-        check_trajectory(traj, w)
-        L = len(traj)
-        pts = np.array([p.as_tuple() for p in traj.points], dtype=np.int64)
-        points[b, :L] = pts
-        points[b, L:] = pts[-1]
-        ctx_mat[b] = context_features(ctx, cfg)
-        legal[b, :L, :STOP] = w.grid.move_mask(pts)
-        for t, p in enumerate(traj.points):
-            if t < L - 1:
-                gold_moves[b, t] = move_index(p, traj.points[t + 1])
-            else:
-                gold_moves[b, t] = STOP
+    for b, r in enumerate(rows):
+        L = len(r.points)
+        points[b, :L] = r.points
+        points[b, L:] = r.points[-1]
+        ctx_mat[b] = r.ctx_row
+        legal[b, :L, :STOP] = r.legal
         legal[b, L:] = legal[b, L - 1]
-        gold_moves[b, L:] = STOP  # padding must stay legal so gathered log-probs are finite
-        move_pos[b, : max(L - 1, 0)] = 1.0
+        gold_moves[b, :L] = r.gold_moves
+        move_pos[b, : L - 1] = 1.0
         all_pos[b, :L] = 1.0
-        cell_ids = _flat_cell_index(pts, cfg)
-        gold_cells[b, cell_ids] = 1.0
-        start_onehot[b, cell_ids[0]] = 1.0
+        gold_cells[b, r.cell_ids] = 1.0
+        start_onehot[b, r.cell_ids[0]] = 1.0
 
     succ = points[:, :, None, :] + np.array(MOVES, dtype=np.int64)[None, None, :, :]
     succ_idx = _flat_cell_index(succ, cfg)
-    gold_set_size = np.array([len({p for p in traj.points}) for traj, _, _ in items], dtype=np.float64)
+    gold_set_size = np.array([r.n_distinct for r in rows], dtype=np.float64)
 
     return LossBatch(
         points=points, ctx_mat=ctx_mat, gold_moves=gold_moves, legal=legal,
@@ -582,6 +608,16 @@ def train_step(
     return breakdown
 
 
+@dataclass
+class TrainCounters:
+    """Seed-determined tallies of one fit call."""
+
+    epochs: int = 0
+    batches: int = 0
+    records_seen: int = 0
+    optimizer_steps: int = 0  # the optimizer's step count afterwards, resumed steps included
+
+
 def fit(
     model: PathModel,
     items: list[tuple[Trajectory, TaskContext, Workspace]],
@@ -591,23 +627,34 @@ def fit(
     batch_size: int,
     seed: int = 0,
     log=None,
+    counters: TrainCounters | None = None,
 ) -> list[LossBreakdown]:
-    """Mini-batch training loop; returns the mean per-epoch loss breakdowns."""
+    """Mini-batch training loop; returns the mean per-epoch loss breakdowns.
+
+    Every record's supervision is prepared (and its trajectory checked) once,
+    before the first step; batches are assembled from the prepared rows.
+    """
+    rows = [_supervision(traj, ctx, w, model.cfg) for traj, ctx, w in items]
+    counters = counters if counters is not None else TrainCounters()
     rng = np.random.default_rng(seed)
     history: list[LossBreakdown] = []
     for epoch in range(epochs):
-        order = rng.permutation(len(items))
+        order = rng.permutation(len(rows))
         sums = np.zeros(6)
         n_batches = 0
-        for lo in range(0, len(items), batch_size):
-            chunk = [items[i] for i in order[lo : lo + batch_size]]
+        for lo in range(0, len(rows), batch_size):
+            chunk = [rows[i] for i in order[lo : lo + batch_size]]
             batch = make_loss_batch(chunk, model.cfg)
             bd = train_step(model, batch, loss_cfg, optimizer)
             sums += np.array([bd.seq, bd.coord, bd.valid, bd.cov, bd.len, bd.total])
             n_batches += 1
+            counters.records_seen += len(chunk)
+        counters.epochs += 1
+        counters.batches += n_batches
         mean = sums / max(n_batches, 1)
         bd = LossBreakdown(*mean)
         history.append(bd)
         if log is not None:
             log(epoch, bd)
+    counters.optimizer_steps = optimizer.step_count
     return history

@@ -1,0 +1,245 @@
+"""The autodiff and supervision code of the training hot path before it was fused, kept as oracles.
+
+accumulate adds every gradient, the first one included, into a zeros array;
+gelu cubes with pow; linear is a batched matmul plus a broadcast bias, with
+the weight and bias gradients summed down by _unbroadcast; the scatters run
+np.add.at into zeros; softmax and log_softmax each check and fill their own
+mask; make_loss_batch derives every record's rows inside the batch loop.
+reference_engine() installs the autodiff ones in latticepath.autodiff, so a
+whole forward and backward pass of the model runs on this code.
+"""
+
+import math
+from contextlib import contextmanager
+
+import numpy as np
+
+import latticepath.autodiff as ad
+from latticepath.autodiff import Tensor, _make, _unbroadcast, as_tensor
+from latticepath.corpus import check_trajectory
+from latticepath.lattice import MOVES, STOP, move_index
+from latticepath.model import (
+    GOAL_FEATURE_WIDTH,
+    MOVE_VOCAB,
+    LossBatch,
+    _flat_cell_index,
+    context_features,
+)
+
+
+def accumulate(self, g):
+    if self.grad is None:
+        self.grad = np.zeros_like(self.data)
+    self.grad += g
+
+
+def tensor_sum(self, axis=None, keepdims=False):
+    out = _make(self.data.sum(axis=axis, keepdims=keepdims), (self,))
+    if out._parents:
+        def backward(g):
+            if axis is None:
+                self._accumulate(np.broadcast_to(g, self.data.shape).copy())
+                return
+            if not keepdims:
+                g = np.expand_dims(g, axis)
+            self._accumulate(np.broadcast_to(g, self.data.shape).copy())
+        out._backward = backward
+    return out
+
+
+def gelu(self):
+    c = math.sqrt(2.0 / math.pi)
+    a = 0.044715
+    x = self.data
+    u = c * (x + a * x ** 3)
+    t = np.tanh(u)
+    out = _make(0.5 * x * (1.0 + t), (self,))
+    if out._parents:
+        def backward(g):
+            du = c * (1.0 + 3.0 * a * x ** 2)
+            self._accumulate(g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t ** 2) * du))
+        out._backward = backward
+    return out
+
+
+def matmul(a, b):
+    b = as_tensor(b)
+    out = _make(a.data @ b.data, (a, b))
+    if out._parents:
+        def backward(g):
+            if a.requires_grad:
+                ga = g @ np.swapaxes(b.data, -1, -2)
+                a._accumulate(_unbroadcast(ga, a.data.shape))
+            if b.requires_grad:
+                gb = np.swapaxes(a.data, -1, -2) @ g
+                b._accumulate(_unbroadcast(gb, b.data.shape))
+        out._backward = backward
+    return out
+
+
+def linear(x, w, b):
+    return matmul(x, w) + b
+
+
+def getitem(self, index):
+    out = _make(self.data[index], (self,))
+    if out._parents:
+        def backward(g):
+            full = np.zeros_like(self.data)
+            np.add.at(full, index, g)
+            self._accumulate(full)
+        out._backward = backward
+    return out
+
+
+def gather_last(x, index):
+    index = np.asarray(index, dtype=np.int64)
+    picked = np.take_along_axis(x.data, index[..., None], axis=-1)[..., 0]
+    out = _make(picked, (x,))
+    if out._parents:
+        lead = tuple(np.indices(index.shape))
+        def backward(g):
+            full = np.zeros_like(x.data)
+            np.add.at(full, lead + (index,), g)
+            x._accumulate(full)
+        out._backward = backward
+    return out
+
+
+def scatter_add_last(values, index, size):
+    index = np.asarray(index, dtype=np.int64)
+    if index.shape != values.data.shape:
+        raise ValueError("scatter index must match values shape")
+    out_data = np.zeros(values.data.shape[:-1] + (size,))
+    lead = tuple(np.indices(index.shape))
+    np.add.at(out_data, lead[:-1] + (index,), values.data)
+    out = _make(out_data, (values,))
+    if out._parents:
+        def backward(g):
+            values._accumulate(g[lead[:-1] + (index,)])
+        out._backward = backward
+    return out
+
+
+def softmax(x, mask=None):
+    logits = x.data
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
+        if not mask.any(axis=-1).all():
+            raise ValueError("softmax mask leaves a row with no legal entries")
+        logits = np.where(mask, logits, -np.inf)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    p = e / e.sum(axis=-1, keepdims=True)
+    out = _make(p, (x,))
+    if out._parents:
+        def backward(g):
+            inner = (g * p).sum(axis=-1, keepdims=True)
+            x._accumulate(p * (g - inner))
+        out._backward = backward
+    return out
+
+
+def log_softmax(x, mask=None):
+    logits = x.data
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
+        if not mask.any(axis=-1).all():
+            raise ValueError("log_softmax mask leaves a row with no legal entries")
+        logits = np.where(mask, logits, -np.inf)
+    m = logits.max(axis=-1, keepdims=True)
+    shifted = logits - m
+    e = np.exp(shifted)
+    lse = m + np.log(e.sum(axis=-1, keepdims=True))
+    out = _make(logits - lse, (x,))
+    if out._parents:
+        p = e / e.sum(axis=-1, keepdims=True)
+        grad_gate = mask if mask is not None else None
+        def backward(g):
+            if grad_gate is not None:
+                g = np.where(grad_gate, g, 0.0)
+            inner = g.sum(axis=-1, keepdims=True)
+            x._accumulate(g - p * inner)
+        out._backward = backward
+    return out
+
+
+def make_loss_batch(items, cfg):
+    if not items:
+        raise ValueError("batch must be non-empty")
+    B = len(items)
+    lengths = np.array([len(traj) for traj, _, _ in items])
+    T = int(lengths.max())
+    if T > cfg.max_seq_len:
+        raise ValueError(f"gold trajectory of length {T} exceeds max_seq_len {cfg.max_seq_len}")
+    nx, ny, nz = cfg.axis_sizes
+    n_cells = nx * ny * nz + 1
+
+    points = np.zeros((B, T, 3), dtype=np.int64)
+    ctx_mat = np.zeros((B, cfg.task_feature_width + GOAL_FEATURE_WIDTH))
+    gold_moves = np.zeros((B, T), dtype=np.int64)
+    legal = np.zeros((B, T, MOVE_VOCAB), dtype=bool)
+    legal[:, :, STOP] = True
+    move_pos = np.zeros((B, T))
+    all_pos = np.zeros((B, T))
+    gold_cells = np.zeros((B, n_cells))
+    start_onehot = np.zeros((B, n_cells))
+
+    for b, (traj, ctx, w) in enumerate(items):
+        check_trajectory(traj, w)
+        L = len(traj)
+        pts = np.array([p.as_tuple() for p in traj.points], dtype=np.int64)
+        points[b, :L] = pts
+        points[b, L:] = pts[-1]
+        ctx_mat[b] = context_features(ctx, cfg)
+        legal[b, :L, :STOP] = w.grid.move_mask(pts)
+        for t, p in enumerate(traj.points):
+            if t < L - 1:
+                gold_moves[b, t] = move_index(p, traj.points[t + 1])
+            else:
+                gold_moves[b, t] = STOP
+        legal[b, L:] = legal[b, L - 1]
+        gold_moves[b, L:] = STOP
+        move_pos[b, : max(L - 1, 0)] = 1.0
+        all_pos[b, :L] = 1.0
+        cell_ids = _flat_cell_index(pts, cfg)
+        gold_cells[b, cell_ids] = 1.0
+        start_onehot[b, cell_ids[0]] = 1.0
+
+    succ = points[:, :, None, :] + np.array(MOVES, dtype=np.int64)[None, None, :, :]
+    succ_idx = _flat_cell_index(succ, cfg)
+    gold_set_size = np.array([len({p for p in traj.points}) for traj, _, _ in items], dtype=np.float64)
+
+    return LossBatch(
+        points=points, ctx_mat=ctx_mat, gold_moves=gold_moves, legal=legal,
+        move_pos=move_pos, all_pos=all_pos,
+        term_index=lengths - 1, lengths=lengths,
+        succ_idx=succ_idx, gold_cells=gold_cells, start_onehot=start_onehot,
+        n_cells=n_cells, gold_set_size=gold_set_size,
+    )
+
+
+_PATCHES = (
+    (Tensor, "_accumulate", accumulate),
+    (Tensor, "sum", tensor_sum),
+    (Tensor, "gelu", gelu),
+    (Tensor, "__getitem__", getitem),
+    (ad, "linear", linear),
+    (ad, "gather_last", gather_last),
+    (ad, "scatter_add_last", scatter_add_last),
+    (ad, "softmax", softmax),
+    (ad, "log_softmax", log_softmax),
+)
+
+
+@contextmanager
+def reference_engine():
+    """Run the block on the oracle code above; the fast code is restored afterwards."""
+    saved = [(owner, name, getattr(owner, name)) for owner, name, _ in _PATCHES]
+    try:
+        for owner, name, fn in _PATCHES:
+            setattr(owner, name, fn)
+        yield
+    finally:
+        for owner, name, fn in saved:
+            setattr(owner, name, fn)

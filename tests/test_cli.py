@@ -1,4 +1,5 @@
 import json
+import math
 import zipfile
 
 import numpy as np
@@ -171,6 +172,63 @@ def test_train_rejects_overlong_trajectories(tmp_path, capsys):
                 "--embed-dim", "8", "--num-heads", "2", "--num-layers", "1"])
     assert code == 1
     assert capsys.readouterr().err.startswith("error: config:")
+
+
+def test_train_manifest_counters_are_seed_determined(tmp_path):
+    corpus = gen(tmp_path)
+    a, b = (train(tmp_path, corpus, name, extra=["--batch-size", "12"]) for name in ("a", "b"))
+    assert (a / "manifest.json").read_bytes() == (b / "manifest.json").read_bytes()
+    n = len(read_records(corpus / "corpus_train.jsonl"))
+    batches = 2 * math.ceil(n / 12)
+    counters = json.loads((a / "manifest.json").read_text())["counters"]
+    assert counters == {"epochs": 2, "batches": batches, "records_seen": 2 * n, "optimizer_steps": batches}
+    _, _, step = load_checkpoint(a / "model.npz")
+    assert step == batches
+
+
+def test_train_resume_counts_the_checkpoint_steps(tmp_path):
+    corpus = gen(tmp_path)
+    first = train(tmp_path, corpus, "first")
+    resumed = tmp_path / "resumed"
+    assert run(["train", "--corpus", corpus / "corpus_train.jsonl", "--out", resumed,
+                "--resume", first / "model.npz", "--epochs", "1", "--batch-size", "16"]) == 0
+    before = json.loads((first / "manifest.json").read_text())["counters"]
+    after = json.loads((resumed / "manifest.json").read_text())["counters"]
+    assert after["epochs"] == 1 and after["batches"] == before["batches"] // 2
+    assert after["optimizer_steps"] == before["optimizer_steps"] + after["batches"]
+
+
+def bigger_box_corpus(tmp_path):
+    return gen(tmp_path, "big", extra=["--seed", "2", "--count", "20", "--max-path-length", "20",
+                                       "--box", "-6", "6", "-6", "6", "0", "8"])
+
+
+def test_train_rejects_records_outside_the_model_box(tmp_path, capsys):
+    desk = gen(tmp_path, extra=["--seed", "1", "--count", "20"])
+    desk_lines = (desk / "corpus_train.jsonl").read_text()
+    mixed = tmp_path / "mixed.jsonl"
+    mixed.write_text(desk_lines + (bigger_box_corpus(tmp_path) / "corpus_train.jsonl").read_text())
+    out = tmp_path / "run"
+    capsys.readouterr()
+    assert run(["train", "--corpus", mixed, "--out", out, "--epochs", "1"]) == 1
+    err = capsys.readouterr().err
+    line = desk_lines.count("\n") + 1
+    assert err.startswith(f"error: schema: {mixed}: line {line}: workspace box ") and err.count("\n") == 1, err
+    assert "exceeds the model box x -3..3, y -3..3, z 0..4" in err
+    assert not out.exists()
+
+
+def test_train_resume_rejects_records_outside_the_checkpoint_box(tmp_path, capsys):
+    model_dir = train(tmp_path, gen(tmp_path))
+    records = bigger_box_corpus(tmp_path) / "corpus_train.jsonl"
+    out = tmp_path / "resumed"
+    capsys.readouterr()
+    assert run(["train", "--corpus", records, "--out", out, "--epochs", "1",
+                "--resume", model_dir / "model.npz"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: schema: {records}: line 1: workspace box ") and err.count("\n") == 1, err
+    assert "model box" in err
+    assert not out.exists()
 
 
 # decode / eval / report --------------------------------------------------------

@@ -15,6 +15,7 @@ from latticepath.model import (
     OptimizerConfig,
     PathModel,
     StepLogits,
+    TrainCounters,
     composite_loss,
     context_features,
     fit,
@@ -373,3 +374,22 @@ def test_fit_is_deterministic():
     a, b = run(), run()
     for k in a:
         np.testing.assert_array_equal(a[k], b[k])
+
+
+def test_fit_checks_every_record_before_the_first_step():
+    w = desk_workspace()
+    items = [(Trajectory(points=(C(0, 0, 0), C(1, 0, 0))), ctx_for(C(1, 0, 0), 2), w)] * 3
+    items.append((Trajectory(points=(C(0, 0, 0), C(2, 0, 0))), ctx_for(C(2, 0, 0), 2), w))
+    opt = Optimizer(OptimizerConfig(kind="sgd", lr=0.1))
+    with pytest.raises(ValueError):
+        fit(PathModel(tiny_cfg(), seed=1), items, LossConfig(), opt, epochs=1, batch_size=1)
+    assert opt.step_count == 0
+
+
+def test_fit_counters():
+    w = desk_workspace()
+    items = [(Trajectory(points=(C(0, 0, 0), C(1, 0, 0))), ctx_for(C(1, 0, 0), 2), w)] * 5
+    opt = Optimizer(OptimizerConfig(kind="sgd", lr=0.1))
+    counters = TrainCounters()
+    fit(PathModel(tiny_cfg(), seed=1), items, LossConfig(), opt, epochs=3, batch_size=2, counters=counters)
+    assert counters == TrainCounters(epochs=3, batches=9, records_seen=15, optimizer_steps=9)
