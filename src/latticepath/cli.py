@@ -39,7 +39,7 @@ from .corpus import (
     write_records,
 )
 from .decoder import DecodeConfig, DecodeCounters, decode_records
-from .evaluator import ERROR_LABELS, EvalReport, evaluate_records, format_report, format_table
+from .evaluator import EvalReport, evaluate_records, format_report, format_table
 from .lattice import Workspace, desk_workspace
 from .model import (
     LossConfig,
@@ -86,8 +86,16 @@ def _load_config_file(path: str | None) -> dict:
     return cfg
 
 
-def _resolve(defaults: dict, file_cfg: dict, overrides: dict) -> dict:
-    """defaults <- config file <- explicit flags; unknown file keys are errors."""
+# Config keys whose values name files; anything but a string (or unset) is a config error.
+PATH_KEYS = ("corpus", "resume", "checkpoint", "records", "gold", "pred", "scenarios")
+
+
+def _resolve(defaults: dict, file_cfg: dict, args) -> dict:
+    """defaults <- config file <- explicit flags; unknown file keys are errors.
+
+    A flag's argparse dest is the config key it sets; a dotted dest such as
+    ``model.embed_dim`` sets a key of a nested block.
+    """
     cfg = {k: (dict(v) if isinstance(v, dict) else v) for k, v in defaults.items()}
     for k, v in file_cfg.items():
         if k not in cfg:
@@ -101,10 +109,24 @@ def _resolve(defaults: dict, file_cfg: dict, overrides: dict) -> dict:
                 cfg[k][kk] = vv
         else:
             cfg[k] = v
-    for k, v in overrides.items():
-        if v is not None:
-            cfg[k] = v
+    for key, v in vars(args).items():
+        block, _, sub = key.rpartition(".")
+        target = cfg[block] if block else cfg
+        if v is not None and sub in target:
+            target[sub] = v
+    for k in PATH_KEYS:
+        if cfg.get(k) is not None and not isinstance(cfg[k], str):
+            raise CliError("config", f"{k} must be a path string, got {cfg[k]!r}")
     return cfg
+
+
+@contextlib.contextmanager
+def _config_errors():
+    """Report a config value of the wrong type, range or shape as `error: config:`."""
+    try:
+        yield
+    except (ValueError, KeyError, TypeError) as e:
+        raise CliError("config", str(e)) from None
 
 
 def _write_outputs(out_dir: str, command: str, cfg: dict, files: dict, counters: dict | None = None) -> None:
@@ -150,18 +172,12 @@ def cmd_gen(args) -> int:
         "max_resample_attempts": 200,
         "workspace": desk_workspace().to_dict(),
     }
-    overrides = {
-        "seed": args.seed,
-        "count": args.count,
-        "train_fraction": args.train_frac,
-        "obstacle_density": args.obstacle_density,
-        "max_path_length": args.max_path_length,
-    }
-    cfg = _resolve(defaults, _load_config_file(args.config), overrides)
+    cfg = _resolve(defaults, _load_config_file(args.config), args)
     if args.box is not None:
         x0, x1, y0, y1, z0, z1 = args.box
         cfg["workspace"] = Workspace(x0, x1, y0, y1, z0, z1).to_dict()
-    try:
+    with _config_errors():
+        seed = int(cfg["seed"])
         gcfg = GenerationConfig(
             workspace=Workspace.from_dict(cfg["workspace"]),
             count=int(cfg["count"]),
@@ -170,11 +186,9 @@ def cmd_gen(args) -> int:
             train_fraction=float(cfg["train_fraction"]),
             max_resample_attempts=int(cfg["max_resample_attempts"]),
         )
-    except (ValueError, KeyError, TypeError) as e:
-        raise CliError("config", str(e)) from None
 
     counters = GenerationCounters()
-    records = generate_corpus(gcfg, int(cfg["seed"]), counters)
+    records = generate_corpus(gcfg, seed, counters)
     train = [r for r in records if r.split_tag == "train"]
     val = [r for r in records if r.split_tag == "validation"]
     _write_outputs(args.out, "gen", cfg, {
@@ -203,43 +217,24 @@ def cmd_train(args) -> int:
             "task_feature_width": None,
         },
         "optimizer": OptimizerConfig().to_dict(),
-        "loss": {
-            "lambda_coord": 0.5,
-            "lambda_valid": 0.5,
-            "lambda_cov": 1.0,
-            "lambda_len": 0.1,
-        },
+        "loss": dataclasses.asdict(LossConfig()),
     }
-    overrides = {
-        "seed": args.seed,
-        "corpus": args.corpus,
-        "epochs": args.epochs,
-        "batch_size": args.batch_size,
-        "resume": args.resume,
-    }
-    cfg = _resolve(defaults, _load_config_file(args.config), overrides)
-    for flag, key in (
-        (args.embed_dim, "embed_dim"), (args.num_layers, "num_layers"),
-        (args.num_heads, "num_heads"), (args.max_seq_len, "max_seq_len"),
-    ):
-        if flag is not None:
-            cfg["model"][key] = flag
-    for flag, key in ((args.lr, "lr"), (args.optimizer, "kind"), (args.weight_decay, "weight_decay")):
-        if flag is not None:
-            cfg["optimizer"][key] = flag
-
+    cfg = _resolve(defaults, _load_config_file(args.config), args)
     if cfg["corpus"] is None:
         raise CliError("config", "train requires --corpus (or a corpus path in the config)")
-    if int(cfg["epochs"]) < 0:
+    with _config_errors():
+        seed, epochs, batch_size = int(cfg["seed"]), int(cfg["epochs"]), int(cfg["batch_size"])
+        loss_cfg = LossConfig(**{k: float(v) for k, v in cfg["loss"].items()})
+        optimizer = Optimizer(OptimizerConfig.from_dict(cfg["optimizer"]))
+    if epochs < 0:
         raise CliError("config", "epochs must be non-negative")
-    if int(cfg["batch_size"]) < 1:
+    if batch_size < 1:
         raise CliError("config", "batch_size must be positive")
 
-    seed = int(cfg["seed"])
-    model = optimizer = mcfg = None
+    model = mcfg = None
     if cfg["resume"] is not None:
         model, optimizer, _ = load_checkpoint(cfg["resume"])
-        mcfg = model.cfg  # checkpoint architecture wins on resume
+        mcfg = model.cfg  # the checkpoint's architecture and optimizer win on resume
 
     def check(record):
         nonlocal mcfg
@@ -252,20 +247,14 @@ def cmd_train(args) -> int:
         raise CliError("config", f"corpus {cfg['corpus']} contains no records")
     items = [(r.trajectory, r.context, r.workspace) for r in records]
     longest = max(len(r.trajectory) for r in records)
-    cfg["model"] = mcfg.to_dict()
+    cfg["model"], cfg["optimizer"] = mcfg.to_dict(), optimizer.cfg.to_dict()
     if model is None:
         model = PathModel(mcfg, seed=seed)
-    if optimizer is None:
-        optimizer = Optimizer(_optimizer_config(cfg["optimizer"]))
     if longest > model.cfg.max_seq_len:
         raise CliError(
             "config",
             f"corpus has a {longest}-point trajectory but max_seq_len is {model.cfg.max_seq_len}",
         )
-    try:
-        loss_cfg = LossConfig(**{k: float(v) for k, v in cfg["loss"].items()})
-    except (ValueError, TypeError) as e:
-        raise CliError("config", str(e)) from None
 
     log_lines = ["epoch\tseq\tcoord\tvalid\tcov\tlen\ttotal"]
 
@@ -276,8 +265,8 @@ def cmd_train(args) -> int:
         )
 
     counters = TrainCounters()
-    fit(model, items, loss_cfg, optimizer, epochs=int(cfg["epochs"]),
-        batch_size=int(cfg["batch_size"]), seed=seed, log=log, counters=counters)
+    fit(model, items, loss_cfg, optimizer, epochs=epochs, batch_size=batch_size, seed=seed, log=log,
+        counters=counters)
 
     _write_outputs(args.out, "train", cfg, {
         "loss_log.tsv": "\n".join(log_lines) + "\n",
@@ -290,7 +279,7 @@ def _model_config(m: dict, first) -> ModelConfig:
     """A fresh model's config; unset bounds and context width come from the first record."""
     bounds = m.get("bounds") or first.workspace.bounds
     width = m.get("task_feature_width") or len(first.context.task_feature_vector)
-    try:
+    with _config_errors():
         return ModelConfig(
             embed_dim=int(m["embed_dim"]),
             num_layers=int(m["num_layers"]),
@@ -299,15 +288,6 @@ def _model_config(m: dict, first) -> ModelConfig:
             task_feature_width=int(width),
             bounds=tuple(int(v) for v in bounds),
         )
-    except (ValueError, KeyError, TypeError) as e:
-        raise CliError("config", str(e)) from None
-
-
-def _optimizer_config(d: dict) -> OptimizerConfig:
-    try:
-        return OptimizerConfig.from_dict(d)
-    except (ValueError, KeyError, TypeError) as e:
-        raise CliError("config", str(e)) from None
 
 
 # decode ---------------------------------------------------------------------------
@@ -315,38 +295,19 @@ def _optimizer_config(d: dict) -> OptimizerConfig:
 
 def cmd_decode(args) -> int:
     defaults = {
+        **dataclasses.asdict(DecodeConfig()),
         "seed": 0,
         "checkpoint": None,
         "records": None,
-        "mode": "greedy",
-        "beam_width": 5,
-        "coverage_penalty_weight": 0.0,
         "max_steps": None,
     }
-    overrides = {
-        "seed": args.seed,
-        "checkpoint": args.checkpoint,
-        "records": args.records,
-        "mode": args.mode,
-        "beam_width": args.beam_width,
-        "coverage_penalty_weight": args.coverage_weight,
-        "max_steps": args.max_steps,
-    }
-    cfg = _resolve(defaults, _load_config_file(args.config), overrides)
+    cfg = _resolve(defaults, _load_config_file(args.config), args)
     if cfg["checkpoint"] is None or cfg["records"] is None:
         raise CliError("config", "decode requires --checkpoint and --records")
     model, _, _ = load_checkpoint(cfg["checkpoint"])
     if cfg["max_steps"] is None:
         cfg["max_steps"] = model.cfg.max_seq_len
-    try:
-        dcfg = DecodeConfig(
-            max_steps=int(cfg["max_steps"]),
-            beam_width=int(cfg["beam_width"]),
-            coverage_penalty_weight=float(cfg["coverage_penalty_weight"]),
-            mode=str(cfg["mode"]),
-        )
-    except (ValueError, TypeError) as e:
-        raise CliError("config", str(e)) from None
+    dcfg = _decode_config(cfg)
     records = read_records(cfg["records"], check=lambda r: _check_decodable(model.cfg, r))
     counters = DecodeCounters()
     preds = decode_records(model, records, dcfg, counters)
@@ -356,22 +317,29 @@ def cmd_decode(args) -> int:
     return 0
 
 
+def _decode_config(cfg: dict) -> DecodeConfig:
+    """The search settings of a decode or sim config (sim has no coverage penalty key)."""
+    with _config_errors():
+        return DecodeConfig(
+            max_steps=int(cfg["max_steps"]),
+            beam_width=int(cfg["beam_width"]),
+            coverage_penalty_weight=float(
+                cfg.get("coverage_penalty_weight", DecodeConfig.coverage_penalty_weight)),
+            mode=str(cfg["mode"]),
+        )
+
+
 def _check_decodable(mcfg: ModelConfig, record) -> None:
     """Every cell a record's paths may visit must lie in the model box; its context must fit the model."""
-    try:
-        mcfg.check_workspace(record.workspace)
-        context_features(record.context, mcfg)
-    except ValueError as e:
-        raise CorpusFormatError(str(e)) from None
+    mcfg.check_workspace(record.workspace)
+    context_features(record.context, mcfg)
 
 
 # eval -----------------------------------------------------------------------------
 
 
 def cmd_eval(args) -> int:
-    defaults = {"seed": 0, "gold": None, "pred": None}
-    overrides = {"seed": args.seed, "gold": args.gold, "pred": args.pred}
-    cfg = _resolve(defaults, _load_config_file(args.config), overrides)
+    cfg = _resolve({"seed": 0, "gold": None, "pred": None}, _load_config_file(args.config), args)
     if cfg["gold"] is None or cfg["pred"] is None:
         raise CliError("config", "eval requires --gold and --pred")
     golds = read_records(cfg["gold"])
@@ -393,33 +361,18 @@ def cmd_eval(args) -> int:
 def cmd_sim(args) -> int:
     defaults = {"seed": 0, "scenarios": None, "checkpoint": None,
                 "mode": "greedy", "beam_width": 5, "max_steps": 32}
-    overrides = {
-        "seed": args.seed,
-        "scenarios": args.scenarios,
-        "checkpoint": args.checkpoint,
-        "mode": args.mode,
-        "beam_width": args.beam_width,
-        "max_steps": args.max_steps,
-    }
-    cfg = _resolve(defaults, _load_config_file(args.config), overrides)
+    cfg = _resolve(defaults, _load_config_file(args.config), args)
+    model = None
+    if cfg["checkpoint"] is not None:
+        model, _, _ = load_checkpoint(cfg["checkpoint"])
     if cfg["scenarios"] is not None:
-        scenarios = read_scenarios(cfg["scenarios"])
+        check = None if model is None else lambda s: model.cfg.check_workspace(s.scene.workspace)
+        scenarios = read_scenarios(cfg["scenarios"], check=check)
     else:
         scenarios = default_scenario_pack()
     if not scenarios:
         raise CliError("config", "no scenarios to run")
-    if cfg["checkpoint"] is not None:
-        model, _, _ = load_checkpoint(cfg["checkpoint"])
-        try:
-            dcfg = DecodeConfig(
-                max_steps=int(cfg["max_steps"]), beam_width=int(cfg["beam_width"]),
-                mode=str(cfg["mode"]),
-            )
-        except (ValueError, TypeError) as e:
-            raise CliError("config", str(e)) from None
-        planner = ModelPlanner(model, dcfg)
-    else:
-        planner = OraclePlanner()
+    planner = OraclePlanner() if model is None else ModelPlanner(model, _decode_config(cfg))
 
     results = run_scenarios(scenarios, planner)
     rows = [{
@@ -445,19 +398,9 @@ def cmd_sim(args) -> int:
 def _read_eval_report(path: str) -> EvalReport:
     try:
         with open(path, "r", encoding="utf-8") as f:
-            d = json.load(f)
+            return EvalReport.from_dict(json.load(f))
     except json.JSONDecodeError as e:
         raise CliError("schema", f"{path}: invalid JSON ({e})") from None
-    try:
-        return EvalReport(
-            stepwise_accuracy=float(d["stepwise_accuracy"]),
-            precision=float(d["precision"]),
-            recall=float(d["recall"]),
-            f1=float(d["f1"]),
-            valid_path_percent=float(d["valid_path_percent"]),
-            error_counts={k: int(d["error_counts"].get(k, 0)) for k in ERROR_LABELS},
-            n_pairs=int(d["n_pairs"]),
-        )
     except (KeyError, TypeError, ValueError) as e:
         raise CliError("schema", f"{path}: not an eval report ({e})") from None
 
@@ -484,62 +427,61 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp, out_required=True):
         sp.add_argument("--config", help="JSON config file; explicit flags override it")
-        sp.add_argument("--seed", type=int, default=None, help="global run seed (default 0)")
+        sp.add_argument("--seed", type=int, help="global run seed (default 0)")
         sp.add_argument("--out", required=out_required, help="output directory")
 
     g = sub.add_parser("gen", help="generate an oracle corpus")
     common(g)
-    g.add_argument("--count", type=int, default=None)
-    g.add_argument("--train-frac", type=float, default=None)
-    g.add_argument("--obstacle-density", type=float, default=None)
-    g.add_argument("--max-path-length", type=int, default=None)
-    g.add_argument("--box", type=int, nargs=6, default=None,
-                   metavar=("X0", "X1", "Y0", "Y1", "Z0", "Z1"))
+    g.add_argument("--count", type=int)
+    g.add_argument("--train-frac", dest="train_fraction", type=float)
+    g.add_argument("--obstacle-density", type=float)
+    g.add_argument("--max-path-length", type=int)
+    g.add_argument("--box", type=int, nargs=6, metavar=("X0", "X1", "Y0", "Y1", "Z0", "Z1"))
     g.set_defaults(func=cmd_gen)
 
     t = sub.add_parser("train", help="train a model on a corpus file")
     common(t)
-    t.add_argument("--corpus", default=None)
-    t.add_argument("--epochs", type=int, default=None)
-    t.add_argument("--batch-size", type=int, default=None)
-    t.add_argument("--resume", default=None, help="checkpoint to continue from (its architecture wins)")
-    t.add_argument("--embed-dim", type=int, default=None)
-    t.add_argument("--num-layers", type=int, default=None)
-    t.add_argument("--num-heads", type=int, default=None)
-    t.add_argument("--max-seq-len", type=int, default=None)
-    t.add_argument("--lr", type=float, default=None)
-    t.add_argument("--optimizer", choices=("sgd", "momentum", "adam"), default=None)
-    t.add_argument("--weight-decay", type=float, default=None)
+    t.add_argument("--corpus")
+    t.add_argument("--epochs", type=int)
+    t.add_argument("--batch-size", type=int)
+    t.add_argument("--resume", help="checkpoint to continue from (its architecture and optimizer win)")
+    t.add_argument("--embed-dim", dest="model.embed_dim", type=int)
+    t.add_argument("--num-layers", dest="model.num_layers", type=int)
+    t.add_argument("--num-heads", dest="model.num_heads", type=int)
+    t.add_argument("--max-seq-len", dest="model.max_seq_len", type=int)
+    t.add_argument("--lr", dest="optimizer.lr", type=float)
+    t.add_argument("--optimizer", dest="optimizer.kind", choices=("sgd", "momentum", "adam"))
+    t.add_argument("--weight-decay", dest="optimizer.weight_decay", type=float)
     t.set_defaults(func=cmd_train)
 
     d = sub.add_parser("decode", help="decode predictions from a checkpoint")
     common(d)
-    d.add_argument("--checkpoint", default=None)
-    d.add_argument("--records", default=None, help="gold records supplying start cells and contexts")
-    d.add_argument("--mode", choices=("greedy", "beam"), default=None)
-    d.add_argument("--beam-width", type=int, default=None)
-    d.add_argument("--coverage-weight", type=float, default=None)
-    d.add_argument("--max-steps", type=int, default=None)
+    d.add_argument("--checkpoint")
+    d.add_argument("--records", help="gold records supplying start cells and contexts")
+    d.add_argument("--mode", choices=("greedy", "beam"))
+    d.add_argument("--beam-width", type=int)
+    d.add_argument("--coverage-weight", dest="coverage_penalty_weight", type=float)
+    d.add_argument("--max-steps", type=int)
     d.set_defaults(func=cmd_decode)
 
     e = sub.add_parser("eval", help="evaluate predictions against gold records")
     common(e)
-    e.add_argument("--gold", default=None)
-    e.add_argument("--pred", default=None)
+    e.add_argument("--gold")
+    e.add_argument("--pred")
     e.set_defaults(func=cmd_eval)
 
     s = sub.add_parser("sim", help="run scripted twin scenarios")
     common(s)
-    s.add_argument("--scenarios", default=None, help="scenario JSONL (default: bundled pack)")
-    s.add_argument("--checkpoint", default=None, help="decode plans from this model instead of BFS")
-    s.add_argument("--mode", choices=("greedy", "beam"), default=None)
-    s.add_argument("--beam-width", type=int, default=None)
-    s.add_argument("--max-steps", type=int, default=None)
+    s.add_argument("--scenarios", help="scenario JSONL (default: bundled pack)")
+    s.add_argument("--checkpoint", help="decode plans from this model instead of BFS")
+    s.add_argument("--mode", choices=("greedy", "beam"))
+    s.add_argument("--beam-width", type=int)
+    s.add_argument("--max-steps", type=int)
     s.set_defaults(func=cmd_sim)
 
     r = sub.add_parser("report", help="render stored eval reports")
     r.add_argument("reports", nargs="+", help="report.json files")
-    r.add_argument("--out", default=None, help="optional output directory (default: stdout)")
+    r.add_argument("--out", help="optional output directory (default: stdout)")
     r.set_defaults(func=cmd_report)
 
     return p

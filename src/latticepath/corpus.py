@@ -332,19 +332,29 @@ def write_jsonl(path, rows) -> None:
             f.write(json.dumps(row, sort_keys=True) + "\n")
 
 
-def read_jsonl(path, parse) -> list:
-    """parse() each non-blank line's object; errors name the file and line."""
+def read_jsonl(path, parse, check=None) -> list:
+    """parse() each non-blank line's object; errors name the file and line.
+
+    check(row), if given, raises ValueError for a row the caller cannot use;
+    like a malformed line, the error names the file and line.
+    """
     out = []
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             if not line.strip():
                 continue
             try:
-                out.append(parse(json.loads(line)))
+                row = parse(json.loads(line))
             except CorpusFormatError as e:
                 raise CorpusFormatError(f"{path}: line {lineno}: {e}") from None
             except (ValueError, KeyError, TypeError) as e:
                 raise CorpusFormatError(f"{path}: line {lineno}: malformed record ({e})") from None
+            if check is not None:
+                try:
+                    check(row)
+                except ValueError as e:
+                    raise CorpusFormatError(f"{path}: line {lineno}: {e}") from None
+            out.append(row)
     return out
 
 
@@ -353,17 +363,5 @@ def write_records(path, records) -> None:
 
 
 def read_records(path, check=None) -> list[CorpusRecord]:
-    """Records of a corpus file.
-
-    check(record), if given, raises CorpusFormatError for a record the caller
-    cannot use; like a malformed line, the error names the file and line.
-    """
-    if check is None:
-        return read_jsonl(path, record_from_dict)
-
-    def parse(d):
-        r = record_from_dict(d)
-        check(r)
-        return r
-
-    return read_jsonl(path, parse)
+    """Records of a corpus file; check is as for read_jsonl."""
+    return read_jsonl(path, record_from_dict, check)

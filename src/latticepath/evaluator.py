@@ -44,6 +44,18 @@ class EvalReport:
             "n_pairs": self.n_pairs,
         }
 
+    @classmethod
+    def from_dict(cls, d: dict) -> "EvalReport":
+        return cls(
+            stepwise_accuracy=float(d["stepwise_accuracy"]),
+            precision=float(d["precision"]),
+            recall=float(d["recall"]),
+            f1=float(d["f1"]),
+            valid_path_percent=float(d["valid_path_percent"]),
+            error_counts={k: int(d["error_counts"].get(k, 0)) for k in ERROR_LABELS},
+            n_pairs=int(d["n_pairs"]),
+        )
+
 
 def _pair_counts(pred: Trajectory, gold: Trajectory) -> tuple[int, int, int, int, int]:
     """(position matches, longer length, shared cells, pred cells, gold cells)."""

@@ -47,6 +47,10 @@ class ModelConfig:
             raise ValueError("max_seq_len must be at least 2")
         if self.move_vocab != MOVE_VOCAB:
             raise ValueError(f"move_vocab is fixed at {MOVE_VOCAB}")
+        b = self.bounds
+        if len(b) != 6 or not all(isinstance(v, int) for v in b) or any(b[a] > b[a + 1] for a in (0, 2, 4)):
+            raise ValueError(f"bounds must be six ints x_min, x_max, y_min, y_max, z_min, z_max "
+                             f"with min <= max on each axis, got {list(b)}")
 
     @property
     def axis_sizes(self) -> tuple[int, int, int]:

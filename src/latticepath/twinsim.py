@@ -259,65 +259,56 @@ def run_episode_detailed(scene: Scene, planner, event_script: tuple[Event, ...] 
     events = sorted(event_script, key=lambda e: e.step)
     pending_obstacles = sorted(scene.dynamic_obstacles, key=lambda o: o[1])
     active: set[LatticeCoord] = set()
+    w_active, n_active = scene.workspace, 0
     trace = [scene.end_effector]
-    state = {"regrounds": 0, "detours": 0, "grasped": False, "released": False}
-    tick = 0
+    regrounds = detours = tick = pos = 0
+    grasped = released = False
     current_target = scene.target
-    pos = 0
     phase = "approach"
 
-    def fail(mode: str) -> EpisodeResult:
+    def result(mode: str | None) -> EpisodeResult:
+        """The episode so far, failed with `mode`, or successful when mode is None."""
         return EpisodeResult(
-            outcome=EpisodeOutcome(
-                success=False, failure_mode=mode,
-                regrounds=state["regrounds"], detours=state["detours"],
-                replanned_globally=False,
-            ),
-            trace=Trajectory(points=tuple(trace)),
-            grasped=state["grasped"], released=state["released"], ticks=tick,
+            outcome=EpisodeOutcome(success=mode is None, failure_mode=mode, regrounds=regrounds, detours=detours),
+            trace=Trajectory(points=tuple(trace)), grasped=grasped, released=released, ticks=tick,
         )
-
-    live = {"n_active": 0, "workspace": scene.workspace}
 
     def active_workspace() -> Workspace:
         """Scene workspace plus the activated obstacles, rebuilt only when `active` grows."""
-        if live["n_active"] != len(active):
-            live["n_active"] = len(active)
-            live["workspace"] = scene.workspace.with_obstacles(scene.workspace.obstacles | active)
-        return live["workspace"]
+        nonlocal w_active, n_active
+        if n_active != len(active):
+            n_active = len(active)
+            w_active = scene.workspace.with_obstacles(scene.workspace.obstacles | active)
+        return w_active
 
     def live_drop() -> LatticeCoord:
         return scene.drop_cell if scene.container is not None else current_target
 
-    def remaining_legs():
-        """(leg list, current index) pairs covering the not-yet-executed route."""
-        if phase == "approach":
-            return [(leg_a, pos), (leg_t, 0)]
-        if phase in ("engage", "transport"):
-            return [(leg_t, pos if phase == "transport" else 0)]
-        return []
-
     def apply_detour(cell: LatticeCoord) -> bool:
         """Local bypass around an activated obstacle; False means occlusion."""
-        for leg, start in remaining_legs():
+        nonlocal detours
+        # (leg, index reached) for each part of the route not yet executed
+        remaining = {"approach": [(leg_a, pos), (leg_t, 0)], "engage": [(leg_t, 0)],
+                     "transport": [(leg_t, pos)]}
+        for leg, start in remaining.get(phase, []):
             hits = [j for j in range(start + 1, len(leg)) if leg[j] == cell]
             if not hits:
                 continue
             j = hits[0]
             if leg[j - 1] in active:
                 return False
-            w_active = active_workspace()
+            w = active_workspace()
             for k in range(j + 1, len(leg)):
                 if leg[k] in active:
                     continue
                 try:
-                    bypass = oracle_path(leg[j - 1], leg[k], w_active)
+                    bypass = oracle_path(leg[j - 1], leg[k], w)
                 except UnreachableGoalError:
                     continue
                 extra = (len(bypass) - 1) - (k - (j - 1))
                 if extra <= 2:
                     leg[j - 1 : k + 1] = list(bypass.points)
-                    state["detours"] += 1
+                    detours += 1
                     return True
             return False
         return True  # obstacle does not cross the remaining route
@@ -326,11 +317,11 @@ def run_episode_detailed(scene: Scene, planner, event_script: tuple[Event, ...] 
         leg_a = list(planner.plan(scene.end_effector, current_target, scene.workspace).points)
         leg_t = list(planner.plan(leg_a[-1], live_drop(), scene.workspace).points)
     except UnreachableGoalError:
-        return fail("occlusion_cluster")
+        return result("occlusion_cluster")
 
     while phase != "done":
         if tick > 100000:
-            return fail("occlusion_cluster")
+            return result("occlusion_cluster")
 
         # scripted events scheduled for this tick
         while events and events[0].step <= tick:
@@ -338,9 +329,9 @@ def run_episode_detailed(scene: Scene, planner, event_script: tuple[Event, ...] 
             if ev.step < tick:
                 continue
             if ev.kind == "fail":
-                return fail(ev.mode)
+                return result(ev.mode)
             # slip: only meaningful before the grasp
-            if state["grasped"]:
+            if grasped:
                 continue
             if not in_bounds(ev.cell, active_workspace()):
                 continue  # rejected, target unchanged
@@ -350,66 +341,42 @@ def run_episode_detailed(scene: Scene, planner, event_script: tuple[Event, ...] 
                 leg_a = list(planner.plan(here, current_target, active_workspace()).points)
                 leg_t = list(planner.plan(leg_a[-1], live_drop(), active_workspace()).points)
             except UnreachableGoalError:
-                return fail("occlusion_cluster")
+                return result("occlusion_cluster")
             pos = 0
             phase = "approach"
-            state["regrounds"] += 1
+            regrounds += 1
 
         # dynamic obstacles activating now
         while pending_obstacles and pending_obstacles[0][1] <= tick:
             cell, _ = pending_obstacles.pop(0)
             active.add(cell)
-            if cell == current_target and not state["grasped"]:
-                return fail("occlusion_cluster")
-            if cell == live_drop() and not state["released"]:
-                return fail("occlusion_cluster")
+            if (cell == current_target and not grasped) or (cell == live_drop() and not released):
+                return result("occlusion_cluster")
             if not apply_detour(cell):
-                return fail("occlusion_cluster")
+                return result("occlusion_cluster")
 
         # one tick of execution
-        if phase == "approach":
-            if pos == len(leg_a) - 1:
-                phase = "engage"
+        if phase in ("approach", "transport"):
+            leg = leg_a if phase == "approach" else leg_t
+            if pos == len(leg) - 1:
+                phase = "engage" if phase == "approach" else "release"
                 continue  # phase switches consume no tick
             pos += 1
-            trace.append(leg_a[pos])
+            trace.append(leg[pos])
         elif phase == "engage":
             if trace[-1] != current_target:
-                return fail("mis_id")
-            state["grasped"] = True
+                return result("mis_id")
+            grasped = True
             phase = "transport"
             pos = 0
-        elif phase == "transport":
-            if pos == len(leg_t) - 1:
-                phase = "release"
-                continue
-            pos += 1
-            trace.append(leg_t[pos])
         elif phase == "release":
-            state["released"] = True
+            released = True
             phase = "done"
         tick += 1
 
-    end = trace[-1]
-    if scene.container is not None:
-        placed = end in scene.container
-    else:
-        placed = end == current_target
-    success = bool(state["released"] and placed)
-    outcome = EpisodeOutcome(
-        success=success,
-        failure_mode=None if success else "mechanical_slip",
-        regrounds=state["regrounds"],
-        detours=state["detours"],
-        replanned_globally=False,
-    )
-    return EpisodeResult(
-        outcome=outcome,
-        trace=Trajectory(points=tuple(trace)),
-        grasped=state["grasped"],
-        released=state["released"],
-        ticks=tick,
-    )
+    # the loop ends only after the release
+    placed = trace[-1] in scene.container if scene.container is not None else trace[-1] == current_target
+    return result(None if placed else "mechanical_slip")
 
 
 # scenarios ---------------------------------------------------------------------
@@ -451,8 +418,9 @@ def write_scenarios(path, scenarios: list[Scenario]) -> None:
     write_jsonl(path, (s.to_dict() for s in scenarios))
 
 
-def read_scenarios(path) -> list[Scenario]:
-    return read_jsonl(path, Scenario.from_dict)
+def read_scenarios(path, check=None) -> list[Scenario]:
+    """Scenarios of a JSONL file; check is as for corpus.read_jsonl."""
+    return read_jsonl(path, Scenario.from_dict, check)
 
 
 def check_expectation(scenario: Scenario, outcome: EpisodeOutcome) -> bool:

@@ -474,3 +474,163 @@ def test_sim_rejects_bad_scenario_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: schema:") and "line 1" in err
     assert not out.exists()
+
+
+# config values and flags -----------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """Input files by placeholder: corpus, gold records, checkpoint, predictions, scenarios."""
+    from latticepath.twinsim import default_scenario_pack, write_scenarios
+
+    base = tmp_path_factory.mktemp("inputs")
+    corpus = gen(base)
+    ckpt = train(base, corpus) / "model.npz"
+    assert run(["decode", "--checkpoint", ckpt, "--records", corpus / "corpus_validation.jsonl",
+                "--out", base / "decoded"]) == 0
+    scenes = base / "scenes.jsonl"
+    write_scenarios(scenes, default_scenario_pack()[:2])
+    return {"<corpus>": corpus / "corpus_train.jsonl", "<gold>": corpus / "corpus_validation.jsonl",
+            "<ckpt>": ckpt, "<pred>": base / "decoded" / "predictions.jsonl", "<scenes>": scenes}
+
+
+WRONG_TYPE_CASES = {
+    "gen-seed-null": ("gen", {"seed": None}),
+    "gen-count-list": ("gen", {"count": [40]}),
+    "train-epochs-null": ("train", {"epochs": None}),
+    "train-batch_size-null": ("train", {"batch_size": None}),
+    "train-seed-object": ("train", {"seed": {}}),
+    "train-corpus-int": ("train", {"corpus": 7}),
+    "train-resume-int": ("train", {"resume": 0}),
+    "train-bounds-two": ("train", {"model": {"bounds": [0, 1]}}),
+    "train-bounds-min-above-max": ("train", {"model": {"bounds": [3, -3, 0, 1, 0, 1]}}),
+    "train-loss-null": ("train", {"loss": {"lambda_cov": None}}),
+    "train-lr-string": ("train", {"optimizer": {"lr": "fast"}}),
+    "decode-checkpoint-list": ("decode", {"checkpoint": ["model.npz"]}),
+    "decode-records-int": ("decode", {"records": 0}),
+    "decode-beam_width-null": ("decode", {"beam_width": None}),
+    "eval-gold-pred-int": ("eval", {"gold": 0, "pred": 0}),
+    "sim-scenarios-int": ("sim", {"scenarios": 1}),
+    "sim-max_steps-null": ("sim", {"checkpoint": "<ckpt>", "max_steps": None}),
+}
+
+
+@pytest.mark.parametrize("command, cfg", WRONG_TYPE_CASES.values(), ids=WRONG_TYPE_CASES)
+def test_config_value_of_the_wrong_type_is_one_config_error(inputs, tmp_path, capsys, command, cfg):
+    base = {"train": {"corpus": "<corpus>", "epochs": 0},
+            "decode": {"checkpoint": "<ckpt>", "records": "<gold>"}}.get(command, {})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({k: str(inputs.get(v, v)) if isinstance(v, str) else v
+                                for k, v in {**base, **cfg}.items()}))
+    out = tmp_path / "never"
+    capsys.readouterr()
+    assert run([command, "--config", path, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+FLAG_CASES = [  # command, flag, config key (dotted: nested block), config-file value, flag value
+    ("gen", "--seed", "seed", 1, 2),
+    ("gen", "--count", "count", 10, 12),
+    ("gen", "--train-frac", "train_fraction", 0.5, 0.75),
+    ("gen", "--obstacle-density", "obstacle_density", 0.0, 0.1),
+    ("gen", "--max-path-length", "max_path_length", 20, 16),
+    ("train", "--seed", "seed", 1, 2),
+    ("train", "--corpus", "corpus", "missing.jsonl", "<corpus>"),
+    ("train", "--epochs", "epochs", 0, 1),
+    ("train", "--batch-size", "batch_size", 8, 16),
+    ("train", "--resume", "resume", "missing.npz", "<ckpt>"),
+    ("train", "--embed-dim", "model.embed_dim", 8, 16),
+    ("train", "--num-layers", "model.num_layers", 2, 1),
+    ("train", "--num-heads", "model.num_heads", 4, 2),
+    ("train", "--max-seq-len", "model.max_seq_len", 20, 24),
+    ("train", "--lr", "optimizer.lr", 0.1, 0.01),
+    ("train", "--optimizer", "optimizer.kind", "sgd", "adam"),
+    ("train", "--weight-decay", "optimizer.weight_decay", 0.0, 0.01),
+    ("decode", "--seed", "seed", 1, 2),
+    ("decode", "--checkpoint", "checkpoint", "missing.npz", "<ckpt>"),
+    ("decode", "--records", "records", "missing.jsonl", "<gold>"),
+    ("decode", "--mode", "mode", "greedy", "beam"),
+    ("decode", "--beam-width", "beam_width", 3, 2),
+    ("decode", "--coverage-weight", "coverage_penalty_weight", 0.0, 0.5),
+    ("decode", "--max-steps", "max_steps", 12, 16),
+    ("eval", "--gold", "gold", "missing.jsonl", "<gold>"),
+    ("eval", "--pred", "pred", "missing.jsonl", "<pred>"),
+    ("sim", "--seed", "seed", 1, 2),
+    ("sim", "--scenarios", "scenarios", "missing.jsonl", "<scenes>"),
+    ("sim", "--checkpoint", "checkpoint", "missing.npz", "<ckpt>"),
+    ("sim", "--mode", "mode", "greedy", "beam"),
+    ("sim", "--beam-width", "beam_width", 3, 2),
+    ("sim", "--max-steps", "max_steps", 12, 16),
+]
+
+FLAG_BASE = {  # flags each command needs to run; the flag under test replaces its own
+    "gen": {"--count": 10},
+    "train": {"--corpus": "<corpus>", "--epochs": 0, "--embed-dim": 8, "--num-layers": 1,
+              "--num-heads": 2, "--max-seq-len": 24},
+    "decode": {"--checkpoint": "<ckpt>", "--records": "<gold>"},
+    "eval": {"--gold": "<gold>", "--pred": "<pred>"},
+    "sim": {"--scenarios": "<scenes>", "--checkpoint": "<ckpt>"},
+}
+
+
+@pytest.mark.parametrize("command, flag, key, file_value, flag_value", FLAG_CASES,
+                         ids=[f"{c[0]}{c[1]}" for c in FLAG_CASES])
+def test_flag_sets_the_config_key_it_names(inputs, tmp_path, command, flag, key, file_value, flag_value):
+    flag_value = str(inputs.get(flag_value, flag_value))
+    block, _, sub = key.rpartition(".")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({block: {sub: file_value}} if block else {key: file_value}))
+    flags = {**FLAG_BASE[command], flag: flag_value}
+    out = tmp_path / "out"
+    assert run([command, "--config", path, *[str(inputs.get(a, a)) for kv in flags.items() for a in kv],
+                "--out", out]) == 0
+    echoed = json.loads((out / "manifest.json").read_text())["config"]
+    if block:
+        echoed = echoed[block]
+    assert str(echoed[sub]) == flag_value
+
+
+def test_gen_box_flag_replaces_the_config_workspace(tmp_path):
+    from latticepath.lattice import Workspace
+
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"workspace": Workspace(-2, 2, -2, 2, 0, 2).to_dict()}))
+    out = tmp_path / "out"
+    assert run(["gen", "--config", path, "--count", 10, "--box", 0, 4, 0, 4, 0, 2, "--out", out]) == 0
+    echoed = json.loads((out / "manifest.json").read_text())["config"]["workspace"]
+    assert echoed == json.loads(json.dumps(Workspace(0, 4, 0, 4, 0, 2).to_dict()))
+    assert {r.workspace.bounds for r in read_records(out / "corpus_train.jsonl")} == {(0, 4, 0, 4, 0, 2)}
+
+
+def test_train_resume_echoes_the_checkpoint_optimizer(tmp_path):
+    corpus = gen(tmp_path)
+    first = train(tmp_path, corpus, "first", extra=["--optimizer", "adam", "--lr", "0.003"])
+    resumed = tmp_path / "resumed"
+    assert run(["train", "--corpus", corpus / "corpus_train.jsonl", "--out", resumed, "--epochs", "1",
+                "--resume", first / "model.npz", "--lr", "0.5", "--optimizer", "sgd"]) == 0
+    _, opt, _ = load_checkpoint(resumed / "model.npz")
+    assert (opt.cfg.kind, opt.cfg.lr) == ("adam", 0.003)
+    echoed = json.loads((resumed / "manifest.json").read_text())["config"]
+    assert echoed["optimizer"] == opt.cfg.to_dict()
+    assert echoed["optimizer"] == json.loads((first / "manifest.json").read_text())["config"]["optimizer"]
+
+
+def test_sim_checkpoint_rejects_scenes_outside_the_model_box(inputs, tmp_path, capsys):
+    from latticepath.lattice import LatticeCoord, Workspace
+    from latticepath.twinsim import Scenario, Scene, default_scenario_pack, write_scenarios
+
+    big = Workspace(-6, 6, -6, 6, 0, 8)
+    far = Scene(workspace=big, end_effector=LatticeCoord(-6, 0, 0), target=LatticeCoord(5, 0, 0))
+    scenes = tmp_path / "scenes.jsonl"
+    write_scenarios(scenes, [default_scenario_pack()[0], Scenario(name="far", scene=far)])
+    out = tmp_path / "sim"
+    capsys.readouterr()
+    assert run(["sim", "--scenarios", scenes, "--checkpoint", inputs["<ckpt>"], "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: schema: {scenes}: line 2: workspace box x -6..6, y -6..6, z 0..8 "
+                          "exceeds the model box x -3..3") and err.count("\n") == 1, err
+    assert not out.exists()
+    assert run(["sim", "--scenarios", scenes, "--out", out]) == 0  # the BFS oracle has no model box

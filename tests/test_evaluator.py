@@ -5,6 +5,7 @@ from latticepath.corpus import CorpusRecord, Trajectory, oracle_path
 from latticepath.decoder import validate_path
 from latticepath.evaluator import (
     ERROR_LABELS,
+    EvalReport,
     classify_errors,
     coordinate_prf,
     evaluate,
@@ -193,6 +194,14 @@ def test_evaluate_counts_errors_across_pairs():
     assert report.error_counts["L1_illegal_jump"] == 1
     assert report.n_pairs == 3
     assert set(report.to_dict()["error_counts"]) == set(ERROR_LABELS)
+
+
+def test_eval_report_round_trips_through_dict():
+    gold = line((0, 0, 0), (1, 0, 0), (2, 0, 0))
+    report = evaluate([(line((0, 0, 0), (1, 0, 0)), gold, W), (gold, gold, W)])
+    assert EvalReport.from_dict(report.to_dict()) == report
+    with pytest.raises(KeyError):
+        EvalReport.from_dict({k: v for k, v in report.to_dict().items() if k != "f1"})
 
 
 # record pairing ------------------------------------------------------------------

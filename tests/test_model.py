@@ -50,6 +50,17 @@ def test_model_config_validation():
         ModelConfig(move_vocab=6)
 
 
+@pytest.mark.parametrize("bounds", [(0, 1), (3, -3, 0, 1, 0, 1), (-3, 3, -3, 3, 4, 0),
+                                    (-3, 3, -3, 3, 0, 4.0), (-3, 3, -3, 3, 0, 4, 5)])
+def test_model_config_rejects_malformed_bounds(bounds):
+    with pytest.raises(ValueError, match="bounds must be six ints"):
+        ModelConfig(bounds=bounds)
+
+
+def test_model_config_accepts_a_one_cell_axis():
+    assert ModelConfig(bounds=(0, 0, -2, 2, 1, 1)).axis_sizes == (1, 5, 1)
+
+
 def test_model_config_round_trip():
     cfg = tiny_cfg(bounds=(-2, 2, -2, 2, 0, 2))
     assert ModelConfig.from_dict(cfg.to_dict()) == cfg
