@@ -120,6 +120,22 @@ def _resolve(defaults: dict, file_cfg: dict, args) -> dict:
     return cfg
 
 
+def _integer(block, key, name: str | None = None) -> int:
+    """block[key] (a dict or a list) as an int, stored back so the manifest echoes the value used.
+
+    A float with no fractional part counts as its integer; a bool, any other
+    number, or any other type is a config error naming the key (`name`, for
+    a key of a nested block).
+    """
+    v = block[key]
+    if isinstance(v, float) and v.is_integer():
+        v = int(v)
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise CliError("config", f"{name or key} must be an integer, got {json.dumps(v)}")
+    block[key] = v
+    return v
+
+
 @contextlib.contextmanager
 def _config_errors():
     """Report a config value of the wrong type, range or shape as `error: config:`."""
@@ -176,15 +192,18 @@ def cmd_gen(args) -> int:
     if args.box is not None:
         x0, x1, y0, y1, z0, z1 = args.box
         cfg["workspace"] = Workspace(x0, x1, y0, y1, z0, z1).to_dict()
+    seed = _integer(cfg, "seed")
+    for key in ("x_min", "x_max", "y_min", "y_max", "z_min", "z_max"):
+        if key in cfg["workspace"]:
+            _integer(cfg["workspace"], key, f"workspace.{key}")
     with _config_errors():
-        seed = int(cfg["seed"])
         gcfg = GenerationConfig(
             workspace=Workspace.from_dict(cfg["workspace"]),
-            count=int(cfg["count"]),
+            count=_integer(cfg, "count"),
             obstacle_density=float(cfg["obstacle_density"]),
-            max_path_length=int(cfg["max_path_length"]),
+            max_path_length=_integer(cfg, "max_path_length"),
             train_fraction=float(cfg["train_fraction"]),
-            max_resample_attempts=int(cfg["max_resample_attempts"]),
+            max_resample_attempts=_integer(cfg, "max_resample_attempts"),
         )
 
     counters = GenerationCounters()
@@ -222,8 +241,8 @@ def cmd_train(args) -> int:
     cfg = _resolve(defaults, _load_config_file(args.config), args)
     if cfg["corpus"] is None:
         raise CliError("config", "train requires --corpus (or a corpus path in the config)")
+    seed, epochs, batch_size = (_integer(cfg, k) for k in ("seed", "epochs", "batch_size"))
     with _config_errors():
-        seed, epochs, batch_size = int(cfg["seed"]), int(cfg["epochs"]), int(cfg["batch_size"])
         loss_cfg = LossConfig(**{k: float(v) for k, v in cfg["loss"].items()})
         optimizer = Optimizer(OptimizerConfig.from_dict(cfg["optimizer"]))
     if epochs < 0:
@@ -277,17 +296,16 @@ def cmd_train(args) -> int:
 
 def _model_config(m: dict, first) -> ModelConfig:
     """A fresh model's config; unset bounds and context width come from the first record."""
-    bounds = m.get("bounds") or first.workspace.bounds
-    width = m.get("task_feature_width") or len(first.context.task_feature_vector)
+    m = {**m, "bounds": m.get("bounds") or list(first.workspace.bounds),
+         "task_feature_width": m.get("task_feature_width") or len(first.context.task_feature_vector)}
+    if not isinstance(m["bounds"], list):
+        raise CliError("config", f"model.bounds must be a list of six integers, got {json.dumps(m['bounds'])}")
+    for i in range(len(m["bounds"])):
+        _integer(m["bounds"], i, f"model.bounds[{i}]")
+    sizes = {k: _integer(m, k, f"model.{k}")
+             for k in ("embed_dim", "num_layers", "num_heads", "max_seq_len", "task_feature_width")}
     with _config_errors():
-        return ModelConfig(
-            embed_dim=int(m["embed_dim"]),
-            num_layers=int(m["num_layers"]),
-            num_heads=int(m["num_heads"]),
-            max_seq_len=int(m["max_seq_len"]),
-            task_feature_width=int(width),
-            bounds=tuple(int(v) for v in bounds),
-        )
+        return ModelConfig(**sizes, bounds=tuple(m["bounds"]))
 
 
 # decode ---------------------------------------------------------------------------
@@ -302,6 +320,7 @@ def cmd_decode(args) -> int:
         "max_steps": None,
     }
     cfg = _resolve(defaults, _load_config_file(args.config), args)
+    _integer(cfg, "seed")
     if cfg["checkpoint"] is None or cfg["records"] is None:
         raise CliError("config", "decode requires --checkpoint and --records")
     model, _, _ = load_checkpoint(cfg["checkpoint"])
@@ -319,10 +338,11 @@ def cmd_decode(args) -> int:
 
 def _decode_config(cfg: dict) -> DecodeConfig:
     """The search settings of a decode or sim config (sim has no coverage penalty key)."""
+    max_steps, beam_width = _integer(cfg, "max_steps"), _integer(cfg, "beam_width")
     with _config_errors():
         return DecodeConfig(
-            max_steps=int(cfg["max_steps"]),
-            beam_width=int(cfg["beam_width"]),
+            max_steps=max_steps,
+            beam_width=beam_width,
             coverage_penalty_weight=float(
                 cfg.get("coverage_penalty_weight", DecodeConfig.coverage_penalty_weight)),
             mode=str(cfg["mode"]),
@@ -340,6 +360,7 @@ def _check_decodable(mcfg: ModelConfig, record) -> None:
 
 def cmd_eval(args) -> int:
     cfg = _resolve({"seed": 0, "gold": None, "pred": None}, _load_config_file(args.config), args)
+    _integer(cfg, "seed")
     if cfg["gold"] is None or cfg["pred"] is None:
         raise CliError("config", "eval requires --gold and --pred")
     golds = read_records(cfg["gold"])
@@ -362,6 +383,8 @@ def cmd_sim(args) -> int:
     defaults = {"seed": 0, "scenarios": None, "checkpoint": None,
                 "mode": "greedy", "beam_width": 5, "max_steps": 32}
     cfg = _resolve(defaults, _load_config_file(args.config), args)
+    _integer(cfg, "seed")
+    dcfg = _decode_config(cfg)  # checked even when the BFS oracle plans, since the manifest echoes it
     model = None
     if cfg["checkpoint"] is not None:
         model, _, _ = load_checkpoint(cfg["checkpoint"])
@@ -372,7 +395,7 @@ def cmd_sim(args) -> int:
         scenarios = default_scenario_pack()
     if not scenarios:
         raise CliError("config", "no scenarios to run")
-    planner = OraclePlanner() if model is None else ModelPlanner(model, _decode_config(cfg))
+    planner = OraclePlanner() if model is None else ModelPlanner(model, dcfg)
 
     results = run_scenarios(scenarios, planner)
     rows = [{

@@ -2,14 +2,23 @@
 
 A decode call steps all of its rows together (records x live hypotheses):
 one model step per decode step, with one (rows, 7) legality mask, so emitted
-paths satisfy adjacency and bounds by construction. A PathModel is stepped
-through its KV cache, so each step runs only the newest cell of each row;
-any other model is stepped through its full-prefix forward(prefix, ctx, w),
-one row at a time. Greedy decoding is the width-1 search; beam decoding runs
-the width-1 search as its floor, then the width-B search. A hypothesis score
-is the sum of chosen-action log-probabilities minus an optional coverage
-penalty (weighted Manhattan distance from the hypothesis end to the context
-target), which discourages early truncation.
+paths satisfy adjacency and bounds by construction. The search state is row
+arrays (job, cell history, log-probability sum, and the rank of the row's
+move sequence within its job), so each decode step is a fixed number of
+array operations whatever the batch: one legality gather from a GridStack
+(the batch's legality grids as one flat table), one candidate expansion
+(the argmax at width 1, every action of nonzero probability at wider
+widths), and, at wider widths, one lexsort that keeps the best candidates of
+every job. A PathModel is stepped through its KV cache, so each step runs
+only the newest cell of each row; any other model is stepped through its
+full-prefix forward(prefix, ctx, w), one row at a time. Greedy decoding is
+the width-1 search; beam decoding runs the width-1 search as its floor, then
+the width-B search. A hypothesis score is the sum of chosen-action
+log-probabilities (math.log, so scores do not depend on numpy's log) minus
+an optional coverage penalty (weighted Manhattan distance from the
+hypothesis end to the context target), which discourages early truncation.
+DecodeCounters tallies model steps, rows stepped, candidates ranked and
+terminations.
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .corpus import CorpusRecord, Trajectory, validate_path  # noqa: F401 (re-exported)
-from .lattice import STOP, LatticeCoord, Workspace, apply_move, in_bounds, manhattan
+from .lattice import MOVES, STOP, GridStack, LatticeCoord, Workspace, in_bounds
 from .model import KVCache, PathModel, context_features
 from .model import masked_softmax  # noqa: F401 (re-exported; perfbench/tracer.py wraps it)
 from .taskgrid import TaskContext
@@ -67,67 +76,121 @@ class DecodeCounters:
     """Seed-determined tallies of decode calls; no timings.
 
     model_steps counts batched model steps, rows_stepped the rows they ran,
-    and terminated how each returned path ended.
+    candidates the pool entries ranked at those steps (each stepped row's
+    expansions plus the finished hypotheses of its job; at width 1 one per
+    row), and terminated how each returned path ended.
     """
 
     model_steps: int = 0
     rows_stepped: int = 0
+    candidates: int = 0
     terminated: dict[str, int] = field(default_factory=lambda: dict.fromkeys(TERMINATION_KINDS, 0))
 
 
-def _coverage_penalty(end: LatticeCoord, ctx: TaskContext, cfg: DecodeConfig) -> float:
-    """Weighted remaining distance to the context target; 0 when no target."""
-    if ctx.target is None or cfg.coverage_penalty_weight == 0.0:
-        return 0.0
-    return cfg.coverage_penalty_weight * max(0, manhattan(end, ctx.target))
+# Cell offset of each action; STOP leaves a row on its cell.
+_OFFSETS = np.array(MOVES + ((0, 0, 0),), dtype=np.int64)
 
 
-def _log_prob(p: float) -> float:
-    return math.log(p) if p > 0.0 else -math.inf
+@dataclass
+class _Rows:
+    """Hypotheses as parallel arrays, one entry per row.
+
+    path (rows, t, 3) holds each row's cells; a finished row repeats its last
+    cell, so every path has the same width. rank orders the move sequences of
+    a job's beam lexicographically. action is the action that made the row
+    (STOP: the row is finished) and parent the stepped row it extends.
+    """
+
+    job: np.ndarray
+    path: np.ndarray
+    log_sum: np.ndarray
+    rank: np.ndarray
+    action: np.ndarray
+    parent: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.job)
+
+    def take(self, idx) -> "_Rows":
+        return _Rows(self.job[idx], self.path[idx], self.log_sum[idx], self.rank[idx], self.action[idx],
+                     self.parent[idx])
+
+    def __add__(self, other: "_Rows") -> "_Rows":
+        if not len(self) or not len(other):  # an empty side may have a stale path width
+            return other if len(other) else self
+        return _Rows(*(np.concatenate(pair) for pair in zip(vars(self).values(), vars(other).values())))
 
 
-@dataclass(frozen=True)
-class _Hypothesis:
-    points: tuple[LatticeCoord, ...]
-    moves: tuple[int, ...]
-    log_sum: float
-    finished: bool
+def _children(live: _Rows, action: np.ndarray, p: np.ndarray, parent: np.ndarray | None = None) -> _Rows:
+    """Rows `parent` of live (every row, in order, if None) extended by `action`, of probabilities p > 0."""
+    src = live if parent is None else live.take(parent)
+    cell = src.path[:, -1] + _OFFSETS[action]
+    return _Rows(src.job, np.concatenate([src.path, cell[:, None]], axis=1), src.log_sum + _log(p), src.rank,
+                 action, np.arange(len(live)) if parent is None else parent)
 
-    def score(self, ctx: TaskContext, cfg: DecodeConfig) -> float:
-        return self.log_sum - _coverage_penalty(self.points[-1], ctx, cfg)
 
-    def extend(self, action: int, p: float) -> "_Hypothesis":
-        lp = self.log_sum + _log_prob(p)
-        if action == STOP:
-            return _Hypothesis(self.points, self.moves + (action,), lp, True)
-        nxt = apply_move(self.points[-1], action)
-        return _Hypothesis(self.points + (nxt,), self.moves + (action,), lp, False)
+def _log(p: np.ndarray) -> np.ndarray:
+    """math.log of each probability: libm's log, which np.log does not match bit for bit on every host."""
+    return np.array([math.log(v) for v in p.tolist()])
+
+
+def _position_in_job(job: np.ndarray) -> np.ndarray:
+    """Position of each entry among the entries of its job; job must be sorted."""
+    return np.arange(len(job)) - np.searchsorted(job, job)
+
+
+def _best(pool: _Rows, score: np.ndarray, width: int) -> _Rows:
+    """The best `width` rows of every job, in rank order, ranked afresh.
+
+    A row's key is (job, -score, rank, action): a child's move sequence is
+    its parent's plus one action, and a finished row (action STOP, no
+    children) compares with every child of another row as with that row,
+    so the key orders each job as (-score, move sequence) does.
+    """
+    order = np.lexsort((pool.action, pool.rank, -score, pool.job))
+    kept = pool.take(order[_position_in_job(pool.job[order]) < width])
+    lex = np.lexsort((kept.action, kept.rank, kept.job))
+    kept.rank[lex] = _position_in_job(kept.job[lex])
+    return kept
+
+
+def _scorer(jobs: list[Job], cfg: DecodeConfig):
+    """Row scores: log-probability sum minus the weighted distance from the row's cell to its target."""
+    if cfg.coverage_penalty_weight == 0.0:
+        return lambda rows: rows.log_sum
+    weight = np.array([0.0 if ctx.target is None else cfg.coverage_penalty_weight for _, ctx, _ in jobs])
+    target = np.array([(0, 0, 0) if ctx.target is None else ctx.target.as_tuple() for _, ctx, _ in jobs],
+                      dtype=np.int64).reshape(-1, 3)
+
+    def score(rows: _Rows) -> np.ndarray:
+        return rows.log_sum - weight[rows.job] * np.abs(rows.path[:, -1] - target[rows.job]).sum(axis=1)
+
+    return score
 
 
 # step adapters: raw logits and legality masks for the newest cell of each row ----------
 
 
 class _CachedStep:
-    """PathModel rows stepped through one KV cache; rows follow their job order at first."""
+    """PathModel rows stepped through one KV cache and masked by one gather from a GridStack."""
 
     def __init__(self, model: PathModel, jobs: list[Job]):
         self.model = model
-        self.jobs = jobs
         self.ctx_mat = np.array([context_features(ctx, model.cfg) for _, ctx, _ in jobs])
+        self.grids = GridStack.of([w for _, _, w in jobs])
         self.cache = KVCache()
 
-    def __call__(self, rows: list[tuple[int, _Hypothesis]]) -> tuple[np.ndarray, np.ndarray]:
-        pts = np.array([[h.points[-1].as_tuple()] for _, h in rows], dtype=np.int64)
+    def __call__(self, job: np.ndarray, path: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         with ad.no_grad():
-            raw = self.model.forward_batch(pts, self.ctx_mat, self.cache).data[:, 0]
-        legal = np.ones((len(rows), STOP + 1), dtype=bool)
-        for r, (j, _) in enumerate(rows):
-            legal[r, :STOP] = self.jobs[j][2].grid.move_mask(pts[r, 0])
+            raw = self.model.forward_batch(path[:, -1:], self.ctx_mat, self.cache).data[:, 0]
+        legal = np.ones((len(job), STOP + 1), dtype=bool)
+        legal[:, :STOP] = self.grids.move_mask(path[:, -1])
         return raw, legal
 
     def keep(self, parents: np.ndarray) -> None:
         self.cache.keep(parents)
         self.ctx_mat = self.ctx_mat[parents]
+        self.grids = self.grids.take(parents)
 
 
 class _PrefixStep:
@@ -137,8 +200,9 @@ class _PrefixStep:
         self.model = model
         self.jobs = jobs
 
-    def __call__(self, rows: list[tuple[int, _Hypothesis]]) -> tuple[np.ndarray, np.ndarray]:
-        steps = [self.model.forward(list(h.points), self.jobs[j][1], self.jobs[j][2]) for j, h in rows]
+    def __call__(self, job: np.ndarray, path: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        steps = [self.model.forward([LatticeCoord(*c) for c in cells], *self.jobs[j][1:])
+                 for j, cells in zip(job.tolist(), path.tolist())]
         return np.array([s.raw for s in steps]), np.array([s.legal_mask for s in steps])
 
     def keep(self, parents: np.ndarray) -> None:
@@ -160,43 +224,57 @@ def _search(model, jobs: list[Job], cfg: DecodeConfig, width: int, counters: Dec
     best finished hypothesis wins, else the best unfinished one at max_steps.
     """
     step = _CachedStep(model, jobs) if isinstance(model, PathModel) else _PrefixStep(model, jobs)
-    beams = [[_Hypothesis((start,), (), 0.0, False)] for start, _, _ in jobs]
-    rows = [(j, beam[0]) for j, beam in enumerate(beams)]
-
-    def rank(j: int, h: _Hypothesis):
-        return (-h.score(jobs[j][1], cfg), h.moves)
+    score = _scorer(jobs, cfg)
+    n = len(jobs)
+    none = np.full(n, -1)
+    starts = np.array([start.as_tuple() for start, _, _ in jobs], dtype=np.int64).reshape(n, 1, 3)
+    live = _Rows(np.arange(n), starts, np.zeros(n), np.zeros(n, dtype=np.int64), none, none)
+    done = live.take(slice(0, 0))
 
     for _ in range(cfg.max_steps):
-        if not rows:
+        if not len(live):
             break
-        raw, legal = step(rows)
+        raw, legal = step(live.job, live.path)
         probs = ad.softmax(Tensor(raw), mask=legal).data
         counters.model_steps += 1
-        counters.rows_stepped += len(rows)
-        pools: dict[int, list[tuple[_Hypothesis, int]]] = {}
-        for r, ((j, h), p) in enumerate(zip(rows, probs)):
-            if j not in pools:
-                pools[j] = [(f, -1) for f in beams[j] if f.finished]
-            actions = [int(p.argmax())] if width == 1 else np.flatnonzero(p > 0.0)
-            pools[j].extend((h.extend(int(a), float(p[a])), r) for a in actions)
-        rows = []
-        parents = []
-        for j, pool in pools.items():
-            pool.sort(key=lambda c: rank(j, c[0]))
-            beams[j] = [h for h, _ in pool[:width]]
-            for h, r in pool[:width]:
-                if not h.finished:
-                    rows.append((j, h))
-                    parents.append(r)
-        step.keep(np.array(parents, dtype=np.int64))
+        counters.rows_stepped += len(live)
+        if width == 1:
+            pool = _children(live, probs.argmax(axis=1), probs.max(axis=1))
+        else:
+            parent, action = np.nonzero(probs > 0.0)
+            pool = _children(live, action, probs[parent, action], parent)
+        if len(done):
+            done.path = np.concatenate([done.path, done.path[:, -1:]], axis=1)  # finished rows stay put
+        if width > 1 and len(done):  # the finished rows of a stepping job compete with its new candidates
+            stepping = np.zeros(n, dtype=bool)
+            stepping[live.job] = True
+            waiting = stepping[done.job]
+            if waiting.all():
+                pool, done = pool + done, done.take(slice(0, 0))
+            else:
+                pool, done = pool + done.take(waiting), done.take(~waiting)
+        counters.candidates += len(pool)
+        if width > 1:  # at width 1 every job has one candidate: nothing to rank
+            pool = _best(pool, score(pool), width)
+        finished = pool.action == STOP
+        if finished.any():
+            done, pool = done + pool.take(finished), pool.take(~finished)
+        if width > 1 or len(pool) < len(live):
+            step.keep(pool.parent)
+        live = pool
 
+    rows = done + live
+    scores = score(rows)
+    order = np.lexsort((rows.rank, -scores, rows.action != STOP, rows.job))
+    best = order[np.searchsorted(rows.job[order], np.arange(n))]
     out = []
-    for j, beam in enumerate(beams):
-        best = min([h for h in beam if h.finished] or beam, key=lambda h: rank(j, h))
+    for b, path in zip(best.tolist(), rows.path[best].tolist()):
+        while len(path) > 1 and path[-1] == path[-2]:  # a finished row repeats its last cell
+            path.pop()
         out.append(DecodedPath(
-            trajectory=Trajectory(points=best.points),
-            score=best.score(jobs[j][1], cfg),
-            terminated_by="stop_token" if best.finished else "max_steps",
+            trajectory=Trajectory(points=tuple(LatticeCoord(*c) for c in path)),
+            score=float(scores[b]),
+            terminated_by="stop_token" if rows.action[b] == STOP else "max_steps",
         ))
     return out
 

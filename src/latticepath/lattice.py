@@ -5,7 +5,8 @@ simulator) shares the conventions fixed here: unit moves are the six axis
 steps in the canonical order +x, -x, +y, -y, +z, -z, and a cell is legal
 iff it lies inside the workspace box and is not an obstacle. A workspace's
 LegalityGrid is the flat-index form of that rule that the BFS oracle and
-every legality mask read.
+every legality mask read; a GridStack stacks a batch's grids into one table
+for the decoder.
 """
 
 from __future__ import annotations
@@ -204,6 +205,45 @@ class LegalityGrid:
         """Legality (..., 6) of the canonical moves from integer cells (..., 3) of the box."""
         flat = (np.asarray(cells, dtype=np.int64) - self.origin) @ self._cell_weights
         return self._free[flat[..., None] + self._move_strides]
+
+
+class GridStack:
+    """Legality for a batch of rows, each on its own workspace's grid, from one flat table.
+
+    GridStack.of concatenates the grids of the batch's workspaces once (a
+    grid shared by several rows is stored once); each row keeps its grid's
+    offset into that table and its move strides, so rows on boxes of
+    different shapes are masked by one gather. take() selects and reorders
+    rows, as KVCache.keep does.
+    """
+
+    def __init__(self, free: np.ndarray, base: np.ndarray, move_strides: np.ndarray):
+        self.free = free
+        self.base = base
+        self.move_strides = move_strides
+
+    @classmethod
+    def of(cls, workspaces) -> "GridStack":
+        """One row per workspace."""
+        tables, offsets, size, base, strides = [], {}, 0, [], []
+        for w in workspaces:
+            g = w.grid
+            if id(g) not in offsets:
+                offsets[id(g)] = size
+                tables.append(g._free)
+                size += len(g._free)
+            base.append(offsets[id(g)] + g.index(LatticeCoord(0, 0, 0)))
+            strides.append(g.strides)
+        return cls(np.concatenate(tables) if tables else np.zeros(0, dtype=bool), np.array(base, dtype=np.int64),
+                   np.array(strides, dtype=np.int64).reshape(-1, len(MOVES)))
+
+    def take(self, rows: np.ndarray) -> "GridStack":
+        return GridStack(self.free, self.base[rows], self.move_strides[rows])
+
+    def move_mask(self, cells: np.ndarray) -> np.ndarray:
+        """Legality (rows, 6) of the canonical moves from each row's cell (rows, 3) of its box."""
+        flat = self.base + (cells * self.move_strides[:, ::2]).sum(axis=1)  # +x, +y, +z strides weigh x, y, z
+        return self.free[flat[:, None] + self.move_strides]
 
 
 def default_workspace() -> Workspace:

@@ -634,3 +634,106 @@ def test_sim_checkpoint_rejects_scenes_outside_the_model_box(inputs, tmp_path, c
                           "exceeds the model box x -3..3") and err.count("\n") == 1, err
     assert not out.exists()
     assert run(["sim", "--scenarios", scenes, "--out", out]) == 0  # the BFS oracle has no model box
+
+
+def desk_dict():
+    from latticepath.lattice import desk_workspace
+
+    return desk_workspace().to_dict()
+
+
+NON_INTEGER_CASES = {  # command, config, the key the error must name
+    "gen-seed-null": ("gen", {"seed": None}, "seed"),
+    "gen-seed-true": ("gen", {"seed": True}, "seed"),
+    "gen-count-fraction": ("gen", {"count": 40.5}, "count"),
+    "gen-max_path_length-string": ("gen", {"max_path_length": "8"}, "max_path_length"),
+    "gen-workspace-fraction": ("gen", {"workspace": {**desk_dict(), "z_max": 4.5}}, "workspace.z_max"),
+    "train-bounds-fraction": ("train", {"model": {"bounds": [-3, 3, -3, 3, 0, 4.5]}}, "model.bounds[5]"),
+    "train-bounds-number": ("train", {"model": {"bounds": 5}}, "model.bounds"),
+    "train-embed_dim-fraction": ("train", {"model": {"embed_dim": 8.5}}, "model.embed_dim"),
+    "train-epochs-true": ("train", {"epochs": True}, "epochs"),
+    "decode-beam_width-fraction": ("decode", {"beam_width": 2.5}, "beam_width"),
+    "decode-max_steps-false": ("decode", {"max_steps": False}, "max_steps"),
+    "decode-seed-string": ("decode", {"seed": "1"}, "seed"),
+    "decode-seed-list": ("decode", {"seed": [1]}, "seed"),
+    "eval-seed-null": ("eval", {"seed": None}, "seed"),
+    "eval-seed-fraction": ("eval", {"seed": 0.5}, "seed"),
+    "sim-seed-list": ("sim", {"seed": [1]}, "seed"),
+    "sim-seed-true": ("sim", {"seed": True}, "seed"),
+    "sim-max_steps-fraction": ("sim", {"checkpoint": "<ckpt>", "max_steps": 3.5}, "max_steps"),
+    "sim-oracle-max_steps-fraction": ("sim", {"max_steps": 2.5}, "max_steps"),
+    "sim-oracle-beam_width-null": ("sim", {"beam_width": None}, "beam_width"),
+}
+
+
+@pytest.mark.parametrize("command, cfg, key", NON_INTEGER_CASES.values(), ids=NON_INTEGER_CASES)
+def test_non_integer_config_value_is_one_config_error_naming_its_key(inputs, tmp_path, capsys, command, cfg, key):
+    base = {"train": {"corpus": "<corpus>", "epochs": 0},
+            "decode": {"checkpoint": "<ckpt>", "records": "<gold>"},
+            "eval": {"gold": "<gold>", "pred": "<pred>"},
+            "sim": {"scenarios": "<scenes>"}}.get(command, {})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({k: str(inputs.get(v, v)) if isinstance(v, str) and v in inputs else v
+                                for k, v in {**base, **cfg}.items()}))
+    out = tmp_path / "never"
+    capsys.readouterr()
+    assert run([command, "--config", path, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config: {key} must be ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+def test_integral_float_config_values_run_and_are_echoed_as_integers(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"seed": 0.0, "count": 40.0, "workspace": {**desk_dict(), "z_max": 4.0}}))
+    out = tmp_path / "out"
+    assert run(["gen", "--config", path, "--out", out]) == 0
+    echoed = json.loads((out / "manifest.json").read_text())["config"]
+    assert (echoed["seed"], echoed["count"], echoed["workspace"]["z_max"]) == (0, 40, 4)
+    assert "seed\": 0," in (out / "manifest.json").read_text()
+    plain = gen(tmp_path, "plain")
+    assert (out / "corpus_train.jsonl").read_bytes() == (plain / "corpus_train.jsonl").read_bytes()
+
+
+def test_python_dash_m_runs_the_cli_without_installing(tmp_path):
+    import os
+    import subprocess
+    import sys
+
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    ok = subprocess.run([sys.executable, "-m", "latticepath", "gen", "--help"], cwd=tmp_path, env=env,
+                        capture_output=True, text=True)
+    assert ok.returncode == 0 and ok.stdout.startswith("usage: latticepath gen"), ok.stderr
+    failed = subprocess.run([sys.executable, "-m", "latticepath", "gen", "--config", "missing.json",
+                             "--out", "never"], cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert failed.returncode == 1 and failed.stderr == "error: io: config file not found: missing.json\n"
+    assert not (tmp_path / "never").exists()
+
+
+def test_decode_manifest_counts_ranked_candidates(inputs, tmp_path):
+    counters = {}
+    for mode in ("greedy", "beam"):
+        manifests = []
+        for name in ("first", "second"):
+            out = tmp_path / f"{mode}_{name}"
+            assert run(["decode", "--checkpoint", inputs["<ckpt>"], "--records", inputs["<gold>"], "--out", out,
+                        "--seed", "0", "--mode", mode, "--beam-width", "3"]) == 0
+            manifests.append((out / "manifest.json").read_bytes())
+        assert manifests[0] == manifests[1]
+        counters[mode] = json.loads(manifests[0])["counters"]
+    greedy, beam = counters["greedy"], counters["beam"]
+    assert greedy["candidates"] == greedy["rows_stepped"] > 0  # width 1: one candidate per stepped row
+    # beam runs the greedy floor, then the width-3 search, whose rows each rank up to 7 actions
+    assert beam["rows_stepped"] > greedy["rows_stepped"]
+    assert beam["candidates"] - greedy["candidates"] > beam["rows_stepped"] - greedy["rows_stepped"]
+
+
+def test_sim_without_a_checkpoint_still_checks_the_search_settings(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"mode": "sideways"}))
+    out = tmp_path / "never"
+    capsys.readouterr()
+    assert run(["sim", "--config", path, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: mode must be 'greedy' or 'beam'") and err.count("\n") == 1, err
+    assert not out.exists()

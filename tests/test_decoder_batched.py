@@ -2,13 +2,13 @@
 
 import numpy as np
 import pytest
-from reference_decoder import reference_decode
+from reference_decoder import reference_decode, reference_decode_batch
 from test_acceptance import quick_trained_model, random_desk_workspace, random_free_cell
 
 from latticepath import autodiff as ad
 from latticepath.corpus import CorpusRecord, Trajectory
 from latticepath.decoder import DecodeConfig, DecodeCounters, decode_batch, decode_records
-from latticepath.lattice import MOVES, LatticeCoord, desk_workspace, legal_moves, manhattan
+from latticepath.lattice import MOVES, LatticeCoord, Workspace, desk_workspace, legal_moves, manhattan
 from latticepath.model import KVCache, ModelConfig, PathModel, StepLogits, context_features
 from latticepath.taskgrid import build_context, reach_only_graph
 
@@ -164,3 +164,130 @@ def test_counters_count_steps_rows_and_terminations():
     assert counters.terminated == {"stop_token": 2, "max_steps": 0}
     decode_batch(ScriptedModel({}), jobs[:1], DecodeConfig(max_steps=2), counters)
     assert counters.terminated == {"stop_token": 2, "max_steps": 1}
+
+
+# the array-state search against the object-pool search it replaced -------------------
+
+WIDE_BOUNDS = (-3, 6, -4, 3, 0, 5)  # holds the desk box, OFFSET_BOX and PAIR_BOX
+OFFSET_BOX = Workspace(2, 6, -4, -1, 3, 5)
+PAIR_BOX = Workspace(0, 0, 0, 0, 2, 3)  # 1x1x2: one legal move from either cell
+
+
+def box_cells(w):
+    return [C(x, y, z) for x in range(w.x_min, w.x_max + 1)
+            for y in range(w.y_min, w.y_max + 1) for z in range(w.z_min, w.z_max + 1)]
+
+
+def mixed_jobs(seed, n, boxes):
+    """Jobs cycling over workspaces of different shapes, so per-row strides differ in one batch.
+
+    Every fourth job's goal is its start and every fifth has no target, so
+    early stops and target-free rows (no coverage penalty) share the batch.
+    """
+    rng = np.random.default_rng(seed)
+    jobs = []
+    for k in range(n):
+        w = boxes[k % len(boxes)]
+        if w is None:
+            w, cells = random_desk_workspace(rng)
+        else:
+            cells = box_cells(w)
+            if len(cells) > 2:
+                w = w.with_obstacles(c for c in cells if rng.random() < 0.1)
+        start = random_free_cell(rng, w, cells)
+        goal = start if k % 4 == 0 else random_free_cell(rng, w, cells)
+        jobs.append((start, ctx_for(None if k % 5 == 0 else goal, manhattan(start, goal) + 1), w))
+    return jobs
+
+
+def tie_model(seed, w):
+    """A ScriptedModel with exact ties and legal-yet-vanishing moves on every cell of w."""
+    rng = np.random.default_rng(seed)
+    levels = np.array([-800.0, -40.0, 0.0, 0.0, 1.0, 1.0, 2.0])
+    return ScriptedModel({c: rng.choice(levels, size=7) for c in box_cells(w)})
+
+
+@pytest.fixture(scope="module")
+def pool_models(models):
+    """(name, model, boxes): random PathModels over a box holding every test box, the trained
+    desk model on desk sub-boxes, and the scripted tie model."""
+    wide = [PathModel(ModelConfig(embed_dim=8, num_layers=1, num_heads=2, max_seq_len=16,
+                                  bounds=WIDE_BOUNDS), seed=7),
+            PathModel(ModelConfig(embed_dim=16, num_layers=2, num_heads=4, max_seq_len=16,
+                                  bounds=WIDE_BOUNDS), seed=8)]
+    all_boxes = [desk_workspace(), OFFSET_BOX, PAIR_BOX, None]
+    return [
+        ("random1", wide[0], all_boxes),
+        ("random2", wide[1], all_boxes),
+        ("trained", models[2], [desk_workspace(), PAIR_BOX, None]),
+        ("scripted", tie_model(4, Workspace(*WIDE_BOUNDS)), all_boxes),
+    ]
+
+
+def assert_same_as_object_pool(model, jobs, cfg):
+    got_counters, ref_counters = DecodeCounters(), DecodeCounters()
+    got = decode_batch(model, jobs, cfg, got_counters)
+    ref = reference_decode_batch(model, jobs, cfg, ref_counters)
+    assert got == ref  # paths, terminations and scores, bit for bit
+    assert got_counters == ref_counters
+    return got, got_counters
+
+
+@pytest.mark.parametrize("cfg", DECODE_CONFIGS, ids=["greedy", "beam5", "beam3_coverage"])
+def test_search_equals_object_pool_search_on_mixed_boxes(pool_models, cfg):
+    for k, (name, model, boxes) in enumerate(pool_models):
+        jobs = mixed_jobs(200 + k, 48, boxes)
+        assert len({w.shape for _, _, w in jobs}) > 3, name
+        got, counters = assert_same_as_object_pool(model, jobs, cfg)
+        assert len(got) == len(jobs)
+        if cfg.mode == "greedy":
+            assert counters.candidates == counters.rows_stepped
+
+
+def stop_or_run_model(stoppers):
+    """STOP is near-certain on the cells of `stoppers` and impossible elsewhere (its logit underflows)."""
+    stop, run = np.zeros(7), np.zeros(7)
+    stop[6] = 30.0
+    run[:6] = [1.0, 1.0, 0.5, 0.5, 0.0, 0.0]
+    run[6] = -800.0
+    return ScriptedModel({c: stop if c in stoppers else run for c in box_cells(Workspace(*WIDE_BOUNDS))})
+
+
+@pytest.mark.parametrize("max_steps", [0, 1, 2, 6])
+@pytest.mark.parametrize("cfg", DECODE_CONFIGS, ids=["greedy", "beam5", "beam3_coverage"])
+def test_search_equals_object_pool_search_when_jobs_stop_early_or_run_out(pool_models, cfg, max_steps):
+    cfg = DecodeConfig(max_steps=max_steps, mode=cfg.mode, beam_width=cfg.beam_width,
+                       coverage_penalty_weight=cfg.coverage_penalty_weight)
+    jobs = mixed_jobs(300, 40, [desk_workspace(), OFFSET_BOX, PAIR_BOX, None])
+    model = stop_or_run_model({start for start, _, _ in jobs[::2]})
+    got, _ = assert_same_as_object_pool(model, jobs, cfg)
+    kinds = {(len(d.trajectory), d.terminated_by) for d in got}
+    if max_steps == 0:
+        assert kinds == {(1, "max_steps")}
+    else:
+        assert (1, "stop_token") in kinds and (max_steps + 1, "max_steps") in kinds
+    if max_steps <= 1:  # the PathModels too, through the KV-cached step
+        for _, model, boxes in pool_models[:3]:
+            assert_same_as_object_pool(model, mixed_jobs(301, 40, boxes), cfg)
+
+
+def test_scores_take_libm_log_of_each_probability():
+    import math
+
+    from latticepath.decoder import _log
+
+    p = np.random.default_rng(0).dirichlet(np.ones(7), size=20000).ravel()
+    assert _log(p).tolist() == [math.log(v) for v in p.tolist()]
+
+
+def test_equal_scores_prefer_the_smaller_move_sequence():
+    # From A, +x and STOP have probability 1/2 each; from B = A + x, STOP is certain. Both
+    # finished hypotheses score log(1/2), and (+x, STOP) < (STOP,) as move sequences.
+    a, b = C(0, 0, 2), C(1, 0, 2)
+    at_a, at_b = np.full(7, -800.0), np.full(7, -800.0)
+    at_a[0] = at_a[6] = at_b[6] = 0.0
+    model = ScriptedModel({a: at_a, b: at_b})
+    job = (a, ctx_for(None, 2), desk_workspace())
+    for cfg in DECODE_CONFIGS:
+        got, _ = assert_same_as_object_pool(model, [job], cfg)
+        assert got[0].trajectory.points == (a, b)

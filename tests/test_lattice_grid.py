@@ -15,8 +15,8 @@ from latticepath.corpus import (
     oracle_path,
     record_to_dict,
 )
-from latticepath.decoder import _CachedStep, _Hypothesis
-from latticepath.lattice import LatticeCoord, Workspace, desk_workspace, in_bounds, legal_moves
+from latticepath.decoder import _CachedStep
+from latticepath.lattice import GridStack, LatticeCoord, Workspace, desk_workspace, in_bounds, legal_moves
 from latticepath.model import ModelConfig, PathModel, make_loss_batch
 
 C = LatticeCoord
@@ -154,6 +154,17 @@ def test_model_and_decoder_masks_match_legal_moves():
         for t in range(1, len(traj) + 1):
             assert model.forward(traj.points[:t], ctx, w).legal_mask.tolist() == legal_moves(traj.points[t - 1], w) + [True]
     jobs = [(traj.start, ctx, w) for traj, ctx, w in items]
-    rows = [(j, _Hypothesis((start,), (), 0.0, False)) for j, (start, _, _) in enumerate(jobs)]
-    _, legal = _CachedStep(model, jobs)(rows)
+    paths = np.array([[start.as_tuple()] for start, _, _ in jobs], dtype=np.int64)
+    _, legal = _CachedStep(model, jobs)(np.arange(len(jobs)), paths)
     assert legal.tolist() == [legal_moves(start, w) + [True] for start, _, w in jobs]
+
+
+def test_grid_stack_matches_legal_moves_across_boxes():
+    boxes = [face_workspace(), seeded_obstacle_box(), Workspace(2, 6, -4, -1, 3, 5), Workspace(0, 0, 0, 0, 2, 3)]
+    stack = GridStack.of(boxes + boxes[:2])  # a workspace on several rows stores its grid once
+    assert len(stack.free) == sum(len(w.grid.free) for w in boxes)
+    rows = [(i, c) for i, w in enumerate(boxes) for c in box_cells(w) if in_bounds(c, w)]
+    rows = [rows[k] for k in np.random.default_rng(0).permutation(len(rows))]  # boxes interleaved
+    picked = stack.take(np.array([i for i, _ in rows]))
+    mask = picked.move_mask(np.array([c.as_tuple() for _, c in rows]))
+    assert mask.tolist() == [legal_moves(c, boxes[i]) for i, c in rows]
