@@ -104,7 +104,7 @@ def _resolve(defaults: dict, file_cfg: dict, args) -> dict:
             if not isinstance(v, dict):
                 raise CliError("config", f"config key {k!r} must be an object")
             for kk, vv in v.items():
-                if kk not in cfg[k] and k != "workspace":
+                if kk not in cfg[k]:
                     raise CliError("config", f"unknown config key {k!r}.{kk!r}")
                 cfg[k][kk] = vv
         else:
@@ -134,6 +134,18 @@ def _integer(block, key, name: str | None = None) -> int:
         raise CliError("config", f"{name or key} must be an integer, got {json.dumps(v)}")
     block[key] = v
     return v
+
+
+def _number(block, key, name: str | None = None) -> float:
+    """block[key] as a float; the value stays as given, so the manifest echoes it unchanged.
+
+    An int or a float counts; a bool, null or any other type is a config
+    error naming the key (`name`, for a key of a nested block).
+    """
+    v = block[key]
+    if not isinstance(v, (int, float)) or isinstance(v, bool):
+        raise CliError("config", f"{name or key} must be a number, got {json.dumps(v)}")
+    return float(v)
 
 
 @contextlib.contextmanager
@@ -194,15 +206,15 @@ def cmd_gen(args) -> int:
         cfg["workspace"] = Workspace(x0, x1, y0, y1, z0, z1).to_dict()
     seed = _integer(cfg, "seed")
     for key in ("x_min", "x_max", "y_min", "y_max", "z_min", "z_max"):
-        if key in cfg["workspace"]:
-            _integer(cfg["workspace"], key, f"workspace.{key}")
+        _integer(cfg["workspace"], key, f"workspace.{key}")
+    _number(cfg["workspace"], "resolution_mm", "workspace.resolution_mm")
     with _config_errors():
         gcfg = GenerationConfig(
             workspace=Workspace.from_dict(cfg["workspace"]),
             count=_integer(cfg, "count"),
-            obstacle_density=float(cfg["obstacle_density"]),
+            obstacle_density=_number(cfg, "obstacle_density"),
             max_path_length=_integer(cfg, "max_path_length"),
-            train_fraction=float(cfg["train_fraction"]),
+            train_fraction=_number(cfg, "train_fraction"),
             max_resample_attempts=_integer(cfg, "max_resample_attempts"),
         )
 
@@ -242,8 +254,10 @@ def cmd_train(args) -> int:
     if cfg["corpus"] is None:
         raise CliError("config", "train requires --corpus (or a corpus path in the config)")
     seed, epochs, batch_size = (_integer(cfg, k) for k in ("seed", "epochs", "batch_size"))
+    for key in ("lr", "weight_decay", "momentum", "beta1", "beta2", "eps"):
+        _number(cfg["optimizer"], key, f"optimizer.{key}")
     with _config_errors():
-        loss_cfg = LossConfig(**{k: float(v) for k, v in cfg["loss"].items()})
+        loss_cfg = LossConfig(**{k: _number(cfg["loss"], k, f"loss.{k}") for k in cfg["loss"]})
         optimizer = Optimizer(OptimizerConfig.from_dict(cfg["optimizer"]))
     if epochs < 0:
         raise CliError("config", "epochs must be non-negative")
@@ -339,14 +353,10 @@ def cmd_decode(args) -> int:
 def _decode_config(cfg: dict) -> DecodeConfig:
     """The search settings of a decode or sim config (sim has no coverage penalty key)."""
     max_steps, beam_width = _integer(cfg, "max_steps"), _integer(cfg, "beam_width")
+    penalty = _number(cfg, "coverage_penalty_weight") if "coverage_penalty_weight" in cfg else 0.0
     with _config_errors():
-        return DecodeConfig(
-            max_steps=max_steps,
-            beam_width=beam_width,
-            coverage_penalty_weight=float(
-                cfg.get("coverage_penalty_weight", DecodeConfig.coverage_penalty_weight)),
-            mode=str(cfg["mode"]),
-        )
+        return DecodeConfig(max_steps=max_steps, beam_width=beam_width, coverage_penalty_weight=penalty,
+                            mode=str(cfg["mode"]))
 
 
 def _check_decodable(mcfg: ModelConfig, record) -> None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .lattice import LatticeCoord, LegalityGrid, Workspace, in_bounds, manhattan
 from .lattice import neighbors  # noqa: F401 (perfbench/tracer.py wraps corpus.neighbors)

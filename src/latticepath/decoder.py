@@ -9,10 +9,9 @@ array operations whatever the batch: one legality gather from a GridStack
 (the batch's legality grids as one flat table), one candidate expansion
 (the argmax at width 1, every action of nonzero probability at wider
 widths), and, at wider widths, one lexsort that keeps the best candidates of
-every job. A PathModel is stepped through its KV cache, so each step runs
-only the newest cell of each row; any other model is stepped through its
-full-prefix forward(prefix, ctx, w), one row at a time. Greedy decoding is
-the width-1 search; beam decoding runs the width-1 search as its floor, then
+every job. The model is stepped through forward_batch with a KV cache, so
+each step runs only the newest cell of each row. Greedy decoding is the
+width-1 search; beam decoding runs the width-1 search as its floor, then
 the width-B search. A hypothesis score is the sum of chosen-action
 log-probabilities (math.log, so scores do not depend on numpy's log) minus
 an optional coverage penalty (weighted Manhattan distance from the
@@ -32,7 +31,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .corpus import CorpusRecord, Trajectory, validate_path  # noqa: F401 (re-exported)
 from .lattice import MOVES, STOP, GridStack, LatticeCoord, Workspace, in_bounds
-from .model import KVCache, PathModel, context_features
+from .model import KVCache, context_features
 from .model import masked_softmax  # noqa: F401 (re-exported; perfbench/tracer.py wraps it)
 from .taskgrid import TaskContext
 
@@ -168,47 +167,6 @@ def _scorer(jobs: list[Job], cfg: DecodeConfig):
     return score
 
 
-# step adapters: raw logits and legality masks for the newest cell of each row ----------
-
-
-class _CachedStep:
-    """PathModel rows stepped through one KV cache and masked by one gather from a GridStack."""
-
-    def __init__(self, model: PathModel, jobs: list[Job]):
-        self.model = model
-        self.ctx_mat = np.array([context_features(ctx, model.cfg) for _, ctx, _ in jobs])
-        self.grids = GridStack.of([w for _, _, w in jobs])
-        self.cache = KVCache()
-
-    def __call__(self, job: np.ndarray, path: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        with ad.no_grad():
-            raw = self.model.forward_batch(path[:, -1:], self.ctx_mat, self.cache).data[:, 0]
-        legal = np.ones((len(job), STOP + 1), dtype=bool)
-        legal[:, :STOP] = self.grids.move_mask(path[:, -1])
-        return raw, legal
-
-    def keep(self, parents: np.ndarray) -> None:
-        self.cache.keep(parents)
-        self.ctx_mat = self.ctx_mat[parents]
-        self.grids = self.grids.take(parents)
-
-
-class _PrefixStep:
-    """Rows stepped one at a time through a model's full-prefix forward(prefix, ctx, w)."""
-
-    def __init__(self, model, jobs: list[Job]):
-        self.model = model
-        self.jobs = jobs
-
-    def __call__(self, job: np.ndarray, path: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        steps = [self.model.forward([LatticeCoord(*c) for c in cells], *self.jobs[j][1:])
-                 for j, cells in zip(job.tolist(), path.tolist())]
-        return np.array([s.raw for s in steps]), np.array([s.legal_mask for s in steps])
-
-    def keep(self, parents: np.ndarray) -> None:
-        pass
-
-
 # the search ---------------------------------------------------------------------------
 
 
@@ -223,7 +181,9 @@ def _search(model, jobs: list[Job], cfg: DecodeConfig, width: int, counters: Dec
     A job stops stepping once its beam holds only finished hypotheses. The
     best finished hypothesis wins, else the best unfinished one at max_steps.
     """
-    step = _CachedStep(model, jobs) if isinstance(model, PathModel) else _PrefixStep(model, jobs)
+    ctx_mat = np.array([context_features(ctx, model.cfg) for _, ctx, _ in jobs])
+    grids = GridStack.of([w for _, _, w in jobs])
+    cache = KVCache()
     score = _scorer(jobs, cfg)
     n = len(jobs)
     none = np.full(n, -1)
@@ -234,7 +194,10 @@ def _search(model, jobs: list[Job], cfg: DecodeConfig, width: int, counters: Dec
     for _ in range(cfg.max_steps):
         if not len(live):
             break
-        raw, legal = step(live.job, live.path)
+        with ad.no_grad():
+            raw = model.forward_batch(live.path[:, -1:], ctx_mat, cache).data[:, 0]
+        legal = np.ones((len(live), STOP + 1), dtype=bool)
+        legal[:, :STOP] = grids.move_mask(live.path[:, -1])
         probs = ad.softmax(Tensor(raw), mask=legal).data
         counters.model_steps += 1
         counters.rows_stepped += len(live)
@@ -259,8 +222,9 @@ def _search(model, jobs: list[Job], cfg: DecodeConfig, width: int, counters: Dec
         finished = pool.action == STOP
         if finished.any():
             done, pool = done + pool.take(finished), pool.take(~finished)
-        if width > 1 or len(pool) < len(live):
-            step.keep(pool.parent)
+        if width > 1 or len(pool) < len(live):  # gather the rows that go on from the cache
+            cache.keep(pool.parent)
+            ctx_mat, grids = ctx_mat[pool.parent], grids.take(pool.parent)
         live = pool
 
     rows = done + live

@@ -18,7 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .corpus import Trajectory, check_trajectory
-from .lattice import MOVES, STOP, LatticeCoord, Workspace, in_bounds, move_index
+from .lattice import MOVES, STOP, Workspace, in_bounds, move_index
 from .lattice import legal_moves  # noqa: F401 (perfbench/tracer.py wraps model.legal_moves)
 from .taskgrid import TASK_FEATURE_WIDTH, TaskContext
 
@@ -230,21 +230,6 @@ class PathModel:
             if idx.min() < 0 or idx.max() >= n:
                 raise ValueError(f"coordinate outside the model box on axis {name} (bounds {lo}..{hi})")
         return xi, yi, zi
-
-    def embed_step(self, p: LatticeCoord, ctx: TaskContext, t: int) -> np.ndarray:
-        """Summed coordinate/task/position embedding for one step."""
-        if not (0 <= t < self.cfg.max_seq_len):
-            raise ValueError(f"step index {t} outside [0, {self.cfg.max_seq_len})")
-        pts = np.array([[p.x, p.y, p.z]])
-        xi, yi, zi = self._axis_indices(pts)
-        coord = (
-            self.params["coord_x"].data[xi[0]]
-            + self.params["coord_y"].data[yi[0]]
-            + self.params["coord_z"].data[zi[0]]
-        )
-        cv = context_features(ctx, self.cfg)
-        task = cv @ self.params["task_w"].data + self.params["task_b"].data
-        return coord + task + self.params["seq"].data[t]
 
     # forward passes ----------------------------------------------------------
 

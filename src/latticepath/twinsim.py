@@ -2,14 +2,15 @@
 
 A Scene mirrors the tracked world state: workspace, end-effector cell,
 target cell, an optional container region, and dynamic obstacles that
-activate at scripted ticks. Episodes compile planner paths into the four
-primitive phases (approach, engage, transport, release) and execute them one
-lattice move per tick while scripted events perturb the run:
+activate at scripted ticks. An episode plans an approach leg to the target
+and a transport leg to the drop cell, then runs them through four phases
+(approach, engage, transport, release), one lattice move per tick, while
+scripted events perturb the run:
 
 * slip: the target moves; the remaining approach is re-grounded from the
   current end-effector cell without touching the executed prefix and
-  without any global re-plan. Slips after the grasp, or to out-of-bounds
-  cells, are ignored.
+  without any global re-plan. Slips after the grasp, or to a cell outside
+  the box or blocked, are ignored.
 * dynamic obstacle: if the remaining route crosses the activated cell, a
   minimal local bypass (at most two extra cells) rejoins the original route
   at the earliest shared cell; otherwise the episode fails as an
@@ -28,14 +29,12 @@ deterministic: scripted events, BFS with canonical tie-breaking, no RNG.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .corpus import Trajectory, UnreachableGoalError, oracle_path, read_jsonl, write_jsonl
 from .decoder import DecodeConfig, decode
 from .lattice import LatticeCoord, Workspace, in_bounds, manhattan
 from .taskgrid import TaskContext, build_context, reach_only_graph
-
-PHASE_KINDS = ("approach", "engage", "transport", "release")
 
 FAILURE_MODES = ("no_state", "occlusion_cluster", "nested_block", "mis_id", "mechanical_slip")
 
@@ -100,27 +99,6 @@ class Scene:
 
 
 @dataclass(frozen=True)
-class PrimitivePlan:
-    phases: tuple[tuple[str, Trajectory], ...]
-
-    def __post_init__(self) -> None:
-        for kind, sub in self.phases:
-            if kind not in PHASE_KINDS:
-                raise ValueError(f"unknown phase kind {kind!r}")
-            if kind in ("engage", "release") and len(sub) != 1:
-                raise ValueError(f"{kind} sub-path must have length 1")
-
-    def waypoints(self) -> Trajectory:
-        """Concatenated motion path with shared phase junctions deduplicated."""
-        pts: list[LatticeCoord] = []
-        for _, sub in self.phases:
-            for p in sub.points:
-                if not pts or p != pts[-1]:
-                    pts.append(p)
-        return Trajectory(points=tuple(pts))
-
-
-@dataclass(frozen=True)
 class EpisodeOutcome:
     success: bool
     failure_mode: str | None = None
@@ -177,43 +155,6 @@ class Event:
             cell=LatticeCoord(*map(int, d["cell"])) if d.get("cell") is not None else None,
             mode=d.get("mode"),
         )
-
-
-def compile_primitives(path_to_target: Trajectory, path_to_container: Trajectory) -> PrimitivePlan:
-    """Four-phase plan from an approach path and a transport path.
-
-    The transport must start where the approach ends (the grasp cell);
-    anything else is a junction discontinuity and an error.
-    """
-    if path_to_container.start != path_to_target.end:
-        raise ValueError(
-            f"phase discontinuity: transport starts at {path_to_container.start}, "
-            f"approach ends at {path_to_target.end}"
-        )
-    target = path_to_target.end
-    drop = path_to_container.end
-    return PrimitivePlan(
-        phases=(
-            ("approach", path_to_target),
-            ("engage", Trajectory(points=(target,))),
-            ("transport", path_to_container),
-            ("release", Trajectory(points=(drop,))),
-        )
-    )
-
-
-def inject_slip(scene: Scene, new_target: LatticeCoord) -> Scene:
-    """Scene with the target moved; out-of-bounds slips are rejected unchanged."""
-    if not in_bounds(new_target, scene.workspace):
-        return scene
-    return replace(scene, target=new_target)
-
-
-def inject_dynamic_obstacle(scene: Scene, cell: LatticeCoord, step: int) -> Scene:
-    """Scene with one more scripted obstacle activation."""
-    if not scene.workspace._in_box(cell):
-        raise ValueError(f"dynamic obstacle {cell} is outside the workspace box")
-    return replace(scene, dynamic_obstacles=scene.dynamic_obstacles + ((cell, step),))
 
 
 class OraclePlanner:

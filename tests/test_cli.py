@@ -64,14 +64,14 @@ def test_gen_flag_overrides_config_file(tmp_path):
     assert (flagged / "corpus_train.jsonl").read_bytes() == (plain / "corpus_train.jsonl").read_bytes()
 
 
-def test_gen_rejects_unknown_config_key(tmp_path, capsys):
+@pytest.mark.parametrize("config, key", [({"seeed": 1}, "'seeed'"), ({"workspace": {"x_mn": -5}}, "'workspace'.'x_mn'")],
+                         ids=["top", "workspace"])
+def test_gen_rejects_unknown_config_key(tmp_path, capsys, config, key):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"seeed": 1}))
+    cfg.write_text(json.dumps(config))
     out = tmp_path / "never"
     assert run(["gen", "--config", cfg, "--out", out]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: config:")
-    assert "seeed" in err
+    assert capsys.readouterr().err == f"error: config: unknown config key {key}\n"
     assert not out.exists()  # nothing half-written
 
 
@@ -666,8 +666,8 @@ NON_INTEGER_CASES = {  # command, config, the key the error must name
 }
 
 
-@pytest.mark.parametrize("command, cfg, key", NON_INTEGER_CASES.values(), ids=NON_INTEGER_CASES)
-def test_non_integer_config_value_is_one_config_error_naming_its_key(inputs, tmp_path, capsys, command, cfg, key):
+def config_error(inputs, tmp_path, capsys, command, cfg):
+    """The stderr of `command` run on the inputs it needs plus cfg; it must exit 1 and write no --out."""
     base = {"train": {"corpus": "<corpus>", "epochs": 0},
             "decode": {"checkpoint": "<ckpt>", "records": "<gold>"},
             "eval": {"gold": "<gold>", "pred": "<pred>"},
@@ -678,19 +678,52 @@ def test_non_integer_config_value_is_one_config_error_naming_its_key(inputs, tmp
     out = tmp_path / "never"
     capsys.readouterr()
     assert run([command, "--config", path, "--out", out]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: config: {key} must be ") and err.count("\n") == 1, err
     assert not out.exists()
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, cfg, key", NON_INTEGER_CASES.values(), ids=NON_INTEGER_CASES)
+def test_non_integer_config_value_is_one_config_error_naming_its_key(inputs, tmp_path, capsys, command, cfg, key):
+    err = config_error(inputs, tmp_path, capsys, command, cfg)
+    assert err.startswith(f"error: config: {key} must be ") and err.count("\n") == 1, err
+
+
+NON_NUMBER_CASES = {  # command, config, the one error line after "error: config: "
+    "gen-obstacle_density-null": ("gen", {"obstacle_density": None}, "obstacle_density must be a number, got null"),
+    "gen-obstacle_density-string": ("gen", {"obstacle_density": "0.1"},
+                                    'obstacle_density must be a number, got "0.1"'),
+    "gen-train_fraction-true": ("gen", {"train_fraction": True}, "train_fraction must be a number, got true"),
+    "gen-resolution_mm-string": ("gen", {"workspace": {"resolution_mm": "20"}},
+                                 'workspace.resolution_mm must be a number, got "20"'),
+    "train-lambda_len-null": ("train", {"loss": {"lambda_len": None}}, "loss.lambda_len must be a number, got null"),
+    "train-lambda_coord-list": ("train", {"loss": {"lambda_coord": [0.5]}},
+                                "loss.lambda_coord must be a number, got [0.5]"),
+    "train-lr-true": ("train", {"optimizer": {"lr": True}}, "optimizer.lr must be a number, got true"),
+    "train-eps-string": ("train", {"optimizer": {"eps": "1e-8"}}, 'optimizer.eps must be a number, got "1e-8"'),
+    "train-beta2-null": ("train", {"optimizer": {"kind": "adam", "beta2": None}},
+                         "optimizer.beta2 must be a number, got null"),
+    "decode-coverage-null": ("decode", {"coverage_penalty_weight": None},
+                             "coverage_penalty_weight must be a number, got null"),
+    "decode-coverage-false": ("decode", {"coverage_penalty_weight": False},
+                              "coverage_penalty_weight must be a number, got false"),
+}
+
+
+@pytest.mark.parametrize("command, cfg, line", NON_NUMBER_CASES.values(), ids=NON_NUMBER_CASES)
+def test_non_number_config_value_is_one_config_error_naming_its_key(inputs, tmp_path, capsys, command, cfg, line):
+    assert config_error(inputs, tmp_path, capsys, command, cfg) == f"error: config: {line}\n"
 
 
 def test_integral_float_config_values_run_and_are_echoed_as_integers(tmp_path):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"seed": 0.0, "count": 40.0, "workspace": {**desk_dict(), "z_max": 4.0}}))
+    path.write_text(json.dumps({"seed": 0.0, "count": 40.0, "workspace": {**desk_dict(), "z_max": 4.0},
+                                "obstacle_density": 0}))
     out = tmp_path / "out"
     assert run(["gen", "--config", path, "--out", out]) == 0
     echoed = json.loads((out / "manifest.json").read_text())["config"]
     assert (echoed["seed"], echoed["count"], echoed["workspace"]["z_max"]) == (0, 40, 4)
     assert "seed\": 0," in (out / "manifest.json").read_text()
+    assert "obstacle_density\": 0," in (out / "manifest.json").read_text()  # number keys echo as given
     plain = gen(tmp_path, "plain")
     assert (out / "corpus_train.jsonl").read_bytes() == (plain / "corpus_train.jsonl").read_bytes()
 

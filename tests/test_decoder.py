@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scripted_model import ScriptedModel
 
 from latticepath.corpus import CorpusRecord, Trajectory, oracle_path
 from latticepath.decoder import (
@@ -13,7 +14,7 @@ from latticepath.decoder import (
     decode_records,
     validate_path,
 )
-from latticepath.lattice import LatticeCoord, Workspace, desk_workspace, legal_moves
+from latticepath.lattice import LatticeCoord, Workspace, desk_workspace
 from latticepath.model import ModelConfig, PathModel, StepLogits, masked_softmax
 from latticepath.taskgrid import build_context, reach_only_graph
 
@@ -22,19 +23,6 @@ C = LatticeCoord
 
 def ctx_for(goal, hint=4):
     return build_context(reach_only_graph(), 0, sequence_length_hint=hint, target=goal)
-
-
-class ScriptedModel:
-    """Stand-in planner: raw logits looked up by the current cell."""
-
-    def __init__(self, table, default=None):
-        self.table = table
-        self.default = np.zeros(7) if default is None else np.asarray(default, dtype=float)
-
-    def forward(self, points, ctx, w):
-        raw = np.asarray(self.table.get(points[-1], self.default), dtype=float)
-        mask = np.append(np.asarray(legal_moves(points[-1], w), dtype=bool), True)
-        return StepLogits(raw=raw, legal_mask=mask)
 
 
 def stop_heavy():

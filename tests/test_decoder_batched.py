@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 from reference_decoder import reference_decode, reference_decode_batch
+from scripted_model import ScriptedModel
 from test_acceptance import quick_trained_model, random_desk_workspace, random_free_cell
 
 from latticepath import autodiff as ad
 from latticepath.corpus import CorpusRecord, Trajectory
 from latticepath.decoder import DecodeConfig, DecodeCounters, decode_batch, decode_records
 from latticepath.lattice import MOVES, LatticeCoord, Workspace, desk_workspace, legal_moves, manhattan
-from latticepath.model import KVCache, ModelConfig, PathModel, StepLogits, context_features
+from latticepath.model import KVCache, ModelConfig, PathModel, context_features
 from latticepath.taskgrid import build_context, reach_only_graph
 
 C = LatticeCoord
@@ -107,17 +108,6 @@ def test_batch_composition_does_not_change_results(models, cfg):
         assert a.trajectory == b.trajectory
         assert a.terminated_by == b.terminated_by
         assert abs(a.score - b.score) <= 1e-9
-
-
-class ScriptedModel:
-    """Raw logits looked up by the current cell; only the full-prefix forward exists."""
-
-    def __init__(self, table):
-        self.table = table
-
-    def forward(self, points, ctx, w):
-        raw = self.table.get(points[-1], np.zeros(7))
-        return StepLogits(raw=raw, legal_mask=np.append(legal_moves(points[-1], w), True))
 
 
 @pytest.mark.parametrize("cfg", DECODE_CONFIGS, ids=["greedy", "beam5", "beam3_coverage"])

@@ -15,7 +15,6 @@ from latticepath.corpus import (
     oracle_path,
     record_to_dict,
 )
-from latticepath.decoder import _CachedStep
 from latticepath.lattice import GridStack, LatticeCoord, Workspace, desk_workspace, in_bounds, legal_moves
 from latticepath.model import ModelConfig, PathModel, make_loss_batch
 
@@ -153,10 +152,9 @@ def test_model_and_decoder_masks_match_legal_moves():
     for traj, ctx, w in items:
         for t in range(1, len(traj) + 1):
             assert model.forward(traj.points[:t], ctx, w).legal_mask.tolist() == legal_moves(traj.points[t - 1], w) + [True]
-    jobs = [(traj.start, ctx, w) for traj, ctx, w in items]
-    paths = np.array([[start.as_tuple()] for start, _, _ in jobs], dtype=np.int64)
-    _, legal = _CachedStep(model, jobs)(np.arange(len(jobs)), paths)
-    assert legal.tolist() == [legal_moves(start, w) + [True] for start, _, w in jobs]
+    starts = np.array([traj.start.as_tuple() for traj, _, _ in items], dtype=np.int64)
+    legal = GridStack.of([w for _, _, w in items]).move_mask(starts)  # the decoder's per-step gather
+    assert legal.tolist() == [legal_moves(traj.start, w) for traj, _, w in items]
 
 
 def test_grid_stack_matches_legal_moves_across_boxes():

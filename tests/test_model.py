@@ -126,33 +126,6 @@ def test_context_features_rejects_wrong_width():
 # embeddings and forward -------------------------------------------------------
 
 
-def test_embed_step_position_contribution():
-    m = PathModel(tiny_cfg(), seed=0)
-    ctx = ctx_for(C(1, 0, 0))
-    e0 = m.embed_step(C(0, 0, 0), ctx, 0)
-    e1 = m.embed_step(C(0, 0, 0), ctx, 1)
-    np.testing.assert_allclose(e1 - e0, m.params["seq"].data[1] - m.params["seq"].data[0])
-
-
-def test_embed_step_is_deterministic_per_seed():
-    a = PathModel(tiny_cfg(), seed=3)
-    b = PathModel(tiny_cfg(), seed=3)
-    c = PathModel(tiny_cfg(), seed=4)
-    ctx = ctx_for(C(1, 1, 0))
-    np.testing.assert_array_equal(a.embed_step(C(0, 0, 0), ctx, 2), b.embed_step(C(0, 0, 0), ctx, 2))
-    assert not np.array_equal(a.embed_step(C(0, 0, 0), ctx, 2), c.embed_step(C(0, 0, 0), ctx, 2))
-
-
-def test_embed_step_rejects_bad_inputs():
-    m = PathModel(tiny_cfg(), seed=0)
-    ctx = ctx_for(C(0, 0, 0))
-    with pytest.raises(ValueError):
-        m.embed_step(C(0, 0, 0), ctx, 8)  # position out of range
-    with pytest.raises(ValueError) as err:
-        m.embed_step(C(9, 0, 0), ctx, 0)  # outside the model box
-    assert "axis x" in str(err.value)
-
-
 def test_forward_interior_cell_all_legal():
     m = PathModel(tiny_cfg(), seed=0)
     s = m.forward([C(0, 0, 2)], ctx_for(C(1, 0, 2)), desk_workspace())
@@ -181,8 +154,8 @@ def test_forward_validates_prefix():
         m.forward([C(0, 0, -1)], ctx, w)
 
 
-def test_forward_batch_is_causal():
-    """Changing a later point must not perturb earlier logits at all."""
+def test_forward_batch_is_causal_and_deterministic_per_seed():
+    """Changing a later point must not perturb earlier logits at all; the seed alone fixes the logits."""
     m = PathModel(tiny_cfg(), seed=1)
     ctx = context_features(ctx_for(C(2, 0, 0)), m.cfg)[None, :]
     pts_a = np.array([[(0, 0, 0), (1, 0, 0), (2, 0, 0), (2, 1, 0)]], dtype=np.int64)
@@ -191,14 +164,19 @@ def test_forward_batch_is_causal():
     lb = m.forward_batch(pts_b, ctx).data
     np.testing.assert_array_equal(la[0, :3], lb[0, :3])
     assert not np.array_equal(la[0, 3], lb[0, 3])
+    np.testing.assert_array_equal(PathModel(tiny_cfg(), seed=1).forward_batch(pts_a, ctx).data, la)
+    assert not np.array_equal(PathModel(tiny_cfg(), seed=2).forward_batch(pts_a, ctx).data, la)
 
 
-def test_forward_batch_rejects_overlong_sequences():
+@pytest.mark.parametrize("points, match", [
+    (np.zeros((1, 9, 3), dtype=np.int64), "exceeds max_seq_len"),
+    (np.array([[(0, 0, 0), (9, 0, 0)]], dtype=np.int64), "axis x"),
+], ids=["overlong", "outside_box"])
+def test_forward_batch_rejects_bad_points(points, match):
     m = PathModel(tiny_cfg(), seed=0)
-    pts = np.zeros((1, 9, 3), dtype=np.int64)
     ctx = context_features(ctx_for(C(0, 0, 0)), m.cfg)[None, :]
-    with pytest.raises(ValueError):
-        m.forward_batch(pts, ctx)
+    with pytest.raises(ValueError, match=match):
+        m.forward_batch(points, ctx)
 
 
 # loss ---------------------------------------------------------------------------

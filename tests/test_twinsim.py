@@ -8,15 +8,11 @@ from latticepath.twinsim import (
     EpisodeOutcome,
     Event,
     OraclePlanner,
-    PrimitivePlan,
     Scenario,
     Scene,
     check_expectation,
-    compile_primitives,
     default_scenario_pack,
     format_outcome_table,
-    inject_dynamic_obstacle,
-    inject_slip,
     read_scenarios,
     run_episode,
     run_episode_detailed,
@@ -42,7 +38,7 @@ class FixedPlanner:
         return Trajectory(points=tuple(self.legs.pop(0)))
 
 
-# scene and plan datatypes --------------------------------------------------------
+# scene, event and outcome datatypes ----------------------------------------------
 
 
 def test_scene_validates_cells():
@@ -77,31 +73,6 @@ def test_scene_round_trips_through_dict():
     assert Scene.from_dict(s.to_dict()) == s
 
 
-def test_primitive_plan_rejects_multi_cell_engage():
-    path = Trajectory(points=(C(0, 0, 0), C(1, 0, 0)))
-    with pytest.raises(ValueError):
-        PrimitivePlan(phases=(("engage", path),))
-    with pytest.raises(ValueError):
-        PrimitivePlan(phases=(("hover", Trajectory(points=(C(0, 0, 0),))),))
-
-
-def test_waypoints_deduplicate_phase_junctions():
-    plan = compile_primitives(
-        Trajectory(points=(C(0, 0, 0), C(1, 0, 0))),
-        Trajectory(points=(C(1, 0, 0), C(1, 1, 0))),
-    )
-    assert [k for k, _ in plan.phases] == ["approach", "engage", "transport", "release"]
-    assert plan.waypoints().points == (C(0, 0, 0), C(1, 0, 0), C(1, 1, 0))
-
-
-def test_compile_primitives_rejects_discontinuity():
-    with pytest.raises(ValueError, match="discontinuity"):
-        compile_primitives(
-            Trajectory(points=(C(0, 0, 0), C(1, 0, 0))),
-            Trajectory(points=(C(2, 0, 0), C(2, 1, 0))),
-        )
-
-
 def test_event_validation():
     with pytest.raises(ValueError):
         Event(kind="teleport", step=0)
@@ -118,16 +89,6 @@ def test_outcome_exclusivity():
         EpisodeOutcome(success=True, failure_mode="mis_id")
     with pytest.raises(ValueError):
         EpisodeOutcome(success=False, failure_mode="not_a_mode")
-
-
-def test_injectors():
-    s = Scene(workspace=flat(), end_effector=C(0, 0, 0), target=C(3, 0, 0))
-    assert inject_slip(s, C(2, 1, 0)).target == C(2, 1, 0)
-    assert inject_slip(s, C(50, 0, 0)) == s  # rejected, unchanged
-    s2 = inject_dynamic_obstacle(s, C(2, 0, 0), 1)
-    assert s2.dynamic_obstacles == ((C(2, 0, 0), 1),)
-    with pytest.raises(ValueError):
-        inject_dynamic_obstacle(s, C(50, 0, 0), 1)
 
 
 # episode execution ---------------------------------------------------------------
@@ -184,6 +145,24 @@ def test_out_of_bounds_slip_is_ignored():
     r = run_episode_detailed(s, OraclePlanner(), (Event(kind="slip", step=0, cell=C(0, 0, 4)),))
     assert r.outcome.success
     assert r.outcome.regrounds == 0
+
+
+def test_slip_onto_a_static_obstacle_is_ignored():
+    s = Scene(workspace=flat(obstacles={C(2, 1, 0)}), end_effector=C(0, 0, 0), target=C(3, 0, 0))
+    r = run_episode_detailed(s, OraclePlanner(), (Event(kind="slip", step=1, cell=C(2, 1, 0)),))
+    assert r.outcome.success
+    assert r.outcome.regrounds == 0
+    assert r.trace.end == C(3, 0, 0)
+
+
+def test_slip_onto_an_activated_dynamic_obstacle_is_ignored():
+    # the pop-up lands off the route at tick 0; at tick 1 the object slips onto it
+    s = Scene(workspace=flat(), end_effector=C(0, 0, 0), target=C(3, 0, 0),
+              dynamic_obstacles=((C(2, 2, 0), 0),))
+    r = run_episode_detailed(s, OraclePlanner(), (Event(kind="slip", step=1, cell=C(2, 2, 0)),))
+    assert r.outcome.success
+    assert (r.outcome.regrounds, r.outcome.detours) == (0, 0)
+    assert r.trace.end == C(3, 0, 0)
 
 
 def test_reach_only_slip_moves_the_drop():
