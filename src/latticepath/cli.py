@@ -217,6 +217,9 @@ def cmd_gen(args) -> int:
             train_fraction=_number(cfg, "train_fraction"),
             max_resample_attempts=_integer(cfg, "max_resample_attempts"),
         )
+    if len(gcfg.workspace.ranks):
+        raise CliError("config", "workspace.obstacles must be empty: gen draws each record's obstacles "
+                                 "(set obstacle_density)")
 
     counters = GenerationCounters()
     records = generate_corpus(gcfg, seed, counters)

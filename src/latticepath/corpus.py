@@ -212,9 +212,9 @@ def _sample_rank(rng, w: Workspace, taken: set[int], exclude: int = -1) -> int:
 def _generate_record(record_seed: int, cfg: GenerationConfig, counters: GenerationCounters) -> CorpusRecord:
     """One record of a seeded attempt loop; cells are handled by their rank in x/y/z order.
 
-    Each attempt draws the obstacles, then start and goal; the workspace is
-    built and searched only when the start-goal distance allows a path of at
-    most max_path_length cells.
+    Each attempt draws the obstacle ranks, then start and goal; the workspace
+    is built from the ranks and searched only when the start-goal distance
+    allows a path of at most max_path_length cells.
     """
     import random
 
@@ -231,13 +231,14 @@ def _generate_record(record_seed: int, cfg: GenerationConfig, counters: Generati
 
     for _ in range(attempts):
         counters.attempts += 1
-        blocked = set(rng.sample(range(volume), n_obstacles))
+        ranks = rng.sample(range(volume), n_obstacles)
+        blocked = set(ranks)
         s = _sample_rank(rng, base, blocked)
         start, goal = cell(s), cell(_sample_rank(rng, base, blocked, exclude=s))
         if manhattan(start, goal) + 1 > cfg.max_path_length:
             counters.rejected_distance += 1  # no path can be short enough
             continue
-        w = base.with_obstacles(cell(i) for i in blocked)
+        w = base.with_ranks(ranks)
         try:
             traj = oracle_path(start, goal, w, counters)
         except UnreachableGoalError:

@@ -11,9 +11,11 @@ for the decoder.
 
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -72,28 +74,54 @@ def apply_move(p: LatticeCoord, idx: int) -> LatticeCoord:
     return p.offset(dx, dy, dz)
 
 
-@dataclass(frozen=True)
+_NO_RANKS = np.zeros(0, dtype=np.int64)
+_NO_RANKS.flags.writeable = False
+
+_BOX_FIELDS = ("x_min", "x_max", "y_min", "y_max", "z_min", "z_max", "resolution_mm")
+
+
 class Workspace:
-    """Axis-aligned legal region with an obstacle mask and a physical scale."""
+    """Axis-aligned legal region with an obstacle mask and a physical scale.
 
-    x_min: int
-    x_max: int
-    y_min: int
-    y_max: int
-    z_min: int
-    z_max: int
-    obstacles: frozenset[LatticeCoord] = field(default_factory=frozenset)
-    resolution_mm: float = 20.0
+    The obstacles are stored as `ranks`: the sorted indices of their cells in
+    x/y/z order of the box, the source of the legality grid. The obstacle
+    cells as a frozenset of LatticeCoord (`obstacles`) are built only when
+    asked for. A workspace is immutable and compares and hashes by value.
+    """
 
-    def __post_init__(self) -> None:
-        if self.x_min > self.x_max or self.y_min > self.y_max or self.z_min > self.z_max:
+    def __init__(self, x_min: int, x_max: int, y_min: int, y_max: int, z_min: int, z_max: int,
+                 obstacles=(), resolution_mm: float = 20.0):
+        if x_min > x_max or y_min > y_max or z_min > z_max:
             raise ValueError("workspace bounds must satisfy min <= max on every axis")
-        if not (self.resolution_mm > 0):
+        if not (resolution_mm > 0):
             raise ValueError("resolution_mm must be positive")
-        object.__setattr__(self, "obstacles", frozenset(self.obstacles))
-        for c in self.obstacles:
+        self.__dict__.update(x_min=x_min, x_max=x_max, y_min=y_min, y_max=y_max, z_min=z_min, z_max=z_max,
+                             resolution_mm=resolution_mm, ranks=_NO_RANKS)
+        ranks = []
+        for c in obstacles:
             if not self._in_box(c):
                 raise ValueError(f"obstacle {c} lies outside the workspace bounds")
+            ranks.append(self.rank(c))
+        if ranks:
+            self.__dict__["ranks"] = _rank_array(np.array(ranks, dtype=np.int64))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Workspace is immutable: cannot set {name!r}")
+
+    def _key(self) -> tuple:
+        return (self.bounds, self.resolution_mm, self.ranks.tobytes())
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (f"Workspace(bounds={self.bounds}, obstacles={len(self.ranks)} cells, "
+                f"resolution_mm={self.resolution_mm})")
 
     def _in_box(self, p: LatticeCoord) -> bool:
         return (
@@ -118,14 +146,29 @@ class Workspace:
         nx, ny, nz = self.shape
         return nx * ny * nz
 
+    def rank(self, p: LatticeCoord) -> int:
+        """Index of box cell p in x/y/z order of the box, the order of `ranks`."""
+        _, ny, nz = self.shape
+        return ((p.x - self.x_min) * ny + (p.y - self.y_min)) * nz + (p.z - self.z_min)
+
+    def _obstacle_cells(self) -> list[tuple[int, int, int]]:
+        """Obstacle cells as (x, y, z) tuples in rank order, which is sorted tuple order."""
+        ranks = self.ranks.tolist()
+        if not ranks:
+            return ranks
+        _, ny, nz = self.shape
+        nyz, x0, y0, z0 = ny * nz, self.x_min, self.y_min, self.z_min
+        return [(x0 + r // nyz, y0 + r // nz % ny, z0 + r % nz) for r in ranks]
+
+    @cached_property
+    def obstacles(self) -> frozenset[LatticeCoord]:
+        """The obstacle cells as coordinates, built on first use; the program reads the ranks instead."""
+        return frozenset(LatticeCoord(*c) for c in self._obstacle_cells())
+
     def cells(self):
         """All in-bounds cells (excluding obstacles), canonical x/y/z order."""
-        for x in range(self.x_min, self.x_max + 1):
-            for y in range(self.y_min, self.y_max + 1):
-                for z in range(self.z_min, self.z_max + 1):
-                    c = LatticeCoord(x, y, z)
-                    if c not in self.obstacles:
-                        yield c
+        g = self.grid
+        return (g.coord(i) for i in np.flatnonzero(g._free).tolist())
 
     @cached_property
     def grid(self) -> "LegalityGrid":
@@ -133,10 +176,20 @@ class Workspace:
         return LegalityGrid(self)
 
     def with_obstacles(self, obstacles) -> "Workspace":
-        return Workspace(
-            self.x_min, self.x_max, self.y_min, self.y_max, self.z_min, self.z_max,
-            obstacles=frozenset(obstacles), resolution_mm=self.resolution_mm,
-        )
+        return Workspace(*self.bounds, obstacles=obstacles, resolution_mm=self.resolution_mm)
+
+    def with_ranks(self, ranks) -> "Workspace":
+        """This box with obstacles on the cells of the given ranks (a sequence or array, any order)."""
+        r = np.asarray(ranks, dtype=np.int64)
+        if len(r) and (r.min() < 0 or r.max() >= self.volume()):
+            raise ValueError("obstacle rank outside the workspace box")
+        return self._with_rank_array(_rank_array(r))
+
+    def _with_rank_array(self, ranks: np.ndarray) -> "Workspace":
+        """This box with the obstacles of a _rank_array whose ranks lie in the box."""
+        w = object.__new__(Workspace)
+        w.__dict__.update({k: self.__dict__[k] for k in _BOX_FIELDS}, ranks=ranks)
+        return w
 
     def to_dict(self) -> dict:
         return {
@@ -144,18 +197,70 @@ class Workspace:
             "y_min": self.y_min, "y_max": self.y_max,
             "z_min": self.z_min, "z_max": self.z_max,
             "resolution_mm": self.resolution_mm,
-            "obstacles": sorted(c.as_tuple() for c in self.obstacles),
+            "obstacles": self._obstacle_cells(),
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "Workspace":
-        return cls(
+        """Inverse of to_dict; a malformed or out-of-box obstacle entry is a ValueError naming it."""
+        box = cls(
             int(d["x_min"]), int(d["x_max"]),
             int(d["y_min"]), int(d["y_max"]),
             int(d["z_min"]), int(d["z_max"]),
-            obstacles=frozenset(LatticeCoord(*map(int, c)) for c in d.get("obstacles", [])),
             resolution_mm=float(d.get("resolution_mm", 20.0)),
         )
+        obs = d.get("obstacles", [])
+        _check_obstacle_list(obs)
+        if not obs:
+            return box
+        x0, x1, y0, y1, z0, z1 = box.bounds
+        xs, ys, zs = zip(*obs)
+        if min(xs) < x0 or max(xs) > x1 or min(ys) < y0 or max(ys) > y1 or min(zs) < z0 or max(zs) > z1:
+            i = next(i for i, (x, y, z) in enumerate(obs)
+                     if not (x0 <= x <= x1 and y0 <= y <= y1 and z0 <= z <= z1))
+            raise ValueError(f"workspace.obstacles[{i}] = {_text(obs[i])} lies outside the workspace bounds")
+        _, ny, nz = box.shape
+        cells = np.fromiter(chain.from_iterable(obs), dtype=np.int64, count=3 * len(obs)).reshape(-1, 3)
+        return box._with_rank_array(_rank_array((cells - (x0, y0, z0)) @ (ny * nz, nz, 1)))
+
+
+def _text(v) -> str:
+    return json.dumps(v, default=repr)
+
+
+def _rank_array(ranks: np.ndarray) -> np.ndarray:
+    """The distinct values of a non-negative int array, sorted, as a read-only array."""
+    if not len(ranks):
+        return _NO_RANKS
+    r = np.sort(ranks)
+    r = r[np.diff(r, prepend=-1) != 0]
+    r.flags.writeable = False
+    return r
+
+
+def _integral(v) -> bool:
+    return type(v) is int or (type(v) is float and v.is_integer())
+
+
+def _check_obstacle_list(obs) -> None:
+    """Raise ValueError, naming the entry, unless each entry is three integers (an integral float counts)."""
+    if not isinstance(obs, (list, tuple)):
+        raise ValueError(f"workspace.obstacles must be a list of [x, y, z] cells, got {_text(obs)}")
+    if not obs or (set(map(type, obs)) <= {list, tuple} and set(map(len, obs)) <= {3}
+            and set(map(type, chain.from_iterable(obs))) <= {int}):
+        return  # all-integer lists, the common case, are checked without a Python loop
+    for i, c in enumerate(obs):
+        if not (type(c) in (list, tuple) and len(c) == 3 and all(map(_integral, c))):
+            raise ValueError(f"workspace.obstacles[{i}] must be three integers, got {_text(c)}")
+
+
+@lru_cache(maxsize=64)
+def _free_box(shape: tuple[int, int, int]) -> bytes:
+    """Padded free table of an obstacle-free box of this shape (1 inside, 0 on the padding)."""
+    nx, ny, nz = shape
+    free = np.zeros((nx + 2, ny + 2, nz + 2), dtype=bool)
+    free[1:-1, 1:-1, 1:-1] = True
+    return free.tobytes()
 
 
 class LegalityGrid:
@@ -164,7 +269,8 @@ class LegalityGrid:
     free[i] is 1 on in-box non-obstacle cells and 0 on obstacles and on the
     padding, so from any cell i of the box the canonical move m lands on
     i + strides[m] and is legal iff free at that index; no bounds check is
-    needed.
+    needed. It is a copy of the obstacle-free table of the box's shape with
+    the workspace's obstacle ranks scattered to 0.
     """
 
     def __init__(self, w: Workspace):
@@ -174,16 +280,12 @@ class LegalityGrid:
         self.origin = (w.x_min - 1, w.y_min - 1, w.z_min - 1)
         self.strides = (sx, -sx, sy, -sy, 1, -1)
         self._axis = (sx, sy)
-        free = bytearray(sx * (nx + 2))
-        run = b"\x01" * nz
-        for x in range(1, nx + 1):
-            for y in range(1, ny + 1):
-                i = x * sx + y * sy + 1
-                free[i : i + nz] = run
-        for c in w.obstacles:
-            free[self.index(c)] = 0
-        self.free = free
-        self._free = np.frombuffer(free, dtype=bool)
+        self.free = bytearray(_free_box(w.shape))
+        self._free = np.frombuffer(self.free, dtype=bool)
+        if len(w.ranks):
+            x, yz = np.divmod(w.ranks, ny * nz)
+            y, z = np.divmod(yz, nz)
+            self._free[x * sx + y * sy + z + (sx + sy + 1)] = False  # the padding shifts each axis by 1
         self._cell_weights = np.array([sx, sy, 1], dtype=np.int64)
         self._move_strides = np.array(self.strides, dtype=np.int64)
 
@@ -262,8 +364,8 @@ def manhattan(a: LatticeCoord, b: LatticeCoord) -> int:
 
 
 def in_bounds(p: LatticeCoord, w: Workspace) -> bool:
-    """True iff p lies inside the box and is not an obstacle."""
-    return w._in_box(p) and p not in w.obstacles
+    """True iff p lies inside the box and is not an obstacle (a free cell of w.grid)."""
+    return w._in_box(p) and w.grid.free[w.grid.index(p)] == 1
 
 
 def neighbors(p: LatticeCoord, w: Workspace) -> list[LatticeCoord]:

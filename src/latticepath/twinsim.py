@@ -31,6 +31,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .corpus import Trajectory, UnreachableGoalError, oracle_path, read_jsonl, write_jsonl
 from .decoder import DecodeConfig, decode
 from .lattice import LatticeCoord, Workspace, in_bounds, manhattan
@@ -191,6 +193,11 @@ class EpisodeResult:
     ticks: int
 
 
+def with_activated(w: Workspace, cells) -> Workspace:
+    """w with obstacles also on `cells` (cells of its box): the union of their ranks with w's."""
+    return w.with_ranks(np.append(w.ranks, [w.rank(c) for c in cells]))
+
+
 def run_episode(scene: Scene, planner, event_script: tuple[Event, ...] = ()) -> EpisodeOutcome:
     return run_episode_detailed(scene, planner, event_script).outcome
 
@@ -219,7 +226,7 @@ def run_episode_detailed(scene: Scene, planner, event_script: tuple[Event, ...] 
         nonlocal w_active, n_active
         if n_active != len(active):
             n_active = len(active)
-            w_active = scene.workspace.with_obstacles(scene.workspace.obstacles | active)
+            w_active = with_activated(scene.workspace, active)
         return w_active
 
     def live_drop() -> LatticeCoord:

@@ -1,16 +1,21 @@
-"""Cell-by-cell BFS and corpus generation, the oracle for the flat-index lattice core.
+"""Cell-by-cell lattice code, the oracle for the flat-index lattice core.
 
-oracle_path searches over LatticeCoord objects with neighbors() and a parent
-dict; generate_corpus samples obstacles from an explicit list of every cell of
-the box and runs the BFS on every attempt. latticepath.corpus must return the
-same paths, raise on the same unreachable pairs and write the same corpus
-bytes. legal_mask_rows builds make_loss_batch's legality array with
-legal_moves, one cell at a time.
+RefWorkspace is the workspace that stored its obstacles as a frozenset of
+LatticeCoord, with that set's codec, and RefLegalityGrid builds the padded
+legality table row by row from it; latticepath.lattice.Workspace stores
+obstacle ranks and must encode, decode, compare and build grids the same.
+in_bounds, neighbors and legal_moves are the cell-by-cell rule over a
+workspace's `obstacles` set. oracle_path searches over LatticeCoord objects
+with neighbors() and a parent dict; generate_corpus samples obstacles from an
+explicit list of every cell of the box and runs the BFS on every attempt.
+latticepath.corpus must return the same paths, raise on the same unreachable
+pairs and write the same corpus bytes. legal_mask_rows builds
+make_loss_batch's legality array with legal_moves, one cell at a time.
 """
 
 import random
 from collections import deque
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -23,8 +28,106 @@ from latticepath.corpus import (
     split_records,
     splitmix64,
 )
-from latticepath.lattice import LatticeCoord, Workspace, in_bounds, legal_moves, neighbors
+from latticepath.lattice import MOVES, LatticeCoord, Workspace
 from latticepath.taskgrid import build_context, chain_graph
+
+
+@dataclass(frozen=True)
+class RefWorkspace:
+    """Axis-aligned legal region whose obstacles are a frozenset of cells."""
+
+    x_min: int
+    x_max: int
+    y_min: int
+    y_max: int
+    z_min: int
+    z_max: int
+    obstacles: frozenset[LatticeCoord] = field(default_factory=frozenset)
+    resolution_mm: float = 20.0
+
+    def __post_init__(self) -> None:
+        if self.x_min > self.x_max or self.y_min > self.y_max or self.z_min > self.z_max:
+            raise ValueError("workspace bounds must satisfy min <= max on every axis")
+        object.__setattr__(self, "obstacles", frozenset(self.obstacles))
+        for c in self.obstacles:
+            if not self._in_box(c):
+                raise ValueError(f"obstacle {c} lies outside the workspace bounds")
+
+    def _in_box(self, p: LatticeCoord) -> bool:
+        return (
+            self.x_min <= p.x <= self.x_max
+            and self.y_min <= p.y <= self.y_max
+            and self.z_min <= p.z <= self.z_max
+        )
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        return (self.x_max - self.x_min + 1, self.y_max - self.y_min + 1, self.z_max - self.z_min + 1)
+
+    def cells(self):
+        for x in range(self.x_min, self.x_max + 1):
+            for y in range(self.y_min, self.y_max + 1):
+                for z in range(self.z_min, self.z_max + 1):
+                    c = LatticeCoord(x, y, z)
+                    if c not in self.obstacles:
+                        yield c
+
+    def with_obstacles(self, obstacles) -> "RefWorkspace":
+        return RefWorkspace(self.x_min, self.x_max, self.y_min, self.y_max, self.z_min, self.z_max,
+                            obstacles=frozenset(obstacles), resolution_mm=self.resolution_mm)
+
+    def to_dict(self) -> dict:
+        return {
+            "x_min": self.x_min, "x_max": self.x_max,
+            "y_min": self.y_min, "y_max": self.y_max,
+            "z_min": self.z_min, "z_max": self.z_max,
+            "resolution_mm": self.resolution_mm,
+            "obstacles": sorted(c.as_tuple() for c in self.obstacles),
+        }
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "RefWorkspace":
+        return cls(
+            int(d["x_min"]), int(d["x_max"]),
+            int(d["y_min"]), int(d["y_max"]),
+            int(d["z_min"]), int(d["z_max"]),
+            obstacles=frozenset(LatticeCoord(*map(int, c)) for c in d.get("obstacles", [])),
+            resolution_mm=float(d.get("resolution_mm", 20.0)),
+        )
+
+
+class RefLegalityGrid:
+    """The padded free table of a workspace, filled one row of the box at a time, then each obstacle cleared."""
+
+    def __init__(self, w):
+        nx, ny, nz = w.shape
+        sy = nz + 2
+        sx = (ny + 2) * sy
+        self.origin = (w.x_min - 1, w.y_min - 1, w.z_min - 1)
+        free = bytearray(sx * (nx + 2))
+        run = b"\x01" * nz
+        for x in range(1, nx + 1):
+            for y in range(1, ny + 1):
+                i = x * sx + y * sy + 1
+                free[i : i + nz] = run
+        for c in w.obstacles:
+            free[(c.x - self.origin[0]) * sx + (c.y - self.origin[1]) * sy + (c.z - self.origin[2])] = 0
+        self.free = free
+
+
+def in_bounds(p: LatticeCoord, w) -> bool:
+    """True iff p lies inside the box and is not in the workspace's obstacle set."""
+    return w._in_box(p) and p not in w.obstacles
+
+
+def neighbors(p: LatticeCoord, w) -> list[LatticeCoord]:
+    if not in_bounds(p, w):
+        raise ValueError(f"neighbor query from out-of-bounds cell {p}")
+    return [u for u in (p.offset(*m) for m in MOVES) if in_bounds(u, w)]
+
+
+def legal_moves(p: LatticeCoord, w) -> list[bool]:
+    return [in_bounds(p.offset(*m), w) for m in MOVES]
 
 
 def oracle_path(start: LatticeCoord, goal: LatticeCoord, w: Workspace) -> Trajectory:

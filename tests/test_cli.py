@@ -476,6 +476,57 @@ def test_sim_rejects_bad_scenario_line(tmp_path, capsys):
     assert not out.exists()
 
 
+GEN_OBSTACLE_CASES = {
+    "not-a-list": (5, "workspace.obstacles must be a list of [x, y, z] cells, got 5"),
+    "fraction": ([[1.5, 0, 0]], "workspace.obstacles[0] must be three integers, got [1.5, 0, 0]"),
+    "bool": ([[0, 0, 0], [True, 0, 0]], "workspace.obstacles[1] must be three integers, got [true, 0, 0]"),
+    "string": (["abc"], 'workspace.obstacles[0] must be three integers, got "abc"'),
+    "two-values": ([[0, 0]], "workspace.obstacles[0] must be three integers, got [0, 0]"),
+    "outside": ([[9, 0, 0]], "workspace.obstacles[0] = [9, 0, 0] lies outside the workspace bounds"),
+    "non-empty": ([[1.0, 0, 0]], "workspace.obstacles must be empty: gen draws each record's obstacles "
+                                 "(set obstacle_density)"),
+}
+
+
+@pytest.mark.parametrize("obstacles, detail", GEN_OBSTACLE_CASES.values(), ids=GEN_OBSTACLE_CASES)
+def test_gen_workspace_obstacles_error_is_one_config_line(tmp_path, capsys, obstacles, detail):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"workspace": {"obstacles": obstacles}}))
+    out = tmp_path / "never"
+    assert run(["gen", "--config", path, "--out", out]) == 1
+    assert capsys.readouterr().err == f"error: config: {detail}\n"
+    assert not out.exists()
+
+
+def test_gen_accepts_the_empty_obstacle_list_its_manifest_echoes(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"workspace": {"obstacles": []}}))
+    out = tmp_path / "out"
+    assert run(["gen", "--config", path, "--count", 5, "--out", out]) == 0
+    assert json.loads((out / "manifest.json").read_text())["config"]["workspace"]["obstacles"] == []
+
+
+@pytest.mark.parametrize("obstacles", [5, [[1.5, 0, 0]], [[0, 0]], [[True, 0, 0]]])
+def test_malformed_obstacles_in_record_and_scenario_files_are_schema_errors(tmp_path, capsys, obstacles):
+    from latticepath.twinsim import default_scenario_pack, write_scenarios
+
+    corpus = gen(tmp_path)
+    write_scenarios(tmp_path / "scenes.jsonl", default_scenario_pack()[:2])
+    rows = {"records": [json.loads(line) for line in (corpus / "corpus_train.jsonl").read_text().splitlines()],
+            "scenes": [json.loads(line) for line in (tmp_path / "scenes.jsonl").read_text().splitlines()]}
+    rows["records"][1]["workspace"]["obstacles"] = obstacles
+    rows["scenes"][1]["scene"]["workspace"]["obstacles"] = obstacles
+    for name, argv in (("records", ["train", "--corpus"]), ("scenes", ["sim", "--scenarios"])):
+        bad = tmp_path / f"bad_{name}.jsonl"
+        bad.write_text("".join(json.dumps(r) + "\n" for r in rows[name]))
+        out = tmp_path / f"never_{name}"
+        capsys.readouterr()
+        assert run([*argv, bad, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: schema: {bad}: line 2: ") and "workspace.obstacles" in err, err
+        assert err.count("\n") == 1 and not out.exists()
+
+
 # config values and flags -----------------------------------------------------------
 
 

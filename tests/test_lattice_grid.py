@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 import reference_lattice as ref
+from reference_lattice import in_bounds, legal_moves  # the cell-by-cell rule over the obstacle set
 
 from latticepath.corpus import (
     GenerationConfig,
@@ -15,7 +16,7 @@ from latticepath.corpus import (
     oracle_path,
     record_to_dict,
 )
-from latticepath.lattice import GridStack, LatticeCoord, Workspace, desk_workspace, in_bounds, legal_moves
+from latticepath.lattice import GridStack, LatticeCoord, Workspace, desk_workspace
 from latticepath.model import ModelConfig, PathModel, make_loss_batch
 
 C = LatticeCoord
