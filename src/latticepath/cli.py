@@ -42,6 +42,7 @@ from .decoder import DecodeConfig, DecodeCounters, decode_records
 from .evaluator import EvalReport, evaluate_records, format_report, format_table
 from .lattice import Workspace, desk_workspace
 from .model import (
+    LossBreakdown,
     LossConfig,
     ModelConfig,
     Optimizer,
@@ -236,20 +237,15 @@ def cmd_gen(args) -> int:
 
 
 def cmd_train(args) -> int:
+    model_defaults = ModelConfig().to_dict()
+    del model_defaults["move_vocab"]  # fixed by the move set, not a config key
     defaults = {
         "seed": 0,
         "corpus": None,
         "epochs": 30,
         "batch_size": 64,
         "resume": None,
-        "model": {
-            "embed_dim": 64,
-            "num_layers": 2,
-            "num_heads": 4,
-            "max_seq_len": 32,
-            "bounds": None,
-            "task_feature_width": None,
-        },
+        "model": {**model_defaults, "bounds": None, "task_feature_width": None},  # unset: from the corpus
         "optimizer": OptimizerConfig().to_dict(),
         "loss": dataclasses.asdict(LossConfig()),
     }
@@ -257,8 +253,9 @@ def cmd_train(args) -> int:
     if cfg["corpus"] is None:
         raise CliError("config", "train requires --corpus (or a corpus path in the config)")
     seed, epochs, batch_size = (_integer(cfg, k) for k in ("seed", "epochs", "batch_size"))
-    for key in ("lr", "weight_decay", "momentum", "beta1", "beta2", "eps"):
-        _number(cfg["optimizer"], key, f"optimizer.{key}")
+    for key in cfg["optimizer"]:
+        if key != "kind":
+            _number(cfg["optimizer"], key, f"optimizer.{key}")
     with _config_errors():
         loss_cfg = LossConfig(**{k: _number(cfg["loss"], k, f"loss.{k}") for k in cfg["loss"]})
         optimizer = Optimizer(OptimizerConfig.from_dict(cfg["optimizer"]))
@@ -292,13 +289,10 @@ def cmd_train(args) -> int:
             f"corpus has a {longest}-point trajectory but max_seq_len is {model.cfg.max_seq_len}",
         )
 
-    log_lines = ["epoch\tseq\tcoord\tvalid\tcov\tlen\ttotal"]
+    log_lines = ["\t".join(["epoch", *(f.name for f in dataclasses.fields(LossBreakdown))])]
 
     def log(epoch, bd):
-        log_lines.append(
-            f"{epoch}\t{bd.seq:.10g}\t{bd.coord:.10g}\t{bd.valid:.10g}"
-            f"\t{bd.cov:.10g}\t{bd.len:.10g}\t{bd.total:.10g}"
-        )
+        log_lines.append("\t".join([str(epoch), *(f"{v:.10g}" for v in dataclasses.astuple(bd))]))
 
     counters = TrainCounters()
     fit(model, items, loss_cfg, optimizer, epochs=epochs, batch_size=batch_size, seed=seed, log=log,
@@ -319,8 +313,7 @@ def _model_config(m: dict, first) -> ModelConfig:
         raise CliError("config", f"model.bounds must be a list of six integers, got {json.dumps(m['bounds'])}")
     for i in range(len(m["bounds"])):
         _integer(m["bounds"], i, f"model.bounds[{i}]")
-    sizes = {k: _integer(m, k, f"model.{k}")
-             for k in ("embed_dim", "num_layers", "num_heads", "max_seq_len", "task_feature_width")}
+    sizes = {k: _integer(m, k, f"model.{k}") for k in m if k != "bounds"}
     with _config_errors():
         return ModelConfig(**sizes, bounds=tuple(m["bounds"]))
 

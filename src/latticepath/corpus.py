@@ -13,7 +13,7 @@ import json
 from collections import deque
 from dataclasses import dataclass, replace
 
-from .lattice import LatticeCoord, LegalityGrid, Workspace, in_bounds, manhattan
+from .lattice import LatticeCoord, LegalityGrid, Workspace, in_bounds, manhattan, read_cell
 from .lattice import neighbors  # noqa: F401 (perfbench/tracer.py wraps corpus.neighbors)
 from .taskgrid import TaskContext, TaskGraph, build_context, chain_graph
 
@@ -314,7 +314,7 @@ def record_from_dict(d: dict) -> CorpusRecord:
         raise CorpusFormatError(f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION})")
     task = TaskGraph.from_dict(d["task_graph"]) if d.get("task_graph") is not None else None
     traj = Trajectory(
-        points=tuple(LatticeCoord(*map(int, p)) for p in d["points"]),
+        points=tuple(read_cell(p, f"points[{i}]") for i, p in enumerate(d["points"])),
         task=task,
         seed=int(d["seed"]),
     )
@@ -334,7 +334,7 @@ def write_jsonl(path, rows) -> None:
 
 
 def read_jsonl(path, parse, check=None) -> list:
-    """parse() each non-blank line's object; errors name the file and line.
+    """parse() each non-blank line's JSON object; errors name the file and line.
 
     check(row), if given, raises ValueError for a row the caller cannot use;
     like a malformed line, the error names the file and line.
@@ -345,7 +345,10 @@ def read_jsonl(path, parse, check=None) -> list:
             if not line.strip():
                 continue
             try:
-                row = parse(json.loads(line))
+                obj = json.loads(line)
+                if not isinstance(obj, dict):
+                    raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
+                row = parse(obj)
             except CorpusFormatError as e:
                 raise CorpusFormatError(f"{path}: line {lineno}: {e}") from None
             except (ValueError, KeyError, TypeError) as e:

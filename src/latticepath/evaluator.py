@@ -1,6 +1,6 @@
 """Path-prediction metrics, error taxonomy, and aggregate reporting.
 
-Per-pair metrics: stepwise accuracy (order-sensitive, denominator
+Metrics: stepwise accuracy (order-sensitive, denominator
 max(len(pred), len(gold)) so truncations and over-extensions both lose
 credit), coordinate-set precision/recall/F1 (order-agnostic), and valid-path
 percent. Corpus aggregation accumulates exact integer counts and divides
@@ -10,7 +10,7 @@ E2 adjacent-step swap, E3 boundary nudge, L1 illegal jump.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .corpus import CorpusRecord, Trajectory, validate_path
 from .lattice import Workspace
@@ -20,6 +20,15 @@ ERROR_LABELS = (
     "E2_adjacent_swap",
     "E3_boundary_nudge",
     "L1_illegal_jump",
+)
+
+# (field, format_table column) of each pooled metric, in report order
+METRICS = (
+    ("stepwise_accuracy", "stepwise"),
+    ("precision", "prec"),
+    ("recall", "recall"),
+    ("f1", "f1"),
+    ("valid_path_percent", "valid"),
 )
 
 
@@ -34,27 +43,14 @@ class EvalReport:
     n_pairs: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "stepwise_accuracy": self.stepwise_accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "valid_path_percent": self.valid_path_percent,
-            "error_counts": {k: self.error_counts.get(k, 0) for k in ERROR_LABELS},
-            "n_pairs": self.n_pairs,
-        }
+        return {**asdict(self), "error_counts": {k: self.error_counts.get(k, 0) for k in ERROR_LABELS}}
 
     @classmethod
     def from_dict(cls, d: dict) -> "EvalReport":
-        return cls(
-            stepwise_accuracy=float(d["stepwise_accuracy"]),
-            precision=float(d["precision"]),
-            recall=float(d["recall"]),
-            f1=float(d["f1"]),
-            valid_path_percent=float(d["valid_path_percent"]),
-            error_counts={k: int(d["error_counts"].get(k, 0)) for k in ERROR_LABELS},
-            n_pairs=int(d["n_pairs"]),
-        )
+        """Inverse of to_dict; a missing key is a KeyError (a missing error label counts 0)."""
+        return cls(**{m: float(d[m]) for m, _ in METRICS},
+                   error_counts={k: int(d["error_counts"].get(k, 0)) for k in ERROR_LABELS},
+                   n_pairs=int(d["n_pairs"]))
 
 
 def _pair_counts(pred: Trajectory, gold: Trajectory) -> tuple[int, int, int, int, int]:
@@ -66,26 +62,6 @@ def _pair_counts(pred: Trajectory, gold: Trajectory) -> tuple[int, int, int, int
 
 def _f1(precision: float, recall: float) -> float:
     return 0.0 if precision + recall == 0 else 2 * precision * recall / (precision + recall)
-
-
-def stepwise_accuracy(pred: Trajectory, gold: Trajectory) -> float:
-    """Fraction of positions that agree, over the longer of the two paths."""
-    matches, length, *_ = _pair_counts(pred, gold)
-    return matches / length
-
-
-def coordinate_prf(pred: Trajectory, gold: Trajectory) -> tuple[float, float, float]:
-    """Set-overlap precision/recall/F1 over visited cells (duplicates collapse)."""
-    _, _, inter, n_pred, n_gold = _pair_counts(pred, gold)
-    precision, recall = inter / n_pred, inter / n_gold
-    return precision, recall, _f1(precision, recall)
-
-
-def valid_path_percent(preds: list[Trajectory], w: Workspace) -> float:
-    """Fraction of paths satisfying adjacency and bounds everywhere."""
-    if not preds:
-        return 1.0
-    return sum(1 for t in preds if validate_path(t, w).valid) / len(preds)
 
 
 def _near_boundary(p, w: Workspace) -> bool:
@@ -167,33 +143,21 @@ def evaluate_records(preds: list[CorpusRecord], golds: list[CorpusRecord]) -> Ev
 
 
 def format_report(report: EvalReport) -> str:
-    """Key-value text block, one metric per line."""
-    lines = [
-        f"n_pairs             {report.n_pairs}",
-        f"stepwise_accuracy   {report.stepwise_accuracy:.6f}",
-        f"precision           {report.precision:.6f}",
-        f"recall              {report.recall:.6f}",
-        f"f1                  {report.f1:.6f}",
-        f"valid_path_percent  {report.valid_path_percent:.6f}",
-    ]
-    for label in ERROR_LABELS:
-        lines.append(f"{label:<19} {report.error_counts.get(label, 0)}")
-    return "\n".join(lines) + "\n"
+    """Key-value text block: the pair count, then one line per metric and per error label."""
+    lines = [("n_pairs", report.n_pairs)]
+    lines += [(m, f"{getattr(report, m):.6f}") for m, _ in METRICS]
+    lines += [(label, report.error_counts.get(label, 0)) for label in ERROR_LABELS]
+    return "".join(f"{key:<19} {value}\n" for key, value in lines)
 
 
 def format_table(rows: list[tuple[str, EvalReport]]) -> str:
     """Flat one-row-per-corpus table, stable layout for diffing."""
-    header = (
-        f"{'corpus':<16} {'n':>6} {'stepwise':>9} {'prec':>9} {'recall':>9} "
-        f"{'f1':>9} {'valid':>9} {'E1':>5} {'E2':>5} {'E3':>5} {'L1':>5}"
-    )
-    out = [header]
+    out = [_table_row("corpus", "n", [col for _, col in METRICS], [label[:2] for label in ERROR_LABELS])]
     for name, r in rows:
-        c = r.error_counts
-        out.append(
-            f"{name:<16} {r.n_pairs:>6} {r.stepwise_accuracy:>9.4f} {r.precision:>9.4f} "
-            f"{r.recall:>9.4f} {r.f1:>9.4f} {r.valid_path_percent:>9.4f} "
-            f"{c.get('E1_tail_truncation', 0):>5} {c.get('E2_adjacent_swap', 0):>5} "
-            f"{c.get('E3_boundary_nudge', 0):>5} {c.get('L1_illegal_jump', 0):>5}"
-        )
+        out.append(_table_row(name, r.n_pairs, [f"{getattr(r, m):.4f}" for m, _ in METRICS],
+                              [r.error_counts.get(label, 0) for label in ERROR_LABELS]))
     return "\n".join(out) + "\n"
+
+
+def _table_row(name, n, metrics: list, counts: list) -> str:
+    return " ".join([f"{name:<16}", f"{n:>6}", *(f"{v:>9}" for v in metrics), *(f"{c:>5}" for c in counts)])

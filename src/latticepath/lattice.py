@@ -242,16 +242,29 @@ def _integral(v) -> bool:
     return type(v) is int or (type(v) is float and v.is_integer())
 
 
+def read_cell(v, name: str) -> LatticeCoord:
+    """Entry `name` of a file as a cell: three integers (an integral float counts), else a ValueError naming it."""
+    if not (type(v) in (list, tuple) and len(v) == 3 and all(map(_integral, v))):
+        raise ValueError(f"{name} must be three integers, got {_text(v)}")
+    return LatticeCoord(*map(int, v))
+
+
+def read_step(v, name: str) -> int:
+    """A tick `name` as an int: a non-negative integer (an integral float counts), else a ValueError naming it."""
+    if not (_integral(v) and v >= 0):
+        raise ValueError(f"{name} must be a non-negative integer, got {_text(v)}")
+    return int(v)
+
+
 def _check_obstacle_list(obs) -> None:
-    """Raise ValueError, naming the entry, unless each entry is three integers (an integral float counts)."""
+    """Raise ValueError, naming the entry, unless each entry is a cell as read_cell reads it."""
     if not isinstance(obs, (list, tuple)):
         raise ValueError(f"workspace.obstacles must be a list of [x, y, z] cells, got {_text(obs)}")
     if not obs or (set(map(type, obs)) <= {list, tuple} and set(map(len, obs)) <= {3}
             and set(map(type, chain.from_iterable(obs))) <= {int}):
         return  # all-integer lists, the common case, are checked without a Python loop
     for i, c in enumerate(obs):
-        if not (type(c) in (list, tuple) and len(c) == 3 and all(map(_integral, c))):
-            raise ValueError(f"workspace.obstacles[{i}] must be three integers, got {_text(c)}")
+        read_cell(c, f"workspace.obstacles[{i}]")
 
 
 @lru_cache(maxsize=64)

@@ -11,7 +11,7 @@ construction. Training optimizes a five-term composite loss.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -64,27 +64,13 @@ class ModelConfig:
             raise ValueError(f"workspace box {_box_text(w.bounds)} exceeds the model box {_box_text(box)}")
 
     def to_dict(self) -> dict:
-        return {
-            "embed_dim": self.embed_dim,
-            "num_layers": self.num_layers,
-            "num_heads": self.num_heads,
-            "max_seq_len": self.max_seq_len,
-            "task_feature_width": self.task_feature_width,
-            "move_vocab": self.move_vocab,
-            "bounds": list(self.bounds),
-        }
+        return {**asdict(self), "bounds": list(self.bounds)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(
-            embed_dim=int(d["embed_dim"]),
-            num_layers=int(d["num_layers"]),
-            num_heads=int(d["num_heads"]),
-            max_seq_len=int(d["max_seq_len"]),
-            task_feature_width=int(d["task_feature_width"]),
-            move_vocab=int(d["move_vocab"]),
-            bounds=tuple(int(v) for v in d["bounds"]),
-        )
+        """Inverse of to_dict; a missing key is a KeyError, extra keys are ignored."""
+        return cls(**{f.name: int(d[f.name]) for f in fields(cls) if f.name != "bounds"},
+                   bounds=tuple(int(v) for v in d["bounds"]))
 
 
 @dataclass(frozen=True)
@@ -316,9 +302,9 @@ class LossConfig:
     lambda_len: float = 0.1
 
     def __post_init__(self) -> None:
-        for name in ("lambda_coord", "lambda_valid", "lambda_cov", "lambda_len"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+        for f in fields(self):
+            if getattr(self, f.name) < 0:
+                raise ValueError(f"{f.name} must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -329,12 +315,6 @@ class LossBreakdown:
     cov: float
     len: float
     total: float
-
-    def as_dict(self) -> dict:
-        return {
-            "seq": self.seq, "coord": self.coord, "valid": self.valid,
-            "cov": self.cov, "len": self.len, "total": self.total,
-        }
 
 
 @dataclass
@@ -508,9 +488,9 @@ def composite_loss(logits: Tensor, batch: LossBatch, cfg: LossConfig) -> tuple[T
         seq=seq.item(), coord=coord.item(), valid=valid.item(),
         cov=cov.item(), len=len_term.item(), total=total.item(),
     )
-    for name, value in breakdown.as_dict().items():
+    for f, value in zip(fields(breakdown), astuple(breakdown)):
         if not math.isfinite(value):
-            raise FloatingPointError(f"non-finite loss term: {name} = {value}")
+            raise FloatingPointError(f"non-finite loss term: {f.name} = {value}")
     return total, breakdown
 
 
@@ -532,19 +512,12 @@ class OptimizerConfig:
             raise ValueError(f"unknown optimizer kind {self.kind!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind, "lr": self.lr, "weight_decay": self.weight_decay,
-            "momentum": self.momentum, "beta1": self.beta1, "beta2": self.beta2,
-            "eps": self.eps,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "OptimizerConfig":
-        return cls(
-            kind=str(d["kind"]), lr=float(d["lr"]), weight_decay=float(d["weight_decay"]),
-            momentum=float(d["momentum"]), beta1=float(d["beta1"]), beta2=float(d["beta2"]),
-            eps=float(d["eps"]),
-        )
+        """Inverse of to_dict; a missing key is a KeyError, extra keys are ignored."""
+        return cls(kind=str(d["kind"]), **{f.name: float(d[f.name]) for f in fields(cls) if f.name != "kind"})
 
 
 class Optimizer:
@@ -629,13 +602,13 @@ def fit(
     history: list[LossBreakdown] = []
     for epoch in range(epochs):
         order = rng.permutation(len(rows))
-        sums = np.zeros(6)
+        sums = np.zeros(len(fields(LossBreakdown)))
         n_batches = 0
         for lo in range(0, len(rows), batch_size):
             chunk = [rows[i] for i in order[lo : lo + batch_size]]
             batch = make_loss_batch(chunk, model.cfg)
             bd = train_step(model, batch, loss_cfg, optimizer)
-            sums += np.array([bd.seq, bd.coord, bd.valid, bd.cov, bd.len, bd.total])
+            sums += astuple(bd)
             n_batches += 1
             counters.records_seen += len(chunk)
         counters.epochs += 1

@@ -11,7 +11,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 
-from .lattice import LatticeCoord
+from .lattice import LatticeCoord, read_cell
 
 TASK_KINDS: tuple[str, ...] = ("reach", "grasp", "lift", "transport", "place", "release")
 
@@ -100,7 +100,7 @@ class TaskContext:
             task_feature_vector=tuple(float(v) for v in d["feature"]),
             active_task_kind=str(d["active_kind"]),
             sequence_length_hint=int(d.get("sequence_length_hint", 0)),
-            target=LatticeCoord(*map(int, target)) if target is not None else None,
+            target=read_cell(target, "context.target") if target is not None else None,
         )
 
 

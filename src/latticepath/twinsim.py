@@ -29,13 +29,13 @@ deterministic: scripted events, BFS with canonical tie-breaking, no RNG.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .corpus import Trajectory, UnreachableGoalError, oracle_path, read_jsonl, write_jsonl
 from .decoder import DecodeConfig, decode
-from .lattice import LatticeCoord, Workspace, in_bounds, manhattan
+from .lattice import LatticeCoord, Workspace, in_bounds, manhattan, read_cell, read_step
 from .taskgrid import TaskContext, build_context, reach_only_graph
 
 FAILURE_MODES = ("no_state", "occlusion_cluster", "nested_block", "mis_id", "mechanical_slip")
@@ -61,7 +61,8 @@ class Scene:
             for c in self.container:
                 if not in_bounds(c, self.workspace):
                     raise ValueError(f"container cell {c} is out of bounds")
-        obstacles = tuple((c, int(step)) for c, step in self.dynamic_obstacles)
+        obstacles = tuple((c, read_step(step, f"dynamic_obstacles[{i}][1]"))
+                          for i, (c, step) in enumerate(self.dynamic_obstacles))
         for c, _ in obstacles:
             if not self.workspace._in_box(c):
                 raise ValueError(f"dynamic obstacle {c} is outside the workspace box")
@@ -87,15 +88,16 @@ class Scene:
     def from_dict(cls, d: dict) -> "Scene":
         return cls(
             workspace=Workspace.from_dict(d["workspace"]),
-            end_effector=LatticeCoord(*map(int, d["end_effector"])),
-            target=LatticeCoord(*map(int, d["target"])),
+            end_effector=read_cell(d["end_effector"], "end_effector"),
+            target=read_cell(d["target"], "target"),
             container=(
-                frozenset(LatticeCoord(*map(int, c)) for c in d["container"])
+                frozenset(read_cell(c, f"container[{i}]") for i, c in enumerate(d["container"]))
                 if d.get("container") is not None
                 else None
             ),
             dynamic_obstacles=tuple(
-                (LatticeCoord(*map(int, c)), int(step)) for c, step in d.get("dynamic_obstacles", [])
+                (read_cell(c, f"dynamic_obstacles[{i}][0]"), step)
+                for i, (c, step) in enumerate(d.get("dynamic_obstacles", []))
             ),
         )
 
@@ -115,13 +117,7 @@ class EpisodeOutcome:
             raise ValueError(f"unknown failure mode {self.failure_mode!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "success": self.success,
-            "failure_mode": self.failure_mode,
-            "regrounds": self.regrounds,
-            "detours": self.detours,
-            "replanned_globally": self.replanned_globally,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -134,6 +130,7 @@ class Event:
     mode: str | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "step", read_step(self.step, "event.step"))
         if self.kind not in ("slip", "fail"):
             raise ValueError(f"unknown event kind {self.kind!r}")
         if self.kind == "slip" and self.cell is None:
@@ -153,8 +150,8 @@ class Event:
     def from_dict(cls, d: dict) -> "Event":
         return cls(
             kind=str(d["kind"]),
-            step=int(d["step"]),
-            cell=LatticeCoord(*map(int, d["cell"])) if d.get("cell") is not None else None,
+            step=d["step"],
+            cell=read_cell(d["cell"], "event.cell") if d.get("cell") is not None else None,
             mode=d.get("mode"),
         )
 
@@ -274,8 +271,6 @@ def run_episode_detailed(scene: Scene, planner, event_script: tuple[Event, ...] 
         # scripted events scheduled for this tick
         while events and events[0].step <= tick:
             ev = events.pop(0)
-            if ev.step < tick:
-                continue
             if ev.kind == "fail":
                 return result(ev.mode)
             # slip: only meaningful before the grasp

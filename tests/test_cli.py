@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import zipfile
@@ -420,6 +421,19 @@ def _without_slots(ckpt, path):
                 dst.writestr(info, src.read(info))
 
 
+def _without_embed_dim(ckpt, path):
+    with zipfile.ZipFile(ckpt) as src, zipfile.ZipFile(path, "w") as dst:
+        for info in src.infolist():
+            data = src.read(info)
+            if info.filename == "__meta__.npy":
+                meta = json.loads(str(np.load(io.BytesIO(data))[()]))
+                del meta["model_config"]["embed_dim"]
+                buf = io.BytesIO()
+                np.lib.format.write_array(buf, np.array(json.dumps(meta)))
+                data = buf.getvalue()
+            dst.writestr(info, data)
+
+
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
     base = tmp_path_factory.mktemp("trained")
@@ -430,7 +444,7 @@ def trained(tmp_path_factory):
     return corpus, ckpt
 
 
-@pytest.mark.parametrize("corrupt", [_truncated, _empty, _not_a_checkpoint, _without_slots])
+@pytest.mark.parametrize("corrupt", [_truncated, _empty, _not_a_checkpoint, _without_slots, _without_embed_dim])
 @pytest.mark.parametrize("command", ["train", "decode"])
 def test_malformed_checkpoint_is_one_schema_error(trained, tmp_path, capsys, corrupt, command):
     corpus, ckpt = trained
@@ -821,3 +835,87 @@ def test_sim_without_a_checkpoint_still_checks_the_search_settings(tmp_path, cap
     err = capsys.readouterr().err
     assert err.startswith("error: config: mode must be 'greedy' or 'beam'") and err.count("\n") == 1, err
     assert not out.exists()
+
+
+# record and scenario file entries --------------------------------------------------
+
+
+@pytest.mark.parametrize("line", ["[1, 2, 3]", '"text"'])
+@pytest.mark.parametrize("command", ["decode", "eval", "sim"])
+def test_json_line_that_is_not_an_object_is_one_schema_error(inputs, tmp_path, capsys, command, line):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(line + "\n")
+    argv = {"decode": ["decode", "--checkpoint", inputs["<ckpt>"], "--records", bad],
+            "eval": ["eval", "--gold", bad, "--pred", bad],
+            "sim": ["sim", "--scenarios", bad]}[command]
+    out = tmp_path / "never"
+    capsys.readouterr()
+    assert run([*argv, "--out", out]) == 1
+    got = type(json.loads(line)).__name__
+    assert capsys.readouterr().err == (f"error: schema: {bad}: line 1: malformed record "
+                                       f"(expected a JSON object, got {got})\n")
+    assert not out.exists()
+
+
+FILE_FIELDS = {  # file, the entry's keys and indices, its name in the error, whether it is a step
+    "points": ("records", ("points", 1), "points[1]", False),
+    "context-target": ("records", ("context", "target"), "context.target", False),
+    "end_effector": ("scenes", ("scene", "end_effector"), "end_effector", False),
+    "target": ("scenes", ("scene", "target"), "target", False),
+    "container": ("scenes", ("scene", "container", 0), "container[0]", False),
+    "obstacle-cell": ("scenes", ("scene", "dynamic_obstacles", 0, 0), "dynamic_obstacles[0][0]", False),
+    "obstacle-step": ("scenes", ("scene", "dynamic_obstacles", 0, 1), "dynamic_obstacles[0][1]", True),
+    "event-cell": ("scenes", ("events", 0, "cell"), "event.cell", False),
+    "event-step": ("scenes", ("events", 0, "step"), "event.step", True),
+}
+BAD_VALUES = {"fraction": -0.6, "bool": True, "string": "1", "negative": -1}  # a negative coordinate is valid
+FILE_FIELD_CASES = [pytest.param(*field, value, id=f"{name}-{kind}")
+                    for name, field in FILE_FIELDS.items() for kind, value in BAD_VALUES.items()
+                    if field[3] or kind != "negative"]
+
+
+@pytest.mark.parametrize("file, keys, name, is_step, value", FILE_FIELD_CASES)
+def test_non_integer_cell_or_step_in_a_file_is_one_schema_error_naming_it(inputs, tmp_path, capsys,
+                                                                          file, keys, name, is_step, value):
+    from latticepath.twinsim import default_scenario_pack, write_scenarios
+
+    if file == "records":
+        rows = [json.loads(line) for line in inputs["<gold>"].read_text().splitlines()]
+        argv, lineno = ["eval", "--gold", inputs["<gold>"], "--pred"], 2
+    else:
+        write_scenarios(tmp_path / "scenes.jsonl", [s for s in default_scenario_pack() if s.name == "slip_plus_detour"])
+        rows = [json.loads(line) for line in (tmp_path / "scenes.jsonl").read_text().splitlines()]
+        argv, lineno = ["sim", "--scenarios"], 1
+    entry = rows[lineno - 1]
+    for k in keys[:-1]:
+        entry = entry[k]
+    if is_step:
+        entry[keys[-1]] = value
+        detail = f"{name} must be a non-negative integer, got {json.dumps(value)}"
+    else:
+        entry[keys[-1]][0] = value
+        detail = f"{name} must be three integers, got {json.dumps(entry[keys[-1]])}"
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    out = tmp_path / "never"
+    capsys.readouterr()
+    assert run([*argv, bad, "--out", out]) == 1
+    assert capsys.readouterr().err == f"error: schema: {bad}: line {lineno}: malformed record ({detail})\n"
+    assert not out.exists()
+
+
+def test_integral_float_cells_and_steps_in_a_file_read_as_integers(inputs, tmp_path):
+    from latticepath.twinsim import default_scenario_pack, read_scenarios, write_scenarios
+
+    rows = [json.loads(line) for line in inputs["<gold>"].read_text().splitlines()]
+    rows[0]["points"] = [[float(v) for v in p] for p in rows[0]["points"]]
+    floats = tmp_path / "floats.jsonl"
+    floats.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    assert read_records(floats) == read_records(inputs["<gold>"])
+    pack = [s for s in default_scenario_pack() if s.name == "slip_plus_detour"]
+    write_scenarios(tmp_path / "scenes.jsonl", pack)
+    row = json.loads((tmp_path / "scenes.jsonl").read_text())
+    row["events"][0]["step"] = 1.0
+    row["scene"]["dynamic_obstacles"][0] = [[float(v) for v in row["scene"]["dynamic_obstacles"][0][0]], 3.0]
+    (tmp_path / "scenes.jsonl").write_text(json.dumps(row) + "\n")
+    assert read_scenarios(tmp_path / "scenes.jsonl") == pack

@@ -7,13 +7,10 @@ from latticepath.evaluator import (
     ERROR_LABELS,
     EvalReport,
     classify_errors,
-    coordinate_prf,
     evaluate,
     evaluate_records,
     format_report,
     format_table,
-    stepwise_accuracy,
-    valid_path_percent,
 )
 from latticepath.lattice import LatticeCoord, desk_workspace
 from latticepath.taskgrid import build_context, reach_only_graph
@@ -26,50 +23,56 @@ def line(*cells):
     return Trajectory(points=tuple(C(*c) for c in cells))
 
 
-# per-pair metrics ----------------------------------------------------------------
+# metrics of one pair ---------------------------------------------------------------
+
+
+def one_pair(pred, gold):
+    return evaluate([(pred, gold, W)])
 
 
 def test_identical_paths_score_perfectly():
     gold = oracle_path(C(0, 0, 0), C(2, 2, 2), W)
-    assert stepwise_accuracy(gold, gold) == 1.0
-    assert coordinate_prf(gold, gold) == (1.0, 1.0, 1.0)
+    r = one_pair(gold, gold)
+    assert r.stepwise_accuracy == 1.0
+    assert (r.precision, r.recall, r.f1) == (1.0, 1.0, 1.0)
     assert classify_errors(gold, gold, W) == set()
 
 
 def test_stepwise_counts_positionwise_matches():
     gold = line((0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0))
     pred = line((0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 1, 0))
-    assert stepwise_accuracy(pred, gold) == pytest.approx(3 / 4)
+    assert one_pair(pred, gold).stepwise_accuracy == pytest.approx(3 / 4)
 
 
 def test_stepwise_divides_by_longer_path():
     gold = line((0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0))
     pred = line((0, 0, 0), (1, 0, 0))
-    assert stepwise_accuracy(pred, gold) == pytest.approx(2 / 4)
-    assert stepwise_accuracy(gold, pred) == pytest.approx(2 / 4)
+    assert one_pair(pred, gold).stepwise_accuracy == pytest.approx(2 / 4)
+    assert one_pair(gold, pred).stepwise_accuracy == pytest.approx(2 / 4)
 
 
 def test_coordinate_prf_hand_example():
     gold = line((1, 0, 0), (2, 0, 0), (3, 0, 0))
     pred = line((0, 0, 0), (1, 0, 0), (2, 0, 0))
-    p, r, f1 = coordinate_prf(pred, gold)
-    assert p == pytest.approx(2 / 3)
-    assert r == pytest.approx(2 / 3)
-    assert f1 == pytest.approx(2 / 3)
+    r = one_pair(pred, gold)
+    assert r.precision == pytest.approx(2 / 3)
+    assert r.recall == pytest.approx(2 / 3)
+    assert r.f1 == pytest.approx(2 / 3)
 
 
 def test_coordinate_prf_collapses_duplicates():
     gold = line((0, 0, 0), (1, 0, 0))
     pred = line((0, 0, 0), (1, 0, 0), (0, 0, 0))  # revisits start
-    p, r, _ = coordinate_prf(pred, gold)
-    assert p == 1.0 and r == 1.0
+    r = one_pair(pred, gold)
+    assert r.precision == 1.0 and r.recall == 1.0
 
 
-def test_valid_path_percent_empty_and_mixed():
-    assert valid_path_percent([], W) == 1.0
+def test_valid_path_percent_one_pair_and_mixed():
     good = line((0, 0, 0), (1, 0, 0))
     bad = line((0, 0, 0), (2, 0, 0))
-    assert valid_path_percent([good, bad], W) == pytest.approx(0.5)
+    assert one_pair(good, good).valid_path_percent == 1.0
+    assert one_pair(bad, good).valid_path_percent == 0.0
+    assert evaluate([(good, good, W), (bad, good, W)]).valid_path_percent == pytest.approx(0.5)
 
 
 # error taxonomy ------------------------------------------------------------------

@@ -14,6 +14,8 @@ from latticepath.lattice import (
     manhattan,
     move_index,
     neighbors,
+    read_cell,
+    read_step,
     voxelize,
 )
 
@@ -136,3 +138,18 @@ def test_with_obstacles_replaces_set():
 def test_workspace_dict_round_trip():
     w = Workspace(-1, 4, 0, 2, 0, 3, obstacles=frozenset({C(0, 0, 0), C(2, 1, 1)}))
     assert Workspace.from_dict(w.to_dict()) == w
+
+
+def test_read_cell_takes_three_integers_an_integral_float_counting():
+    assert read_cell([1, -2, 3], "c") == C(1, -2, 3)
+    assert read_cell((1.0, -2.0, 3), "c") == C(1, -2, 3)
+    for bad in ([-0.6, -1, 4], [True, 0, 0], ["1", 0, 0], [0, 0], [0, 0, 0, 0], "abc", None, 5):
+        with pytest.raises(ValueError, match=r"^points\[1\] must be three integers, got "):
+            read_cell(bad, "points[1]")
+
+
+def test_read_step_takes_non_negative_integers():
+    assert read_step(0, "step") == 0 and read_step(3.0, "step") == 3
+    for bad in (-1, -0.6, 0.5, True, "1", None, [1]):
+        with pytest.raises(ValueError, match=r"^step must be a non-negative integer, got "):
+            read_step(bad, "step")

@@ -1,16 +1,22 @@
-"""Fixed-seed CLI outputs pinned by sha256, so any drift in the workspace codec or the BFS shows.
+"""Fixed-seed CLI outputs pinned by sha256, so any drift in a codec, a report format or the BFS shows.
 
-The digests were computed from the code before workspaces stored their
-obstacles as cell ranks; corpus, manifest and outcome bytes must not move.
+The gen and envelope digests were computed from the code before workspaces
+stored their obstacles as cell ranks; the eval, report, train and oracle
+`sim` digests from the code before configs, loss breakdowns, eval reports
+and twin outcomes serialized from their dataclass fields. None of these
+bytes may move.
 """
 
 import hashlib
 import json
 import random
 
+import numpy as np
 import pytest
 
 from latticepath.cli import main
+from latticepath.corpus import Trajectory, read_records, write_records
+from latticepath.lattice import neighbors
 
 ENVELOPE_BOX = (-22, 22, -22, 22, 0, 34)
 
@@ -88,3 +94,77 @@ def test_envelope_oracle_outcomes_match_pinned_digest(tmp_path):
     scenes.write_text("".join(json.dumps(s, sort_keys=True) + "\n" for s in envelope_scenes(3)))
     assert main(["sim", "--scenarios", str(scenes), "--out", str(tmp_path / "sim"), "--seed", "0"]) == 0
     assert sha256(tmp_path / "sim" / "outcomes.jsonl") == OUTCOMES_DIGEST
+
+
+EVAL_DIGESTS = {
+    "eval_a/report.json": "de85e265dafb25d7afa9e50ddc9f5ceafa1cb219a362eb119b2112c1a71223ab",
+    "eval_a/report.txt": "7232999394dd46e77814214b7cd8ca229d74a3fb31e7afad951d95cd7de2d985",
+    "eval_b/report.json": "51e4f963379fa94b15a54e8f4de0b2c2567e2644002b949b02d71cb70e606205",
+    "eval_b/report.txt": "a8958a8365a8d430249ed8c7c6bb536fbec56f00490f52bde471c9358c947bfc",
+    "one/summary.txt": "7232999394dd46e77814214b7cd8ca229d74a3fb31e7afad951d95cd7de2d985",
+    "two/summary.txt": "3263464f310913bbc046159f3e54dc05d85d012ce0b24a9d1adae13c886e2408",
+}
+
+TRAIN_DIGESTS = {
+    "manifest.json": "497622f50436801217a9350bf5af6b8de45930c2726e352a1557d0c4469989c5",
+    "__meta__": "ffa3fdda560e975e68f0eaccc77d9c782d6012ee67587cfdbc7e1937d2ca064c",
+}
+
+PACK_OUTCOMES_DIGEST = "514696dafc35129cacb565fa1a98f1dfcb774801de20f0c2aa40abda2b4e5607"
+
+
+def perturbed(points: tuple, i: int, w) -> tuple:
+    """Record i's prediction: its gold path as is, or with a truncated tail, an adjacent swap,
+    a boundary nudge or an illegal jump, by i mod 5."""
+    rule, pts = i % 5, list(points)
+    if rule == 1 and len(pts) > 1:
+        del pts[-1]
+    elif rule == 2 and len(pts) > 3:
+        pts[1], pts[2] = pts[2], pts[1]
+    elif rule == 3 and len(pts) > 1:  # another legal last step
+        pts[-1] = next((c for c in neighbors(pts[-2], w) if c != pts[-1]), pts[-1])
+    elif rule == 4 and len(pts) > 2:
+        del pts[1]
+    return tuple(pts)
+
+
+def write_predictions(gold_path, pred_path) -> None:
+    golds = read_records(gold_path)
+    write_records(pred_path, [
+        type(r)(trajectory=Trajectory(points=perturbed(r.trajectory.points, i, r.workspace),
+                                      task=r.trajectory.task, seed=r.trajectory.seed),
+                workspace=r.workspace, context=r.context, split_tag=r.split_tag)
+        for i, r in enumerate(golds)
+    ])
+
+
+def test_eval_and_report_outputs_match_pinned_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen", "--out", "corpus", "--seed", "0", "--count", "60", "--obstacle-density", "0.1"]) == 0
+    for name, split in (("eval_a", "validation"), ("eval_b", "train")):
+        write_predictions(f"corpus/corpus_{split}.jsonl", f"pred_{split}.jsonl")
+        assert main(["eval", "--gold", f"corpus/corpus_{split}.jsonl", "--pred", f"pred_{split}.jsonl",
+                     "--out", name]) == 0
+    assert main(["report", "eval_a/report.json", "--out", "one"]) == 0
+    assert main(["report", "eval_a/report.json", "eval_b/report.json", "--out", "two"]) == 0
+    assert {f: sha256(tmp_path / f) for f in EVAL_DIGESTS} == EVAL_DIGESTS
+
+
+def test_train_manifest_and_checkpoint_metadata_match_pinned_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen", "--out", "corpus", "--seed", "0", "--count", "40"]) == 0
+    assert main(["train", "--corpus", "corpus/corpus_train.jsonl", "--out", "run", "--seed", "3",
+                 "--epochs", "2", "--batch-size", "8", "--embed-dim", "8", "--num-layers", "1",
+                 "--num-heads", "2", "--max-seq-len", "20", "--optimizer", "adam", "--lr", "0.003",
+                 "--weight-decay", "0.01"]) == 0
+    with np.load(tmp_path / "run" / "model.npz", allow_pickle=False) as f:
+        meta = str(f["__meta__"][()]).encode()
+    got = {"manifest.json": sha256(tmp_path / "run" / "manifest.json"), "__meta__": hashlib.sha256(meta).hexdigest()}
+    assert got == TRAIN_DIGESTS
+    log = (tmp_path / "run" / "loss_log.tsv").read_text().splitlines()
+    assert log[0] == "epoch\tseq\tcoord\tvalid\tcov\tlen\ttotal" and len(log) == 3
+
+
+def test_default_pack_oracle_outcomes_match_pinned_digest(tmp_path):
+    assert main(["sim", "--out", str(tmp_path), "--seed", "0"]) == 0
+    assert sha256(tmp_path / "outcomes.jsonl") == PACK_OUTCOMES_DIGEST

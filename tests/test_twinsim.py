@@ -84,6 +84,14 @@ def test_event_validation():
     assert Event.from_dict(e.to_dict()) == e
 
 
+@pytest.mark.parametrize("step", [-1, 0.5, True, "1"])
+def test_event_and_obstacle_steps_must_be_non_negative_integers(step):
+    with pytest.raises(ValueError, match=r"event\.step must be a non-negative integer"):
+        Event(kind="fail", step=step, mode="no_state")
+    with pytest.raises(ValueError, match=r"dynamic_obstacles\[0\]\[1\] must be a non-negative integer"):
+        Scene(workspace=flat(), end_effector=C(0, 0, 0), target=C(2, 0, 0), dynamic_obstacles=((C(1, 0, 0), step),))
+
+
 def test_outcome_exclusivity():
     with pytest.raises(ValueError):
         EpisodeOutcome(success=True, failure_mode="mis_id")
