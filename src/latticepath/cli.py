@@ -55,6 +55,7 @@ from .model import (
 from .twinsim import (
     ModelPlanner,
     OraclePlanner,
+    TwinCounters,
     check_expectation,
     default_scenario_pack,
     format_outcome_table,
@@ -403,7 +404,11 @@ def cmd_sim(args) -> int:
         raise CliError("config", "no scenarios to run")
     planner = OraclePlanner() if model is None else ModelPlanner(model, dcfg)
 
-    results = run_scenarios(scenarios, planner)
+    twin = TwinCounters()
+    results = run_scenarios(scenarios, planner, twin)
+    counters = dataclasses.asdict(twin)
+    if model is not None:  # the decode calls that planned the legs
+        counters.update(dataclasses.asdict(planner.counters))
     rows = [{
         "name": s.name,
         "tags": list(s.tags),
@@ -417,7 +422,7 @@ def cmd_sim(args) -> int:
     _write_outputs(args.out, "sim", cfg, {
         "outcomes.jsonl": lambda path: write_jsonl(path, rows),
         "table.txt": format_outcome_table(results),
-    })
+    }, counters=counters)
     return 0
 
 

@@ -13,7 +13,7 @@ import json
 from collections import deque
 from dataclasses import dataclass, replace
 
-from .lattice import LatticeCoord, LegalityGrid, Workspace, in_bounds, manhattan, read_cell
+from .lattice import LatticeCoord, LegalityGrid, Workspace, in_bounds, manhattan, read_cell, read_int
 from .lattice import neighbors  # noqa: F401 (perfbench/tracer.py wraps corpus.neighbors)
 from .taskgrid import TaskContext, TaskGraph, build_context, chain_graph
 
@@ -316,7 +316,7 @@ def record_from_dict(d: dict) -> CorpusRecord:
     traj = Trajectory(
         points=tuple(read_cell(p, f"points[{i}]") for i, p in enumerate(d["points"])),
         task=task,
-        seed=int(d["seed"]),
+        seed=read_int(d["seed"], "seed"),
     )
     return CorpusRecord(
         trajectory=traj,

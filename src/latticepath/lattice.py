@@ -203,12 +203,8 @@ class Workspace:
     @classmethod
     def from_dict(cls, d: dict) -> "Workspace":
         """Inverse of to_dict; a malformed or out-of-box obstacle entry is a ValueError naming it."""
-        box = cls(
-            int(d["x_min"]), int(d["x_max"]),
-            int(d["y_min"]), int(d["y_max"]),
-            int(d["z_min"]), int(d["z_max"]),
-            resolution_mm=float(d.get("resolution_mm", 20.0)),
-        )
+        bounds = (read_int(d[k], f"workspace.{k}") for k in ("x_min", "x_max", "y_min", "y_max", "z_min", "z_max"))
+        box = cls(*bounds, resolution_mm=float(d.get("resolution_mm", 20.0)))
         obs = d.get("obstacles", [])
         _check_obstacle_list(obs)
         if not obs:
@@ -249,8 +245,15 @@ def read_cell(v, name: str) -> LatticeCoord:
     return LatticeCoord(*map(int, v))
 
 
+def read_int(v, name: str) -> int:
+    """Entry `name` of a file as an int: an integer (an integral float counts), else a ValueError naming it."""
+    if not _integral(v):
+        raise ValueError(f"{name} must be an integer, got {_text(v)}")
+    return int(v)
+
+
 def read_step(v, name: str) -> int:
-    """A tick `name` as an int: a non-negative integer (an integral float counts), else a ValueError naming it."""
+    """A tick or count `name` as an int: a non-negative integer (an integral float counts), else a ValueError."""
     if not (_integral(v) and v >= 0):
         raise ValueError(f"{name} must be a non-negative integer, got {_text(v)}")
     return int(v)

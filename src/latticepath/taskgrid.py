@@ -11,7 +11,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 
-from .lattice import LatticeCoord, read_cell
+from .lattice import LatticeCoord, read_cell, read_int, read_step
 
 TASK_KINDS: tuple[str, ...] = ("reach", "grasp", "lift", "transport", "place", "release")
 
@@ -64,10 +64,11 @@ class TaskGraph:
     @classmethod
     def from_dict(cls, d: dict) -> "TaskGraph":
         nodes = tuple(
-            TaskNode(int(n["id"]), str(n["kind"]), dict(n.get("attributes", {})))
-            for n in d["nodes"]
+            TaskNode(read_int(n["id"], f"task_graph.nodes[{i}].id"), str(n["kind"]), dict(n.get("attributes", {})))
+            for i, n in enumerate(d["nodes"])
         )
-        edges = tuple((int(a), int(b)) for a, b in d["edges"])
+        edges = tuple((read_int(a, f"task_graph.edges[{i}][0]"), read_int(b, f"task_graph.edges[{i}][1]"))
+                      for i, (a, b) in enumerate(d["edges"]))
         return cls(nodes, edges)
 
 
@@ -99,7 +100,7 @@ class TaskContext:
         return cls(
             task_feature_vector=tuple(float(v) for v in d["feature"]),
             active_task_kind=str(d["active_kind"]),
-            sequence_length_hint=int(d.get("sequence_length_hint", 0)),
+            sequence_length_hint=read_step(d.get("sequence_length_hint", 0), "context.sequence_length_hint"),
             target=read_cell(target, "context.target") if target is not None else None,
         )
 

@@ -25,18 +25,34 @@ mechanical_slip. Neither can happen with the BFS oracle planner. Success
 means the release happened inside the container region, or on the live
 target for reach-only scenes without a container. Everything is
 deterministic: scripted events, BFS with canonical tie-breaking, no RNG.
+
+Planning is lock-step. An episode is a generator that yields each plan
+request (start, goal, workspace) as it reaches it (the approach leg, then
+the transport leg from the approach's last cell, and both again after each
+slip) and is sent the planned trajectory, or has the request's
+UnreachableGoalError thrown into it. One driver steps every episode of a run
+to its next request and answers all pending requests with a single
+plan_batch call, so a model planner decodes a round of legs as one batch
+rather than one leg per call. A planner offers plan(start, goal, w), which
+returns a trajectory or raises UnreachableGoalError, and plan_batch(requests),
+which returns one answer per request: a trajectory or the
+UnreachableGoalError instance for that request only. run_scenarios drives
+all its scenes through plan_batch; run_episode_detailed drives one scene
+through plan, one call per request. Detours do not go through the planner:
+they call the BFS oracle directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from collections.abc import Callable, Generator
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .corpus import Trajectory, UnreachableGoalError, oracle_path, read_jsonl, write_jsonl
-from .decoder import DecodeConfig, decode
+from .decoder import DecodeConfig, DecodeCounters, decode_batch
 from .lattice import LatticeCoord, Workspace, in_bounds, manhattan, read_cell, read_step
-from .taskgrid import TaskContext, build_context, reach_only_graph
+from .taskgrid import build_context, reach_only_graph
 
 FAILURE_MODES = ("no_state", "occlusion_cluster", "nested_block", "mis_id", "mechanical_slip")
 
@@ -156,27 +172,49 @@ class Event:
         )
 
 
+# One plan request (start, goal, workspace), and its answer: a trajectory or the request's UnreachableGoalError.
+PlanRequest = tuple[LatticeCoord, LatticeCoord, Workspace]
+PlanAnswer = Trajectory | UnreachableGoalError
+
+
+def plan_each(plan: Callable[..., Trajectory], requests: list[PlanRequest]) -> list[PlanAnswer]:
+    """Answer each request with one plan(start, goal, w) call; an UnreachableGoalError becomes its answer."""
+    answers: list[PlanAnswer] = []
+    for start, goal, w in requests:
+        try:
+            answers.append(plan(start, goal, w))
+        except UnreachableGoalError as e:
+            answers.append(e)
+    return answers
+
+
 class OraclePlanner:
     """BFS shortest paths; the planner used by the scripted scenario suite."""
 
     def plan(self, start: LatticeCoord, goal: LatticeCoord, w: Workspace) -> Trajectory:
         return oracle_path(start, goal, w)
 
+    def plan_batch(self, requests: list[PlanRequest]) -> list[PlanAnswer]:
+        return plan_each(self.plan, requests)
+
 
 class ModelPlanner:
-    """Plans by constrained decoding from a trained model."""
+    """Plans by constrained decoding from a trained model; counters tally every decode call."""
 
     def __init__(self, model, decode_cfg: DecodeConfig):
         self.model = model
         self.decode_cfg = decode_cfg
-
-    def _context(self, goal: LatticeCoord, hint: int) -> TaskContext:
-        return build_context(reach_only_graph(), 0, sequence_length_hint=hint, target=goal)
+        self.counters = DecodeCounters()
 
     def plan(self, start: LatticeCoord, goal: LatticeCoord, w: Workspace) -> Trajectory:
-        hint = manhattan(start, goal) + 1
-        d = decode(self.model, start, self._context(goal, hint), w, self.decode_cfg)
-        return d.trajectory
+        return self.plan_batch([(start, goal, w)])[0]
+
+    def plan_batch(self, requests: list[PlanRequest]) -> list[PlanAnswer]:
+        """One decode_batch call; each leg is a reach toward its goal, hinted at its Manhattan length + 1."""
+        jobs = [(start, build_context(reach_only_graph(), 0, sequence_length_hint=manhattan(start, goal) + 1,
+                                      target=goal), w)
+                for start, goal, w in requests]
+        return [d.trajectory for d in decode_batch(self.model, jobs, self.decode_cfg, self.counters)]
 
 
 @dataclass(frozen=True)
@@ -195,12 +233,73 @@ def with_activated(w: Workspace, cells) -> Workspace:
     return w.with_ranks(np.append(w.ranks, [w.rank(c) for c in cells]))
 
 
+@dataclass
+class TwinCounters:
+    """Seed-determined tallies of a lock-step run; no timings.
+
+    plan_requests counts the legs asked for, plan_batches the plan_batch
+    calls that answered them; ticks, regrounds and detours sum over the
+    episodes, and failure_modes counts the failed episodes by mode.
+    """
+
+    plan_requests: int = 0
+    plan_batches: int = 0
+    ticks: int = 0
+    regrounds: int = 0
+    detours: int = 0
+    failure_modes: dict[str, int] = field(default_factory=lambda: dict.fromkeys(FAILURE_MODES, 0))
+
+
 def run_episode(scene: Scene, planner, event_script: tuple[Event, ...] = ()) -> EpisodeOutcome:
     return run_episode_detailed(scene, planner, event_script).outcome
 
 
 def run_episode_detailed(scene: Scene, planner, event_script: tuple[Event, ...] = ()) -> EpisodeResult:
-    """Tick-by-tick execution; see the module docstring for event semantics."""
+    """One episode, its legs planned one planner.plan call at a time."""
+    return run_lock_step([episode(scene, event_script)], lambda requests: plan_each(planner.plan, requests))[0]
+
+
+def run_lock_step(episodes: list[Generator], plan_batch: Callable[[list[PlanRequest]], list[PlanAnswer]],
+                  counters: TwinCounters | None = None) -> list[EpisodeResult]:
+    """Run episode generators together: step each to its next plan request, answer all with one plan_batch call.
+
+    Each round asks plan_batch for every pending request, in episode order,
+    and sends each episode its own answer (an UnreachableGoalError is thrown
+    into that episode only), until every episode has returned its result.
+    """
+    counters = TwinCounters() if counters is None else counters
+    results: list[EpisodeResult | None] = [None] * len(episodes)
+    pending: dict[int, PlanRequest] = {}
+
+    def advance(i: int, answer: PlanAnswer | None) -> None:
+        try:
+            if isinstance(answer, UnreachableGoalError):
+                pending[i] = episodes[i].throw(answer)
+            else:
+                pending[i] = episodes[i].send(answer)
+        except StopIteration as stop:
+            results[i] = stop.value
+
+    for i in range(len(episodes)):
+        advance(i, None)
+    while pending:
+        asked, pending = pending, {}
+        answers = plan_batch(list(asked.values()))
+        counters.plan_requests += len(asked)
+        counters.plan_batches += 1
+        for i, answer in zip(asked, answers, strict=True):
+            advance(i, answer)
+    for r in results:
+        counters.ticks += r.ticks
+        counters.regrounds += r.outcome.regrounds
+        counters.detours += r.outcome.detours
+        if r.outcome.failure_mode is not None:
+            counters.failure_modes[r.outcome.failure_mode] += 1
+    return results
+
+
+def episode(scene: Scene, event_script: tuple[Event, ...] = ()) -> Generator[PlanRequest, Trajectory, EpisodeResult]:
+    """Tick-by-tick execution, yielding each plan request; see the module docstring for event semantics."""
     events = sorted(event_script, key=lambda e: e.step)
     pending_obstacles = sorted(scene.dynamic_obstacles, key=lambda o: o[1])
     active: set[LatticeCoord] = set()
@@ -259,8 +358,8 @@ def run_episode_detailed(scene: Scene, planner, event_script: tuple[Event, ...] 
         return True  # obstacle does not cross the remaining route
 
     try:
-        leg_a = list(planner.plan(scene.end_effector, current_target, scene.workspace).points)
-        leg_t = list(planner.plan(leg_a[-1], live_drop(), scene.workspace).points)
+        leg_a = list((yield scene.end_effector, current_target, scene.workspace).points)
+        leg_t = list((yield leg_a[-1], live_drop(), scene.workspace).points)
     except UnreachableGoalError:
         return result("occlusion_cluster")
 
@@ -281,8 +380,8 @@ def run_episode_detailed(scene: Scene, planner, event_script: tuple[Event, ...] 
             current_target = ev.cell
             here = trace[-1]
             try:
-                leg_a = list(planner.plan(here, current_target, active_workspace()).points)
-                leg_t = list(planner.plan(leg_a[-1], live_drop(), active_workspace()).points)
+                leg_a = list((yield here, current_target, active_workspace()).points)
+                leg_t = list((yield leg_a[-1], live_drop(), active_workspace()).points)
             except UnreachableGoalError:
                 return result("occlusion_cluster")
             pos = 0
@@ -374,9 +473,12 @@ def check_expectation(scenario: Scenario, outcome: EpisodeOutcome) -> bool:
     return all(got[k] == v for k, v in scenario.expected.items())
 
 
-def run_scenarios(scenarios: list[Scenario], planner=None) -> list[tuple[Scenario, EpisodeResult]]:
+def run_scenarios(scenarios: list[Scenario], planner=None,
+                  counters: TwinCounters | None = None) -> list[tuple[Scenario, EpisodeResult]]:
+    """Every scenario's episode, planned in lock step through planner.plan_batch (the BFS oracle by default)."""
     planner = planner if planner is not None else OraclePlanner()
-    return [(s, run_episode_detailed(s.scene, planner, s.events)) for s in scenarios]
+    results = run_lock_step([episode(s.scene, s.events) for s in scenarios], planner.plan_batch, counters)
+    return list(zip(scenarios, results))
 
 
 def format_outcome_table(results: list[tuple[Scenario, EpisodeResult]]) -> str:

@@ -919,3 +919,115 @@ def test_integral_float_cells_and_steps_in_a_file_read_as_integers(inputs, tmp_p
     row["scene"]["dynamic_obstacles"][0] = [[float(v) for v in row["scene"]["dynamic_obstacles"][0][0]], 3.0]
     (tmp_path / "scenes.jsonl").write_text(json.dumps(row) + "\n")
     assert read_scenarios(tmp_path / "scenes.jsonl") == pack
+
+
+INT_FIELDS = {  # file, the entry's keys and indices, its name in the error, whether it must be non-negative
+    **{bound: ("records", ("workspace", bound), f"workspace.{bound}", False)
+       for bound in ("x_min", "x_max", "y_min", "y_max", "z_min", "z_max")},
+    "scene-bound": ("scenes", ("scene", "workspace", "z_max"), "workspace.z_max", False),
+    "sequence_length_hint": ("records", ("context", "sequence_length_hint"), "context.sequence_length_hint", True),
+    "seed": ("records", ("seed",), "seed", False),
+    "node-id": ("records", ("task_graph", "nodes", 1, "id"), "task_graph.nodes[1].id", False),
+    "edge-from": ("records", ("task_graph", "edges", 0, 0), "task_graph.edges[0][0]", False),
+    "edge-to": ("records", ("task_graph", "edges", 2, 1), "task_graph.edges[2][1]", False),
+}
+BAD_INTS = {"fraction": 3.7, "bool": True, "string": "1", "negative": -1}
+INT_FIELD_CASES = [pytest.param(*field, value, id=f"{name}-{kind}")
+                   for name, field in INT_FIELDS.items() for kind, value in BAD_INTS.items()
+                   if field[3] or kind != "negative"]
+
+
+def _rows(inputs, tmp_path, file):
+    """The gold record or scenario rows, the command reading the file, and the line to break."""
+    from latticepath.twinsim import default_scenario_pack, write_scenarios
+
+    if file == "records":
+        return ([json.loads(line) for line in inputs["<gold>"].read_text().splitlines()],
+                ["eval", "--gold", inputs["<gold>"], "--pred"], 2)
+    write_scenarios(tmp_path / "scenes.jsonl", default_scenario_pack()[:2])
+    return [json.loads(line) for line in (tmp_path / "scenes.jsonl").read_text().splitlines()], ["sim", "--scenarios"], 2
+
+
+@pytest.mark.parametrize("file, keys, name, non_negative, value", INT_FIELD_CASES)
+def test_non_integer_count_bound_seed_or_node_id_in_a_file_is_one_schema_error_naming_it(
+        inputs, tmp_path, capsys, file, keys, name, non_negative, value):
+    rows, argv, lineno = _rows(inputs, tmp_path, file)
+    entry = rows[lineno - 1]
+    for k in keys[:-1]:
+        entry = entry[k]
+    entry[keys[-1]] = value
+    kind = "a non-negative integer" if non_negative else "an integer"
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    out = tmp_path / "never"
+    capsys.readouterr()
+    assert run([*argv, bad, "--out", out]) == 1
+    assert capsys.readouterr().err == (f"error: schema: {bad}: line {lineno}: malformed record "
+                                       f"({name} must be {kind}, got {json.dumps(value)})\n")
+    assert not out.exists()
+
+
+def test_integral_float_counts_bounds_seeds_and_node_ids_in_a_file_read_as_integers(inputs, tmp_path):
+    from latticepath.twinsim import default_scenario_pack, read_scenarios, write_scenarios
+
+    rows = [json.loads(line) for line in inputs["<gold>"].read_text().splitlines()]
+    rows[0]["seed"] = 7
+    ints = tmp_path / "ints.jsonl"
+    ints.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    r = rows[0]
+    r["seed"] = 7.0
+    r["workspace"] = {k: float(v) if k.endswith(("_min", "_max")) else v for k, v in r["workspace"].items()}
+    r["context"]["sequence_length_hint"] = float(r["context"]["sequence_length_hint"])
+    r["task_graph"]["nodes"] = [{**n, "id": float(n["id"])} for n in r["task_graph"]["nodes"]]
+    r["task_graph"]["edges"] = [[float(a), float(b)] for a, b in r["task_graph"]["edges"]]
+    floats = tmp_path / "floats.jsonl"
+    floats.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    assert read_records(floats) == read_records(ints)
+    pack = default_scenario_pack()[:1]
+    write_scenarios(tmp_path / "scenes.jsonl", pack)
+    row = json.loads((tmp_path / "scenes.jsonl").read_text())
+    row["scene"]["workspace"]["x_max"] = float(row["scene"]["workspace"]["x_max"])
+    (tmp_path / "scenes.jsonl").write_text(json.dumps(row) + "\n")
+    assert read_scenarios(tmp_path / "scenes.jsonl") == pack
+
+
+# sim manifest counters and reruns ---------------------------------------------------
+
+
+def _outcome_rows(out):
+    return [json.loads(line) for line in (out / "outcomes.jsonl").read_text().splitlines()]
+
+
+def test_sim_manifest_counts_plan_rounds_and_episode_tallies(tmp_path):
+    from latticepath.twinsim import FAILURE_MODES
+
+    out = tmp_path / "sim"
+    assert run(["sim", "--out", out, "--seed", "0"]) == 0
+    counters = json.loads((out / "manifest.json").read_text())["counters"]
+    rows = _outcome_rows(out)
+    assert sorted(counters) == ["detours", "failure_modes", "plan_batches", "plan_requests", "regrounds", "ticks"]
+    assert 0 < counters["plan_batches"] < counters["plan_requests"]
+    assert counters["ticks"] == sum(r["ticks"] for r in rows)
+    assert counters["regrounds"] == sum(r["outcome"]["regrounds"] for r in rows)
+    assert counters["detours"] == sum(r["outcome"]["detours"] for r in rows)
+    assert counters["failure_modes"] == {m: sum(r["outcome"]["failure_mode"] == m for r in rows)
+                                         for m in FAILURE_MODES}
+
+
+@pytest.mark.parametrize("mode", ["greedy", "beam"])
+def test_sim_checkpoint_reruns_are_byte_identical_and_count_decodes(inputs, tmp_path, mode):
+    from latticepath.twinsim import default_scenario_pack, write_scenarios
+
+    scenes = tmp_path / "scenes.jsonl"
+    write_scenarios(scenes, default_scenario_pack())
+    outs = [tmp_path / name for name in ("first", "second")]
+    for out in outs:
+        assert run(["sim", "--checkpoint", inputs["<ckpt>"], "--scenarios", scenes, "--out", out,
+                    "--seed", "0", "--mode", mode, "--beam-width", "5", "--max-steps", "20"]) == 0
+    for name in ("outcomes.jsonl", "table.txt", "manifest.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+    counters = json.loads((outs[0] / "manifest.json").read_text())["counters"]
+    assert 0 < counters["plan_batches"] < counters["plan_requests"]
+    assert sum(counters["terminated"].values()) == counters["plan_requests"]  # one decoded path per leg
+    assert counters["rows_stepped"] >= counters["model_steps"] > 0
+    assert counters["ticks"] == sum(r["ticks"] for r in _outcome_rows(outs[0]))
