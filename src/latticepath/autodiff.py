@@ -325,6 +325,52 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return out
 
 
+def _distinct_rows(rows: np.ndarray, n: int, op: str) -> np.ndarray:
+    """rows as a 1-D int64 array of distinct indices in [0, n); raises ValueError otherwise."""
+    rows = np.asarray(rows, dtype=np.int64)
+    if rows.ndim != 1:
+        raise ValueError(f"{op} rows must be one-dimensional")
+    if rows.size and (rows.min() < 0 or rows.max() >= n):
+        raise ValueError(f"{op} rows must lie in 0..{n - 1}")
+    if np.bincount(rows, minlength=n).max(initial=0) > 1:
+        raise ValueError(f"{op} rows must be distinct")
+    return rows
+
+
+def take_rows(x: Tensor, rows: np.ndarray) -> Tensor:
+    """out[i] = x[rows[i]] along the first axis; rows are distinct constants.
+
+    Distinct rows make the backward one exact scatter into zeros, with no sum.
+    """
+    rows = _distinct_rows(rows, x.data.shape[0], "take_rows")
+    out = _make(x.data[rows], (x,))
+    if out._parents:
+        def backward(g):
+            gx = np.zeros_like(x.data)
+            gx[rows] = g
+            x._accumulate(gx)
+        out._backward = backward
+    return out
+
+
+def put_rows(x: Tensor, rows: np.ndarray, n: int) -> Tensor:
+    """n rows of zeros with row rows[i] = x[i]; rows are distinct constants.
+
+    The inverse placement of take_rows: its backward is one exact gather.
+    """
+    rows = _distinct_rows(rows, n, "put_rows")
+    if rows.size != x.data.shape[0]:
+        raise ValueError(f"put_rows needs one row index per row of x, got {rows.size} for {x.data.shape[0]}")
+    data = np.zeros((n,) + x.data.shape[1:])
+    data[rows] = x.data
+    out = _make(data, (x,))
+    if out._parents:
+        def backward(g):
+            x._accumulate(g[rows])
+        out._backward = backward
+    return out
+
+
 def gather_last(x: Tensor, index: np.ndarray) -> Tensor:
     """out[..., ] = x[..., index[...]] along the last axis; index is constant."""
     index = np.asarray(index, dtype=np.int64)

@@ -27,6 +27,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from .checkpoint import CheckpointFormatError, load_checkpoint, save_checkpoint
 from .corpus import (
     CorpusFormatError,
@@ -296,8 +298,12 @@ def cmd_train(args) -> int:
         log_lines.append("\t".join([str(epoch), *(f"{v:.10g}" for v in dataclasses.astuple(bd))]))
 
     counters = TrainCounters()
-    fit(model, items, loss_cfg, optimizer, epochs=epochs, batch_size=batch_size, seed=seed, log=log,
-        counters=counters)
+    try:  # a diverging run ends on its non-finite loss, not on numpy's overflow warnings
+        with np.errstate(all="ignore"):
+            fit(model, items, loss_cfg, optimizer, epochs=epochs, batch_size=batch_size, seed=seed, log=log,
+                counters=counters)
+    except FloatingPointError as e:
+        raise CliError("config", str(e)) from None
 
     _write_outputs(args.out, "train", cfg, {
         "loss_log.tsv": "\n".join(log_lines) + "\n",

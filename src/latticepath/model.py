@@ -41,6 +41,9 @@ class ModelConfig:
     bounds: tuple[int, int, int, int, int, int] = DESK_BOUNDS
 
     def __post_init__(self) -> None:
+        for name, least in (("embed_dim", 1), ("num_heads", 1), ("num_layers", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
         if self.embed_dim % self.num_heads != 0:
             raise ValueError("embed_dim must be divisible by num_heads")
         if self.max_seq_len < 2:
@@ -146,6 +149,20 @@ def context_features(ctx: TaskContext, cfg: ModelConfig) -> np.ndarray:
     return np.concatenate([feat, goal])
 
 
+def _check_lengths(lengths, B: int, T: int, cache) -> np.ndarray:
+    """forward_batch's real-position counts as an int array; raises ValueError naming the violation."""
+    if cache is not None:
+        raise ValueError("lengths cannot be combined with a cache")
+    lengths = np.asarray(lengths)
+    if lengths.shape != (B,):
+        raise ValueError(f"lengths must have shape ({B},), got {lengths.shape}")
+    if not np.issubdtype(lengths.dtype, np.integer):
+        raise ValueError(f"lengths must be integers, got dtype {lengths.dtype}")
+    if lengths.min() < 1 or lengths.max() > T:
+        raise ValueError(f"lengths must lie in 1..{T}, got {lengths.min()}..{lengths.max()}")
+    return lengths
+
+
 def _box_text(b) -> str:
     return f"x {b[0]}..{b[1]}, y {b[2]}..{b[3]}, z {b[4]}..{b[5]}"
 
@@ -219,23 +236,40 @@ class PathModel:
 
     # forward passes ----------------------------------------------------------
 
-    def forward_batch(self, points: np.ndarray, ctx_mat: np.ndarray, cache: KVCache | None = None) -> Tensor:
+    def forward_batch(self, points: np.ndarray, ctx_mat: np.ndarray, cache: KVCache | None = None,
+                      lengths: np.ndarray | None = None) -> Tensor:
         """Logits (B, T, 7) for every position of each padded point sequence.
 
-        points is an int array (B, T, 3); padded slots must repeat a valid
-        cell. ctx_mat is (B, task_feature_width + goal block) as produced by
-        context_features. Causal masking keeps position t blind to later
-        positions, so right padding never leaks into real positions.
+        points is an int array (B, T, 3); ctx_mat is (B, task_feature_width +
+        goal block) as produced by context_features. Causal masking keeps
+        position t blind to later positions, so right padding never leaks into
+        real positions.
 
-        With a cache (inference under ad.no_grad only), points holds the
-        cells at positions cache.t .. cache.t + T - 1 of each row: their keys
-        and values are appended to the cache, they attend over every cached
-        position, and cache.t advances by T.
+        lengths (B,), each in 1..T, marks positions t < lengths[b] of row b as
+        real. The embedding, layer norms, projections, FFN and head then run
+        on the (N, d) real positions only, in row-major order. Only the
+        attention core runs on the padded (B, H, T, dh) layout: q, k and v
+        are placed there with put_rows (zeros at padded slots, which the
+        causal mask keeps away from real queries) and its output is packed
+        back with take_rows before the o projection. Padded positions get
+        zero logits and pass no gradient. The weight gradients then sum over
+        the N real rows, a different float association than a sum over all
+        B * T slots. Without lengths every slot is real, padded slots must
+        repeat a valid cell, and packing is a plain reshape.
+
+        With a cache (inference under ad.no_grad only, without lengths),
+        points holds the cells at positions cache.t .. cache.t + T - 1 of each
+        row: their keys and values are appended to the cache, they attend over
+        every cached position, and cache.t advances by T.
         """
         B, T, _ = points.shape
         t0 = 0 if cache is None else cache.t
         if t0 + T > self.cfg.max_seq_len:
             raise ValueError(f"sequence length {t0 + T} exceeds max_seq_len {self.cfg.max_seq_len}")
+        if lengths is None:
+            real = np.arange(B * T)
+        else:
+            real = np.flatnonzero(np.arange(T) < _check_lengths(lengths, B, T, cache)[:, None])
         d = self.cfg.embed_dim
         H = self.cfg.num_heads
         dh = d // H
@@ -245,14 +279,21 @@ class PathModel:
         def lin(h, layer, m):
             return ad.linear(h, P[f"l{layer}.w{m}"], P[f"l{layer}.b{m}"])
 
-        def heads(a):
-            return a.reshape(B, T, H, dh).transpose((0, 2, 1, 3))
+        def pack(a):  # (B * T, m) -> (N, m) real rows
+            return a if lengths is None else ad.take_rows(a, real)
 
-        xi, yi, zi = self._axis_indices(points)
+        def spread(a):  # (N, m) real rows -> (B * T, m), zeros at padded slots
+            return a if lengths is None else ad.put_rows(a, real, B * T)
+
+        def heads(a):
+            return spread(a).reshape(B, T, H, dh).transpose((0, 2, 1, 3))
+
+        row, pos = np.divmod(real, T)
+        xi, yi, zi = self._axis_indices(points.reshape(B * T, 3)[real])
         x = P["coord_x"][xi] + P["coord_y"][yi] + P["coord_z"][zi]
         task = ad.linear(Tensor(ctx_mat), P["task_w"], P["task_b"])
-        x = x + task.reshape(B, 1, d)
-        x = x + P["seq"][np.arange(t0, t0 + T)]
+        x = x + task[row]
+        x = x + P["seq"][t0 + pos]
 
         causal = np.tril(np.ones((T, t0 + T), dtype=bool), k=t0)
         for i in range(self.cfg.num_layers):
@@ -262,7 +303,7 @@ class PathModel:
                 k, v = (Tensor(a) for a in cache.extend(i, k.data, v.data))
             scores = (q @ k.transpose((0, 1, 3, 2))) * (1.0 / math.sqrt(dh))
             att = ad.softmax(scores, mask=causal)
-            ctx = (att @ v).transpose((0, 2, 1, 3)).reshape(B, T, d)
+            ctx = pack((att @ v).transpose((0, 2, 1, 3)).reshape(B * T, d))
             x = x + lin(ctx, i, "o")
             h2 = ad.layer_norm(x, P[f"l{i}.ln2_g"], P[f"l{i}.ln2_b"])
             x = x + lin(lin(h2, i, "1").gelu(), i, "2")
@@ -270,7 +311,7 @@ class PathModel:
             cache.t += T
 
         x = ad.layer_norm(x, P["lnf_g"], P["lnf_b"])
-        return ad.linear(x, P["head_w"], P["head_b"])
+        return spread(ad.linear(x, P["head_w"], P["head_b"])).reshape(B, T, MOVE_VOCAB)
 
     def forward(self, prefix, ctx: TaskContext, w: Workspace) -> StepLogits:
         """Move logits for the next step after the last prefix cell."""
@@ -510,6 +551,9 @@ class OptimizerConfig:
     def __post_init__(self) -> None:
         if self.kind not in ("sgd", "momentum", "adam"):
             raise ValueError(f"unknown optimizer kind {self.kind!r}")
+        for f in fields(self):
+            if f.name != "kind" and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -563,7 +607,7 @@ def train_step(
 ) -> LossBreakdown:
     """One gradient step on the composite loss; deterministic."""
     model.zero_grad()
-    logits = model.forward_batch(batch.points, batch.ctx_mat)
+    logits = model.forward_batch(batch.points, batch.ctx_mat, lengths=batch.lengths)
     total, breakdown = composite_loss(logits, batch, loss_cfg)
     total.backward()
     optimizer.step(model.parameters())
@@ -594,7 +638,8 @@ def fit(
     """Mini-batch training loop; returns the mean per-epoch loss breakdowns.
 
     Every record's supervision is prepared (and its trajectory checked) once,
-    before the first step; batches are assembled from the prepared rows.
+    before the first step; batches are assembled from the prepared rows. A
+    non-finite loss term raises FloatingPointError naming the epoch.
     """
     rows = [_supervision(traj, ctx, w, model.cfg) for traj, ctx, w in items]
     counters = counters if counters is not None else TrainCounters()
@@ -607,7 +652,10 @@ def fit(
         for lo in range(0, len(rows), batch_size):
             chunk = [rows[i] for i in order[lo : lo + batch_size]]
             batch = make_loss_batch(chunk, model.cfg)
-            bd = train_step(model, batch, loss_cfg, optimizer)
+            try:
+                bd = train_step(model, batch, loss_cfg, optimizer)
+            except FloatingPointError as e:
+                raise FloatingPointError(f"training diverged at epoch {epoch}: {e}") from None
             sums += astuple(bd)
             n_batches += 1
             counters.records_seen += len(chunk)

@@ -180,6 +180,71 @@ def test_scatter_add_last_forward_and_grad():
     np.testing.assert_allclose(t.grad, num, atol=1e-6)
 
 
+def test_take_rows_forward_and_grad():
+    x = rng(40).normal(size=(6, 3))
+    rows = np.array([4, 0, 2])
+    t = Tensor(x, requires_grad=True)
+    out = ad.take_rows(t, rows)
+    np.testing.assert_array_equal(out.data, x[rows])
+    weights = rng(41).normal(size=(3, 3))
+    (out * out * weights).sum().backward()
+    num = ad.numeric_gradient(lambda v: (ad.take_rows(Tensor(v), rows) ** 2.0 * weights).sum().item(), x)
+    np.testing.assert_allclose(t.grad, num, atol=1e-6)
+    untaken = [1, 3, 5]
+    assert t.grad[untaken].tobytes() == np.zeros((3, 3)).tobytes()  # +0.0, no signed zeros
+
+
+def test_put_rows_forward_and_grad():
+    x = rng(42).normal(size=(3, 2, 2))
+    rows = np.array([5, 1, 2])
+    t = Tensor(x, requires_grad=True)
+    out = ad.put_rows(t, rows, 6)
+    assert out.shape == (6, 2, 2)
+    np.testing.assert_array_equal(out.data[rows], x)
+    assert not out.data[[0, 3, 4]].any()
+    weights = rng(43).normal(size=(6, 2, 2))
+    (out * out * weights).sum().backward()
+    num = ad.numeric_gradient(lambda v: (ad.put_rows(Tensor(v), rows, 6) ** 2.0 * weights).sum().item(), x)
+    np.testing.assert_allclose(t.grad, num, atol=1e-6)
+
+
+def test_put_rows_padded_slots_pass_no_gradient():
+    # a loss that weights the zero slots still leaves x's gradient on its placed rows only
+    x = rng(44).normal(size=(2, 3))
+    t = Tensor(x, requires_grad=True)
+    out = ad.put_rows(t, np.array([0, 2]), 4)
+    (out * np.array([[1.0], [5.0], [2.0], [7.0]])).sum().backward()
+    np.testing.assert_array_equal(t.grad, [[1.0] * 3, [2.0] * 3])
+
+
+def test_take_then_put_rows_round_trip():
+    x = rng(45).normal(size=(5, 4))
+    rows = np.array([0, 1, 3])
+    t = Tensor(x, requires_grad=True)
+    back = ad.put_rows(ad.take_rows(t, rows), rows, 5)
+    np.testing.assert_array_equal(back.data[rows], x[rows])
+    back.sum().backward()
+    np.testing.assert_array_equal(t.grad, np.array([1.0, 1.0, 0.0, 1.0, 0.0])[:, None] * np.ones(4))
+
+
+@pytest.mark.parametrize("rows, match", [
+    (np.array([1, 1]), "rows must be distinct"),
+    (np.array([0, 4]), r"rows must lie in 0\.\.3"),
+    (np.array([-1, 0]), r"rows must lie in 0\.\.3"),
+    (np.array([[0, 1]]), "rows must be one-dimensional"),
+], ids=["repeat", "past_end", "negative", "two_dim"])
+def test_row_ops_reject_bad_rows(rows, match):
+    with pytest.raises(ValueError, match="take_rows " + match):
+        ad.take_rows(Tensor(np.zeros((4, 2))), rows)
+    with pytest.raises(ValueError, match="put_rows " + match):
+        ad.put_rows(Tensor(np.zeros((rows.size, 2))), rows, 4)
+
+
+def test_put_rows_needs_one_index_per_row():
+    with pytest.raises(ValueError, match="one row index per row"):
+        ad.put_rows(Tensor(np.zeros((3, 2))), np.array([0, 1]), 4)
+
+
 def test_softmax_rows_sum_to_one():
     x = rng(27).normal(size=(4, 7)) * 3.0
     s = ad.softmax(Tensor(x))

@@ -779,6 +779,44 @@ def test_non_number_config_value_is_one_config_error_naming_its_key(inputs, tmp_
     assert config_error(inputs, tmp_path, capsys, command, cfg) == f"error: config: {line}\n"
 
 
+TRAIN_FLAG_CASES = {  # train flags, the one error line after "error: config: "
+    "embed_dim-zero": (["--embed-dim", "0"], "embed_dim must be at least 1, got 0"),
+    "embed_dim-negative": (["--embed-dim", "-4"], "embed_dim must be at least 1, got -4"),
+    "num_heads-zero": (["--num-heads", "0"], "num_heads must be at least 1, got 0"),
+    "num_layers-negative": (["--num-layers", "-1"], "num_layers must be at least 0, got -1"),
+    "lr-nan": (["--lr", "nan"], "lr must be finite, got nan"),
+    "lr-inf": (["--lr", "inf"], "lr must be finite, got inf"),
+    "weight_decay-nan": (["--weight-decay", "nan"], "weight_decay must be finite, got nan"),
+}
+
+
+def train_error(inputs, tmp_path, capsys, flags):
+    """The stderr of a small train run on the shared corpus plus flags; it must exit 1 and write no --out."""
+    out = tmp_path / "never"
+    capsys.readouterr()
+    assert run(["train", "--corpus", inputs["<corpus>"], "--out", out, "--epochs", "3", "--batch-size", "8",
+                "--embed-dim", "8", "--num-layers", "1", "--num-heads", "2", *flags]) == 1
+    assert not out.exists()
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, line", TRAIN_FLAG_CASES.values(), ids=TRAIN_FLAG_CASES)
+def test_train_size_and_optimizer_flags_out_of_range_are_one_config_error(inputs, tmp_path, capsys, flags, line):
+    assert train_error(inputs, tmp_path, capsys, flags) == f"error: config: {line}\n"
+
+
+@pytest.mark.parametrize("key", ["lr", "weight_decay"])
+def test_train_non_finite_optimizer_value_in_a_config_file_is_one_config_error(inputs, tmp_path, capsys, key):
+    err = config_error(inputs, tmp_path, capsys, "train", {"optimizer": {key: float("nan")}})
+    assert err == f"error: config: {key} must be finite, got nan\n"
+
+
+def test_train_that_diverges_is_one_config_error_naming_its_epoch(inputs, tmp_path, capsys):
+    err = train_error(inputs, tmp_path, capsys, ["--optimizer", "sgd", "--lr", "1e300"])
+    assert err.startswith("error: config: training diverged at epoch 0: non-finite loss term: ")
+    assert err.count("\n") == 1, err
+
+
 def test_integral_float_config_values_run_and_are_echoed_as_integers(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"seed": 0.0, "count": 40.0, "workspace": {**desk_dict(), "z_max": 4.0},

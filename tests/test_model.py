@@ -50,6 +50,14 @@ def test_model_config_validation():
         ModelConfig(move_vocab=6)
 
 
+@pytest.mark.parametrize("field, value, least", [
+    ("embed_dim", 0, 1), ("embed_dim", -4, 1), ("num_heads", 0, 1), ("num_layers", -1, 0),
+])
+def test_model_config_rejects_sizes_below_their_least_by_name(field, value, least):
+    with pytest.raises(ValueError, match=f"^{field} must be at least {least}, got {value}$"):
+        tiny_cfg(**{field: value})
+
+
 @pytest.mark.parametrize("bounds", [(0, 1), (3, -3, 0, 1, 0, 1), (-3, 3, -3, 3, 4, 0),
                                     (-3, 3, -3, 3, 0, 4.0), (-3, 3, -3, 3, 0, 4, 5)])
 def test_model_config_rejects_malformed_bounds(bounds):
@@ -343,6 +351,22 @@ def test_fit_returns_per_epoch_history():
     assert len(history) == 3
     assert seen == [0, 1, 2]
     assert history[2].total < history[0].total  # it should be learning this
+
+
+@pytest.mark.parametrize("field", ["lr", "weight_decay", "momentum", "beta1", "beta2", "eps"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_optimizer_config_rejects_non_finite_values_by_name(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
+        OptimizerConfig(**{field: value})
+
+
+def test_fit_names_the_epoch_a_run_diverges_in():
+    w = desk_workspace()
+    items = [(Trajectory(points=(C(0, 0, 0), C(1, 0, 0))), ctx_for(C(1, 0, 0), 2), w)] * 4
+    with np.errstate(all="ignore"), pytest.raises(
+            FloatingPointError, match="^training diverged at epoch 0: non-finite loss term: "):
+        fit(PathModel(tiny_cfg(), seed=7), items, LossConfig(), Optimizer(OptimizerConfig(kind="sgd", lr=1e300)),
+            epochs=3, batch_size=1, seed=0)
 
 
 def test_fit_is_deterministic():
