@@ -84,11 +84,19 @@ def _read_checkpoint(path) -> tuple[PathModel, Optimizer | None, int]:
                 raise CheckpointFormatError(
                     f"parameter {name} has shape {arr.shape}, expected {p.data.shape}"
                 )
-            p.data = np.array(arr, dtype=np.float64)
+            p.data = _finite(arr, f"parameter {name}")
         optimizer = None
         if meta["optimizer"] is not None:
             optimizer = Optimizer(OptimizerConfig.from_dict(meta["optimizer"]))
             optimizer.step_count = int(meta["optimizer_step_count"])
             for name in meta["optimizer_slots"]:
-                optimizer.slots[name] = np.array(f[f"slot/{name}"], dtype=np.float64)
+                optimizer.slots[name] = _finite(f[f"slot/{name}"], f"optimizer slot {name}")
         return model, optimizer, int(meta["step"])
+
+
+def _finite(arr, name: str) -> np.ndarray:
+    """arr as a float64 copy; a NaN or infinity, which no legality mask survives, is a ValueError."""
+    a = np.array(arr, dtype=np.float64)
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} holds a non-finite value")
+    return a

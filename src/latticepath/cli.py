@@ -344,6 +344,7 @@ def cmd_decode(args) -> int:
     if cfg["max_steps"] is None:
         cfg["max_steps"] = model.cfg.max_seq_len
     dcfg = _decode_config(cfg)
+    _check_search_length(dcfg, model)
     records = read_records(cfg["records"], check=lambda r: _check_decodable(model.cfg, r))
     counters = DecodeCounters()
     preds = decode_records(model, records, dcfg, counters)
@@ -360,6 +361,13 @@ def _decode_config(cfg: dict) -> DecodeConfig:
     with _config_errors():
         return DecodeConfig(max_steps=max_steps, beam_width=beam_width, coverage_penalty_weight=penalty,
                             mode=str(cfg["mode"]))
+
+
+def _check_search_length(dcfg: DecodeConfig, model: PathModel) -> None:
+    """Refuse, before any decoding, a search that would fail only once some path outgrew the model."""
+    if dcfg.max_steps > model.cfg.max_seq_len:
+        raise CliError("config", f"max_steps {dcfg.max_steps} exceeds the checkpoint's max_seq_len "
+                                 f"{model.cfg.max_seq_len}")
 
 
 def _check_decodable(mcfg: ModelConfig, record) -> None:
@@ -395,12 +403,17 @@ def cmd_eval(args) -> int:
 def cmd_sim(args) -> int:
     defaults = {"seed": 0, "scenarios": None, "checkpoint": None,
                 "mode": "greedy", "beam_width": 5, "max_steps": 32}
-    cfg = _resolve(defaults, _load_config_file(args.config), args)
+    file_cfg = _load_config_file(args.config)
+    cfg = _resolve(defaults, file_cfg, args)
     _integer(cfg, "seed")
     dcfg = _decode_config(cfg)  # checked even when the BFS oracle plans, since the manifest echoes it
     model = None
     if cfg["checkpoint"] is not None:
         model, _, _ = load_checkpoint(cfg["checkpoint"])
+        if "max_steps" not in file_cfg and args.max_steps is None:  # unset: the checkpoint's length, as in decode
+            cfg["max_steps"] = model.cfg.max_seq_len
+            dcfg = dataclasses.replace(dcfg, max_steps=model.cfg.max_seq_len)
+        _check_search_length(dcfg, model)
     if cfg["scenarios"] is not None:
         check = None if model is None else lambda s: model.cfg.check_workspace(s.scene.workspace)
         scenarios = read_scenarios(cfg["scenarios"], check=check)

@@ -13,6 +13,8 @@ import json
 from collections import deque
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .lattice import LatticeCoord, LegalityGrid, Workspace, in_bounds, manhattan, read_cell, read_int
 from .lattice import neighbors  # noqa: F401 (perfbench/tracer.py wraps corpus.neighbors)
 from .taskgrid import TaskContext, TaskGraph, build_context, chain_graph
@@ -108,6 +110,11 @@ class GenerationConfig:
             raise ValueError("max_path_length must be at least 2")
         if self.max_resample_attempts < 1:
             raise ValueError("max_resample_attempts must be at least 1")
+        volume = self.workspace.volume()
+        blocked = int(round(self.obstacle_density * volume))
+        if volume - blocked < 2:
+            raise ValueError(f"fewer than two free cells for a start and a goal: the workspace box has {volume} "
+                             f"cells and obstacle_density {self.obstacle_density} blocks {blocked}")
 
 
 @dataclass
@@ -145,7 +152,9 @@ def oracle_path(
 
     BFS over the flat indices of w.grid with frontier expansion in canonical
     move order; each cell keeps the first parent that discovers it, so ties
-    resolve deterministically. counters, if given, tallies the search.
+    resolve deterministically. Grids of LAYERED_BFS_MIN_CELLS cells or more
+    are expanded a layer at a time, smaller ones cell by cell; both give the
+    same path and count. counters, if given, tallies the search.
     """
     if not in_bounds(start, w):
         raise ValueError(f"start {start} is out of bounds")
@@ -154,21 +163,31 @@ def oracle_path(
     if start == goal:
         return Trajectory(points=(start,))
     grid = w.grid
-    s, g = grid.index(start), grid.index(goal)
-    parent, expanded = _bfs_parents(grid, s, g)
+    search = _bfs_layers if len(grid.free) >= LAYERED_BFS_MIN_CELLS else _bfs_queue
+    path, expanded = search(grid, grid.index(start), grid.index(goal))
     if counters is not None:
         counters.bfs_runs += 1
         counters.bfs_cells_expanded += expanded
-    if parent is None:
+    if path is None:
         raise UnreachableGoalError(f"goal {goal} is unreachable from {start}")
-    path = [g]
-    while path[-1] != s:
-        path.append(parent[path[-1]])
-    return Trajectory(points=tuple(grid.coord(i) for i in reversed(path)))
+    return Trajectory(points=tuple(grid.coord(i) for i in path))
 
 
-def _bfs_parents(grid: LegalityGrid, s: int, g: int) -> tuple[dict[int, int] | None, int]:
-    """Parent links of the BFS from s up to the discovery of g (None if never), and cells expanded."""
+# Grids (padding included) of at least this many cells are searched a layer at
+# a time, smaller ones with the queue. On cubes at 0-20% obstacles the queue is
+# faster at side 7 (a 729-cell grid) and the layers from side 9 (1,331 cells);
+# the desk box's grid has 567 cells, the envelope's 81,733. Searching the desk
+# box by layers too made a 2,000-record desk `gen` about a fifth slower.
+LAYERED_BFS_MIN_CELLS = 1200
+
+
+def _bfs_queue(grid: LegalityGrid, s: int, g: int) -> tuple[list[int] | None, int]:
+    """Flat indices of the BFS path from s to g (None if g is unreachable), and cells expanded.
+
+    The queue is expanded cell by cell in canonical move order; each cell
+    keeps the first parent that discovers it. Expanded counts the cells taken
+    off the queue, up to the one whose move discovers g.
+    """
     strides = grid.strides
     unseen = bytearray(grid.free)
     unseen[s] = 0
@@ -184,9 +203,52 @@ def _bfs_parents(grid: LegalityGrid, s: int, g: int) -> tuple[dict[int, int] | N
                 unseen[u] = 0
                 parent[u] = p
                 if u == g:
-                    return parent, expanded
+                    path = [g]
+                    while path[-1] != s:
+                        path.append(parent[path[-1]])
+                    return path[::-1], expanded
                 queue.append(u)
     return None, expanded
+
+
+def _bfs_layers(grid: LegalityGrid, s: int, g: int) -> tuple[list[int] | None, int]:
+    """_bfs_queue's path and count, expanding one whole BFS layer per numpy step.
+
+    A layer's candidates, frontier position first and canonical move second,
+    are the order in which the queue would discover them; a cell reached
+    more than once keeps its first candidate (the smallest index), so each
+    layer holds the cells in the queue's order and each cell the queue's
+    parent. Layers keep their parents' positions, and only the returned path
+    is walked back.
+    """
+    strides = grid.move_strides
+    unseen = grid.free_mask.copy()
+    unseen[s] = False
+    first = np.full(len(unseen), len(unseen) * len(strides), dtype=np.int64)  # above any candidate index
+    layers = [(np.array([s]), None)]  # each layer's cells and their parents' positions in the layer before
+    expanded = 0
+    while True:
+        frontier = layers[-1][0]
+        candidates = (frontier[:, None] + strides).ravel()
+        idx = np.flatnonzero(unseen[candidates])
+        cells = candidates[idx]
+        np.minimum.at(first, cells, idx)
+        won = first[cells] == idx
+        cells, idx = cells[won], idx[won]
+        if not len(cells):
+            return None, expanded + len(frontier)
+        unseen[cells] = False
+        if not unseen[g]:
+            j = int(idx[np.flatnonzero(cells == g)[0]]) // len(strides)
+            expanded += j + 1
+            path = [g]
+            for layer, parents in reversed(layers):
+                path.append(int(layer[j]))
+                if parents is not None:
+                    j = int(parents[j])
+            return path[::-1], expanded
+        expanded += len(frontier)
+        layers.append((cells, idx // len(strides)))
 
 
 _TASK_TEMPLATES: tuple[tuple[tuple[str, ...], int], ...] = (
@@ -222,14 +284,12 @@ def _generate_record(record_seed: int, cfg: GenerationConfig, counters: Generati
     base = cfg.workspace
     volume = base.volume()
     n_obstacles = int(round(cfg.obstacle_density * volume))
-    # with fewer than two free cells no attempt can succeed
-    attempts = cfg.max_resample_attempts if volume - n_obstacles >= 2 else 0
     _, ny, nz = base.shape
 
     def cell(i: int) -> LatticeCoord:
         return LatticeCoord(base.x_min + i // (ny * nz), base.y_min + i // nz % ny, base.z_min + i % nz)
 
-    for _ in range(attempts):
+    for _ in range(cfg.max_resample_attempts):
         counters.attempts += 1
         ranks = rng.sample(range(volume), n_obstacles)
         blocked = set(ranks)

@@ -168,7 +168,7 @@ class Workspace:
     def cells(self):
         """All in-bounds cells (excluding obstacles), canonical x/y/z order."""
         g = self.grid
-        return (g.coord(i) for i in np.flatnonzero(g._free).tolist())
+        return (g.coord(i) for i in np.flatnonzero(g.free_mask).tolist())
 
     @cached_property
     def grid(self) -> "LegalityGrid":
@@ -286,7 +286,8 @@ class LegalityGrid:
     padding, so from any cell i of the box the canonical move m lands on
     i + strides[m] and is legal iff free at that index; no bounds check is
     needed. It is a copy of the obstacle-free table of the box's shape with
-    the workspace's obstacle ranks scattered to 0.
+    the workspace's obstacle ranks scattered to 0. free_mask is a bool view
+    of free, and move_strides the strides as an int64 array.
     """
 
     def __init__(self, w: Workspace):
@@ -297,13 +298,13 @@ class LegalityGrid:
         self.strides = (sx, -sx, sy, -sy, 1, -1)
         self._axis = (sx, sy)
         self.free = bytearray(_free_box(w.shape))
-        self._free = np.frombuffer(self.free, dtype=bool)
+        self.free_mask = np.frombuffer(self.free, dtype=bool)
         if len(w.ranks):
             x, yz = np.divmod(w.ranks, ny * nz)
             y, z = np.divmod(yz, nz)
-            self._free[x * sx + y * sy + z + (sx + sy + 1)] = False  # the padding shifts each axis by 1
+            self.free_mask[x * sx + y * sy + z + (sx + sy + 1)] = False  # the padding shifts each axis by 1
         self._cell_weights = np.array([sx, sy, 1], dtype=np.int64)
-        self._move_strides = np.array(self.strides, dtype=np.int64)
+        self.move_strides = np.array(self.strides, dtype=np.int64)
 
     def index(self, p: LatticeCoord) -> int:
         """Flat index of a cell of the box."""
@@ -322,7 +323,7 @@ class LegalityGrid:
     def move_mask(self, cells: np.ndarray) -> np.ndarray:
         """Legality (..., 6) of the canonical moves from integer cells (..., 3) of the box."""
         flat = (np.asarray(cells, dtype=np.int64) - self.origin) @ self._cell_weights
-        return self._free[flat[..., None] + self._move_strides]
+        return self.free_mask[flat[..., None] + self.move_strides]
 
 
 class GridStack:
@@ -348,8 +349,8 @@ class GridStack:
             g = w.grid
             if id(g) not in offsets:
                 offsets[id(g)] = size
-                tables.append(g._free)
-                size += len(g._free)
+                tables.append(g.free_mask)
+                size += len(g.free_mask)
             base.append(offsets[id(g)] + g.index(LatticeCoord(0, 0, 0)))
             strides.append(g.strides)
         return cls(np.concatenate(tables) if tables else np.zeros(0, dtype=bool), np.array(base, dtype=np.int64),

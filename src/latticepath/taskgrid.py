@@ -9,6 +9,7 @@ and, separately, the target.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 
 from .lattice import LatticeCoord, read_cell, read_int, read_step
@@ -97,8 +98,12 @@ class TaskContext:
     @classmethod
     def from_dict(cls, d: dict) -> "TaskContext":
         target = d.get("target")
+        feature = tuple(map(float, d["feature"]))
+        if not all(map(math.isfinite, feature)):  # a NaN logit would defeat the decoder's legality mask
+            i = next(i for i, v in enumerate(feature) if not math.isfinite(v))
+            raise ValueError(f"context.feature[{i}] must be a finite number, got {feature[i]}")
         return cls(
-            task_feature_vector=tuple(float(v) for v in d["feature"]),
+            task_feature_vector=feature,
             active_task_kind=str(d["active_kind"]),
             sequence_length_hint=read_step(d.get("sequence_length_hint", 0), "context.sequence_length_hint"),
             target=read_cell(target, "context.target") if target is not None else None,

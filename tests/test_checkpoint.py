@@ -126,6 +126,21 @@ def test_rejects_shape_mismatch(tmp_path):
         load_checkpoint(broken)
 
 
+@pytest.mark.parametrize("member, value, name", [("param/head_w", np.nan, "parameter head_w"),
+                                                  ("slot/coord_x.v", -np.inf, "optimizer slot coord_x.v")])
+def test_rejects_non_finite_arrays(tmp_path, member, value, name):
+    m, opt = trained_pair(tmp_path)
+    path = tmp_path / "ck.npz"
+    save_checkpoint(path, m, opt)
+    with np.load(path, allow_pickle=False) as f:
+        members = {k: np.array(f[k]) for k in f.files}
+    members[member].flat[0] = value
+    broken = tmp_path / "broken.npz"
+    np.savez(broken, **members)
+    with pytest.raises(CheckpointFormatError, match=f"malformed checkpoint .*{name} holds a non-finite value"):
+        load_checkpoint(broken)
+
+
 def test_zip_members_carry_fixed_timestamps(tmp_path):
     m = small_model()
     path = tmp_path / "ck.npz"

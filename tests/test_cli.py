@@ -434,6 +434,29 @@ def _without_embed_dim(ckpt, path):
             dst.writestr(info, data)
 
 
+def _set_first_entry(ckpt, path, prefix, value):
+    """Copy ckpt to path with the first entry of its first array under prefix set to value."""
+    done = False
+    with zipfile.ZipFile(ckpt) as src, zipfile.ZipFile(path, "w") as dst:
+        for info in src.infolist():
+            data = src.read(info)
+            if not done and info.filename.startswith(prefix):
+                a = np.load(io.BytesIO(data))
+                a.flat[0] = value
+                buf = io.BytesIO()
+                np.lib.format.write_array(buf, a)
+                data, done = buf.getvalue(), True
+            dst.writestr(info, data)
+
+
+def _nan_parameter(ckpt, path):
+    _set_first_entry(ckpt, path, "param/", math.nan)
+
+
+def _infinite_slot(ckpt, path):
+    _set_first_entry(ckpt, path, "slot/", math.inf)
+
+
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
     base = tmp_path_factory.mktemp("trained")
@@ -444,7 +467,8 @@ def trained(tmp_path_factory):
     return corpus, ckpt
 
 
-@pytest.mark.parametrize("corrupt", [_truncated, _empty, _not_a_checkpoint, _without_slots, _without_embed_dim])
+@pytest.mark.parametrize("corrupt", [_truncated, _empty, _not_a_checkpoint, _without_slots, _without_embed_dim,
+                                     _nan_parameter, _infinite_slot])
 @pytest.mark.parametrize("command", ["train", "decode"])
 def test_malformed_checkpoint_is_one_schema_error(trained, tmp_path, capsys, corrupt, command):
     corpus, ckpt = trained
@@ -1027,6 +1051,63 @@ def test_integral_float_counts_bounds_seeds_and_node_ids_in_a_file_read_as_integ
     row["scene"]["workspace"]["x_max"] = float(row["scene"]["workspace"]["x_max"])
     (tmp_path / "scenes.jsonl").write_text(json.dumps(row) + "\n")
     assert read_scenarios(tmp_path / "scenes.jsonl") == pack
+
+
+# non-finite numbers and search lengths -----------------------------------------------
+
+
+NON_FINITE_FEATURE_ARGV = {  # a command, up to the flag that reads the broken record file
+    "decode": ["decode", "--checkpoint", "<ckpt>", "--records"],
+    "train": ["train", "--epochs", "1", "--embed-dim", "8", "--num-layers", "1", "--num-heads", "2", "--corpus"],
+    "eval-gold": ["eval", "--pred", "<pred>", "--gold"],
+    "eval-pred": ["eval", "--gold", "<gold>", "--pred"],
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, -math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("argv", NON_FINITE_FEATURE_ARGV.values(), ids=NON_FINITE_FEATURE_ARGV)
+def test_non_finite_context_feature_is_one_schema_error_naming_it(inputs, tmp_path, capsys, argv, value):
+    rows = [json.loads(line) for line in inputs["<gold>"].read_text().splitlines()]
+    rows[1]["context"]["feature"][3] = value
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    out = tmp_path / "never"
+    capsys.readouterr()
+    assert run([*(inputs.get(a, a) for a in argv), bad, "--out", out]) == 1
+    assert capsys.readouterr().err == (f"error: schema: {bad}: line 2: malformed record "
+                                       f"(context.feature[3] must be a finite number, got {value})\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["decode", "sim"])
+def test_max_steps_above_the_checkpoint_max_seq_len_is_one_config_error(tmp_path, capsys, command):
+    corpus = gen(tmp_path, extra=["--max-path-length", "8"])
+    ckpt = tmp_path / "untrained"
+    assert run(["train", "--corpus", corpus / "corpus_train.jsonl", "--out", ckpt, "--epochs", "0",
+                "--embed-dim", "8", "--num-layers", "1", "--num-heads", "2", "--max-seq-len", "8"]) == 0
+    argv = {"decode": ["decode", "--records", corpus / "corpus_validation.jsonl"], "sim": ["sim"]}[command]
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run([*argv, "--checkpoint", ckpt / "model.npz", "--max-steps", "9", "--out", out]) == 1
+    assert capsys.readouterr().err == "error: config: max_steps 9 exceeds the checkpoint's max_seq_len 8\n"
+    assert not out.exists()
+    assert run([*argv, "--checkpoint", ckpt / "model.npz", "--max-steps", "8", "--out", out]) == 0  # the limit itself
+
+
+def test_sim_max_steps_defaults_to_the_checkpoint_max_seq_len(inputs, tmp_path):
+    model_sim, oracle_sim = tmp_path / "model_sim", tmp_path / "oracle_sim"
+    assert run(["sim", "--scenarios", inputs["<scenes>"], "--checkpoint", inputs["<ckpt>"], "--out", model_sim]) == 0
+    assert run(["sim", "--scenarios", inputs["<scenes>"], "--out", oracle_sim]) == 0
+    steps = [json.loads((d / "manifest.json").read_text())["config"]["max_steps"] for d in (model_sim, oracle_sim)]
+    assert steps == [24, 32]  # the fixture checkpoint's max_seq_len; without a checkpoint, 32
+
+
+def test_gen_box_without_two_free_cells_is_one_config_error(tmp_path, capsys):
+    out = tmp_path / "never"
+    assert run(["gen", "--box", 0, 0, 0, 0, 0, 0, "--out", out]) == 1
+    assert capsys.readouterr().err == ("error: config: fewer than two free cells for a start and a goal: "
+                                       "the workspace box has 1 cells and obstacle_density 0.0 blocks 0\n")
+    assert not out.exists()
 
 
 # sim manifest counters and reruns ---------------------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -126,10 +127,14 @@ def test_generate_corpus_matches_reference_bytes(box, density):
         assert counters.bfs_runs == counters.attempts - counters.rejected_distance
 
 
-def test_saturated_box_fails_like_the_reference():
-    cfg = GenerationConfig(Workspace(0, 0, 0, 0, 0, 0), count=1, max_resample_attempts=3)
+def test_saturated_box_is_refused_before_any_attempt():
+    with pytest.raises(ValueError, match="fewer than two free cells .* box has 1 cells and obstacle_density 0.0 blocks 0"):
+        GenerationConfig(Workspace(0, 0, 0, 0, 0, 0), count=1, max_resample_attempts=3)
+    cfg = GenerationConfig(Workspace(0, 0, 0, 0, 0, 2), count=3, obstacle_density=0.2)  # one blocked, two free
+    assert generate_corpus(cfg, 0) == ref.generate_corpus(cfg, 0)
+    cfg = replace(cfg, count=4, max_path_length=2, max_resample_attempts=1)  # an attempt fails if the obstacle splits the box
     for generate in (generate_corpus, ref.generate_corpus):
-        with pytest.raises(ValueError, match="after 3 attempts"):
+        with pytest.raises(ValueError, match="after 1 attempts"):
             generate(cfg, 0)
 
 
