@@ -2,14 +2,18 @@
 
 Ground-truth paths come from breadth-first search on the obstacle-masked
 lattice, expanded in canonical move order so the whole corpus is a pure
-function of (config, seed). Records serialize one-per-line as JSON; the
-JSON-lines reader and writer here carry every record file the package
-writes, and validate_path is the one bounds-and-adjacency rule for paths.
+function of (config, seed). Records serialize one-per-line as JSON (schema
+v2: the workspace's obstacles as a bitmap; v1 files, with an obstacle list,
+still read); the JSON-lines reader and writer here carry every record file
+the package writes, and validate_path is the one bounds-and-adjacency rule
+for paths.
 """
 
 from __future__ import annotations
 
 import json
+import random
+import sys
 from collections import deque
 from dataclasses import dataclass, replace
 
@@ -19,7 +23,11 @@ from .lattice import LatticeCoord, LegalityGrid, Workspace, in_bounds, manhattan
 from .lattice import neighbors  # noqa: F401 (perfbench/tracer.py wraps corpus.neighbors)
 from .taskgrid import TaskContext, TaskGraph, build_context, chain_graph
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
+READABLE_SCHEMA_VERSIONS = (1, 2)
+
+# How a decoded path ended: on the STOP token, or at the step limit.
+TERMINATION_KINDS = ("stop_token", "max_steps")
 
 
 class UnreachableGoalError(ValueError):
@@ -80,14 +88,26 @@ def check_trajectory(traj: Trajectory, w: Workspace) -> None:
 
 @dataclass(frozen=True)
 class CorpusRecord:
+    """A gold or predicted path with its workspace and context.
+
+    A prediction from decode_records also carries its search score and how
+    it terminated; a gold record carries neither.
+    """
+
     trajectory: Trajectory
     workspace: Workspace
     context: TaskContext
     split_tag: str = "train"
+    score: float | None = None
+    terminated_by: str | None = None
 
     def __post_init__(self) -> None:
         if self.split_tag not in ("train", "validation"):
             raise ValueError(f"split_tag must be 'train' or 'validation', got {self.split_tag!r}")
+        if (self.score is None) != (self.terminated_by is None):
+            raise ValueError("a record carries both score and terminated_by, or neither")
+        if self.terminated_by is not None and self.terminated_by not in TERMINATION_KINDS:
+            raise ValueError(f"terminated_by must be one of {', '.join(TERMINATION_KINDS)}, got {self.terminated_by!r}")
 
 
 @dataclass(frozen=True)
@@ -122,12 +142,15 @@ class GenerationCounters:
     """Seed-determined tallies of corpus generation; no timings.
 
     Each attempt yields a record or is rejected for one reason: the
-    start-goal distance alone exceeds max_path_length (no search runs), the
-    goal is unreachable, or the shortest path is too long. bfs_runs counts
-    oracle searches and bfs_cells_expanded the cells they took off the queue.
+    start-goal distance alone exceeds max_path_length (no obstacles are
+    drawn and no search runs), the goal is unreachable, or the shortest path
+    is too long. obstacle_draws counts the attempts that drew their
+    obstacles, attempts minus rejected_distance. bfs_runs counts oracle
+    searches and bfs_cells_expanded the cells they took off the queue.
     """
 
     attempts: int = 0
+    obstacle_draws: int = 0
     bfs_runs: int = 0
     bfs_cells_expanded: int = 0
     rejected_distance: int = 0
@@ -259,28 +282,38 @@ _TASK_TEMPLATES: tuple[tuple[tuple[str, ...], int], ...] = (
 )
 
 
-def _sample_rank(rng, w: Workspace, taken: set[int], exclude: int = -1) -> int:
-    """Rank in x/y/z order of a uniformly drawn box cell that is neither taken nor exclude."""
+def _sample_rank(rng, w: Workspace, exclude: int = -1) -> int:
+    """Rank in x/y/z order of a uniformly drawn box cell other than exclude."""
     _, ny, nz = w.shape
     while True:
         x = rng.randrange(w.x_min, w.x_max + 1) - w.x_min
         y = rng.randrange(w.y_min, w.y_max + 1) - w.y_min
         z = rng.randrange(w.z_min, w.z_max + 1) - w.z_min
         i = (x * ny + y) * nz + z
-        if i not in taken and i != exclude:
+        if i != exclude:
             return i
 
 
 def _generate_record(record_seed: int, cfg: GenerationConfig, counters: GenerationCounters) -> CorpusRecord:
     """One record of a seeded attempt loop; cells are handled by their rank in x/y/z order.
 
-    Each attempt draws the obstacle ranks, then start and goal; the workspace
-    is built from the ranks and searched only when the start-goal distance
-    allows a path of at most max_path_length cells.
-    """
-    import random
+    Each attempt draws start and goal, two distinct uniform box cells, from a
+    random.Random seeded by the record seed, and is rejected on their
+    distance before any obstacle is drawn. An attempt that passes draws
+    round(obstacle_density * volume) obstacle ranks, uniform among the other
+    volume - 2 cells, from a numpy Generator seeded by the record seed (made
+    at the record's first such draw), and searches the workspace they make.
 
+    An attempt's (obstacles O, start s, goal g) has the law of the generator
+    that drew O first and s, g after among the free cells: with k obstacles
+    in V cells, both put probability 1 / (V (V-1) C(V-2, k)) on every triple
+    with s != g and s, g outside O, as C(V, k) (V-k) (V-k-1) = V (V-1)
+    C(V-2, k). Whether an attempt is rejected depends on its triple alone,
+    so the records have the same law too. At density 0 no obstacle is drawn,
+    and the records are those of that generator, draw for draw.
+    """
     rng = random.Random(record_seed)
+    obstacle_rng = None
     base = cfg.workspace
     volume = base.volume()
     n_obstacles = int(round(cfg.obstacle_density * volume))
@@ -291,14 +324,21 @@ def _generate_record(record_seed: int, cfg: GenerationConfig, counters: Generati
 
     for _ in range(cfg.max_resample_attempts):
         counters.attempts += 1
-        ranks = rng.sample(range(volume), n_obstacles)
-        blocked = set(ranks)
-        s = _sample_rank(rng, base, blocked)
-        start, goal = cell(s), cell(_sample_rank(rng, base, blocked, exclude=s))
+        s = _sample_rank(rng, base)
+        g = _sample_rank(rng, base, exclude=s)
+        start, goal = cell(s), cell(g)
         if manhattan(start, goal) + 1 > cfg.max_path_length:
             counters.rejected_distance += 1  # no path can be short enough
             continue
-        w = base.with_ranks(ranks)
+        counters.obstacle_draws += 1
+        w = base
+        if n_obstacles:
+            if obstacle_rng is None:
+                obstacle_rng = np.random.default_rng(record_seed)
+            ranks = obstacle_rng.choice(volume - 2, n_obstacles, replace=False, shuffle=False)
+            ranks += ranks >= min(s, g)  # skip the start and goal ranks
+            ranks += ranks >= max(s, g)
+            w = base.with_ranks(ranks)
         try:
             traj = oracle_path(start, goal, w, counters)
         except UnreachableGoalError:
@@ -357,32 +397,47 @@ def split_records(records: list[CorpusRecord], train_fraction: float) -> list[Co
 
 
 def record_to_dict(r: CorpusRecord) -> dict:
-    return {
+    """A record in schema v2: the workspace's obstacles as `obstacle_bits`; a prediction's score and end."""
+    d = {
         "schema_version": SCHEMA_VERSION,
         "seed": r.trajectory.seed,
         "split_tag": r.split_tag,
-        "workspace": r.workspace.to_dict(),
+        "workspace": r.workspace.to_dict(packed=True),
         "task_graph": r.trajectory.task.to_dict() if r.trajectory.task is not None else None,
         "context": r.context.to_dict(),
         "points": [list(p.as_tuple()) for p in r.trajectory.points],
     }
+    if r.terminated_by is not None:
+        d["score"], d["terminated_by"] = r.score, r.terminated_by
+    return d
 
 
 def record_from_dict(d: dict) -> CorpusRecord:
+    """A record of schema v2, or of v1 (an `obstacles` list; no score or terminated_by)."""
     version = d.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise CorpusFormatError(f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION})")
+    if type(version) is not int or version not in READABLE_SCHEMA_VERSIONS:
+        raise CorpusFormatError(f"unsupported schema_version {version!r} (expected one of {READABLE_SCHEMA_VERSIONS})")
     task = TaskGraph.from_dict(d["task_graph"]) if d.get("task_graph") is not None else None
     traj = Trajectory(
         points=tuple(read_cell(p, f"points[{i}]") for i, p in enumerate(d["points"])),
         task=task,
         seed=read_int(d["seed"], "seed"),
     )
+    workspace = Workspace.from_dict(d["workspace"])
+    if version == 2 and "obstacle_bits" not in d["workspace"]:
+        raise ValueError("workspace.obstacle_bits is missing")
+    score = None
+    if "score" in d:
+        score = d["score"]
+        if not (type(score) in (int, float) and abs(score) <= sys.float_info.max):
+            raise ValueError(f"score must be a finite number, got {json.dumps(score)}")
     return CorpusRecord(
         trajectory=traj,
-        workspace=Workspace.from_dict(d["workspace"]),
+        workspace=workspace,
         context=TaskContext.from_dict(d["context"]),
         split_tag=str(d["split_tag"]),
+        score=None if score is None else float(score),
+        terminated_by=d.get("terminated_by"),
     )
 
 

@@ -29,13 +29,11 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .corpus import CorpusRecord, Trajectory, validate_path  # noqa: F401 (re-exported)
+from .corpus import TERMINATION_KINDS, CorpusRecord, Trajectory, validate_path  # noqa: F401 (re-exported)
 from .lattice import MOVES, STOP, GridStack, LatticeCoord, Workspace, in_bounds
 from .model import KVCache, context_features
 from .model import masked_softmax  # noqa: F401 (re-exported; perfbench/tracer.py wraps it)
 from .taskgrid import TaskContext
-
-TERMINATION_KINDS = ("stop_token", "max_steps")
 
 # One decode job: start cell, task context, workspace.
 Job = tuple[LatticeCoord, TaskContext, Workspace]
@@ -289,18 +287,13 @@ def decode_records(
 
     Predictions reuse the record schema: the output records carry the same
     workspace, context, seed, task graph, and split tag as their gold
-    counterparts, so the evaluator can pair them.
+    counterparts, so the evaluator can pair them, plus each path's score and
+    termination kind.
     """
     jobs = [(r.trajectory.start, r.context, r.workspace) for r in records]
     out = []
     for r, d in zip(records, decode_batch(model, jobs, cfg, counters)):
         traj = Trajectory(points=d.trajectory.points, task=r.trajectory.task, seed=r.trajectory.seed)
-        out.append(
-            CorpusRecord(
-                trajectory=traj,
-                workspace=r.workspace,
-                context=r.context,
-                split_tag=r.split_tag,
-            )
-        )
+        out.append(CorpusRecord(trajectory=traj, workspace=r.workspace, context=r.context, split_tag=r.split_tag,
+                                score=d.score, terminated_by=d.terminated_by))
     return out

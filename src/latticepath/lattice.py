@@ -11,8 +11,10 @@ for the decoder.
 
 from __future__ import annotations
 
+import base64
 import json
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain
@@ -93,8 +95,8 @@ class Workspace:
                  obstacles=(), resolution_mm: float = 20.0):
         if x_min > x_max or y_min > y_max or z_min > z_max:
             raise ValueError("workspace bounds must satisfy min <= max on every axis")
-        if not (resolution_mm > 0):
-            raise ValueError("resolution_mm must be positive")
+        if not (0 < resolution_mm < math.inf):
+            raise ValueError("resolution_mm must be a finite positive number")
         self.__dict__.update(x_min=x_min, x_max=x_max, y_min=y_min, y_max=y_max, z_min=z_min, z_max=z_max,
                              resolution_mm=resolution_mm, ranks=_NO_RANKS)
         ranks = []
@@ -180,10 +182,10 @@ class Workspace:
 
     def with_ranks(self, ranks) -> "Workspace":
         """This box with obstacles on the cells of the given ranks (a sequence or array, any order)."""
-        r = np.asarray(ranks, dtype=np.int64)
-        if len(r) and (r.min() < 0 or r.max() >= self.volume()):
+        r = _rank_array(np.asarray(ranks, dtype=np.int64))
+        if len(r) and (r[0] < 0 or r[-1] >= self.volume()):
             raise ValueError("obstacle rank outside the workspace box")
-        return self._with_rank_array(_rank_array(r))
+        return self._with_rank_array(r)
 
     def _with_rank_array(self, ranks: np.ndarray) -> "Workspace":
         """This box with the obstacles of a _rank_array whose ranks lie in the box."""
@@ -191,20 +193,41 @@ class Workspace:
         w.__dict__.update({k: self.__dict__[k] for k in _BOX_FIELDS}, ranks=ranks)
         return w
 
-    def to_dict(self) -> dict:
-        return {
+    def to_dict(self, packed: bool = False) -> dict:
+        """The box, and its obstacles as an `obstacles` list of cells or, if packed, as `obstacle_bits`.
+
+        obstacle_bits is the base64 text of np.packbits over the box's cells
+        in rank order: the cell of rank i is bit 7 - i % 8 (most significant
+        first) of byte i // 8, set on an obstacle; the pad bits of the last
+        byte are zero.
+        """
+        d = {
             "x_min": self.x_min, "x_max": self.x_max,
             "y_min": self.y_min, "y_max": self.y_max,
             "z_min": self.z_min, "z_max": self.z_max,
             "resolution_mm": self.resolution_mm,
-            "obstacles": self._obstacle_cells(),
         }
+        if packed:
+            bits = np.zeros(self.volume(), dtype=bool)
+            bits[self.ranks] = True
+            d["obstacle_bits"] = base64.b64encode(np.packbits(bits).tobytes()).decode("ascii")
+        else:
+            d["obstacles"] = self._obstacle_cells()
+        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "Workspace":
-        """Inverse of to_dict; a malformed or out-of-box obstacle entry is a ValueError naming it."""
+        """Inverse of to_dict, packed or not; a malformed entry is a ValueError naming it.
+
+        A workspace carries `obstacles` or `obstacle_bits`, not both; with
+        neither it has no obstacles.
+        """
         bounds = (read_int(d[k], f"workspace.{k}") for k in ("x_min", "x_max", "y_min", "y_max", "z_min", "z_max"))
-        box = cls(*bounds, resolution_mm=float(d.get("resolution_mm", 20.0)))
+        box = cls(*bounds, resolution_mm=_read_resolution(d.get("resolution_mm", 20.0)))
+        if "obstacle_bits" in d:
+            if "obstacles" in d:
+                raise ValueError("workspace.obstacle_bits and workspace.obstacles are both present; give one")
+            return box._with_rank_array(_unpack_ranks(d["obstacle_bits"], box.volume()))
         obs = d.get("obstacles", [])
         _check_obstacle_list(obs)
         if not obs:
@@ -225,13 +248,43 @@ def _text(v) -> str:
 
 
 def _rank_array(ranks: np.ndarray) -> np.ndarray:
-    """The distinct values of a non-negative int array, sorted, as a read-only array."""
+    """The distinct values of an int array, sorted, as a read-only array."""
     if not len(ranks):
         return _NO_RANKS
     r = np.sort(ranks)
-    r = r[np.diff(r, prepend=-1) != 0]
+    repeat = r[1:] == r[:-1]
+    if repeat.any():
+        r = r[np.append(True, ~repeat)]
     r.flags.writeable = False
     return r
+
+
+def _read_resolution(v) -> float:
+    """A workspace's resolution_mm: a finite positive int or float, else a ValueError naming it."""
+    if not (type(v) in (int, float) and 0 < v <= sys.float_info.max):
+        raise ValueError(f"workspace.resolution_mm must be a finite positive number, got {_text(v)}")
+    return float(v)
+
+
+def _unpack_ranks(text, volume: int) -> np.ndarray:
+    """The obstacle ranks of an obstacle_bits text (see Workspace.to_dict), as a _rank_array."""
+    name = "workspace.obstacle_bits"
+    if type(text) is not str:
+        raise ValueError(f"{name} must be a base64 string, got {_text(text)}")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as e:
+        raise ValueError(f"{name} is not valid base64 ({e})") from None
+    if len(raw) != (volume + 7) // 8:
+        raise ValueError(f"{name} holds {len(raw)} bytes, but a box of {volume} cells takes {(volume + 7) // 8}")
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))
+    if bits[volume:].any():
+        raise ValueError(f"{name} sets a pad bit past the box's {volume} cells")
+    ranks = np.flatnonzero(bits).astype(np.int64, copy=False)
+    if not len(ranks):
+        return _NO_RANKS
+    ranks.flags.writeable = False
+    return ranks
 
 
 def _integral(v) -> bool:

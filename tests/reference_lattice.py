@@ -6,13 +6,18 @@ legality table row by row from it; latticepath.lattice.Workspace stores
 obstacle ranks and must encode, decode, compare and build grids the same.
 in_bounds, neighbors and legal_moves are the cell-by-cell rule over a
 workspace's `obstacles` set. oracle_path searches over LatticeCoord objects
-with neighbors() and a parent dict; generate_corpus samples obstacles from an
-explicit list of every cell of the box and runs the BFS on every attempt.
-latticepath.corpus must return the same paths, raise on the same unreachable
-pairs and write the same corpus bytes. legal_mask_rows builds
-make_loss_batch's legality array with legal_moves, one cell at a time.
+with neighbors() and a parent dict; latticepath.corpus must return the same
+paths and raise on the same unreachable pairs. generate_corpus is the v1
+generator: each attempt samples its obstacles from an explicit list of every
+cell of the box, then start and goal among the free cells. Written by
+record_to_dict_v1, its corpora are the schema-v1 bytes that every v1 file
+was; latticepath.corpus's v2 generator draws start and goal first and is
+checked against it record by record (legal, shortest, exact obstacle count),
+not byte by byte. legal_mask_rows builds make_loss_batch's legality array
+with legal_moves, one cell at a time.
 """
 
+import json
 import random
 from collections import deque
 from dataclasses import dataclass, field, replace
@@ -28,7 +33,7 @@ from latticepath.corpus import (
     split_records,
     splitmix64,
 )
-from latticepath.lattice import MOVES, LatticeCoord, Workspace
+from latticepath.lattice import MOVES, LatticeCoord, Workspace, manhattan
 from latticepath.taskgrid import build_context, chain_graph
 
 
@@ -181,6 +186,8 @@ def _generate_record(record_seed: int, cfg: GenerationConfig) -> CorpusRecord:
             continue
         start = _sample_cell(rng, w)
         goal = _sample_cell(rng, w, exclude={start})
+        if manhattan(start, goal) + 1 > cfg.max_path_length:
+            continue  # no path is shorter than the distance, so the search could only reject
         try:
             traj = oracle_path(start, goal, w)
         except UnreachableGoalError:
@@ -212,6 +219,24 @@ def generate_corpus(cfg: GenerationConfig, seed: int) -> list[CorpusRecord]:
         state = splitmix64(state)
         records.append(_generate_record(record_seed, cfg))
     return split_records(records, cfg.train_fraction)
+
+
+def record_to_dict_v1(r: CorpusRecord) -> dict:
+    """A gold record as schema v1 wrote it: the workspace's obstacles as a sorted list of cells."""
+    return {
+        "schema_version": 1,
+        "seed": r.trajectory.seed,
+        "split_tag": r.split_tag,
+        "workspace": r.workspace.to_dict(),
+        "task_graph": r.trajectory.task.to_dict() if r.trajectory.task is not None else None,
+        "context": r.context.to_dict(),
+        "points": [list(p.as_tuple()) for p in r.trajectory.points],
+    }
+
+
+def v1_bytes(records) -> bytes:
+    """A schema-v1 JSONL file of the records."""
+    return "".join(json.dumps(record_to_dict_v1(r), sort_keys=True) + "\n" for r in records).encode()
 
 
 def legal_mask_rows(traj: Trajectory, w: Workspace, T: int) -> np.ndarray:

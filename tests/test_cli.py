@@ -552,6 +552,8 @@ def test_malformed_obstacles_in_record_and_scenario_files_are_schema_errors(tmp_
     write_scenarios(tmp_path / "scenes.jsonl", default_scenario_pack()[:2])
     rows = {"records": [json.loads(line) for line in (corpus / "corpus_train.jsonl").read_text().splitlines()],
             "scenes": [json.loads(line) for line in (tmp_path / "scenes.jsonl").read_text().splitlines()]}
+    rows["records"][1]["schema_version"] = 1  # a v1 record, whose workspace carries an obstacle list
+    del rows["records"][1]["workspace"]["obstacle_bits"]
     rows["records"][1]["workspace"]["obstacles"] = obstacles
     rows["scenes"][1]["scene"]["workspace"]["obstacles"] = obstacles
     for name, argv in (("records", ["train", "--corpus"]), ("scenes", ["sim", "--scenarios"])):

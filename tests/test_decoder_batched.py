@@ -94,6 +94,7 @@ def test_batched_decode_matches_full_prefix_reference(models, cfg):
             ref = reference_decode(model, *job, cfg)
             assert d.trajectory == ref.trajectory
             assert pred.trajectory.points == ref.trajectory.points
+            assert (pred.score, pred.terminated_by) == (d.score, d.terminated_by)
             assert d.terminated_by == ref.terminated_by
             assert abs(d.score - ref.score) <= 1e-9
 

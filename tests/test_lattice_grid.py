@@ -2,6 +2,7 @@
 
 import json
 import random
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -16,6 +17,7 @@ from latticepath.corpus import (
     generate_corpus,
     oracle_path,
     record_to_dict,
+    validate_path,
 )
 from latticepath.lattice import GridStack, LatticeCoord, Workspace, desk_workspace
 from latticepath.model import ModelConfig, PathModel, make_loss_batch
@@ -110,28 +112,57 @@ BOXES = {
 }
 
 
-def corpus_bytes(records):
-    return "".join(json.dumps(record_to_dict(r), sort_keys=True) + "\n" for r in records)
+def assert_legal_shortest_records(records, cfg):
+    """Each record: its exact obstacle count, a start and goal off the obstacles, the reference BFS path length."""
+    n_obstacles = round(cfg.obstacle_density * cfg.workspace.volume())
+    for r in records:
+        w, traj = r.workspace, r.trajectory
+        assert w.bounds == cfg.workspace.bounds and len(w.ranks) == n_obstacles
+        assert in_bounds(traj.start, w) and in_bounds(traj.end, w) and traj.start != traj.end
+        assert validate_path(traj, w).valid and len(traj) <= cfg.max_path_length
+        assert len(traj) == len(ref.oracle_path(traj.start, traj.end, w))
+        assert r.context.target == traj.end and r.context.sequence_length_hint == len(traj)
 
 
 @pytest.mark.parametrize("box", sorted(BOXES))
 @pytest.mark.parametrize("density", [0.0, 0.1, 0.2])
-def test_generate_corpus_matches_reference_bytes(box, density):
+def test_generate_corpus_against_the_reference_generator(box, density):
     w, max_len = BOXES[box]
     cfg = GenerationConfig(w, count=25, obstacle_density=density, max_path_length=max_len)
     for seed in (0, 1, 2):
         counters = GenerationCounters()
-        assert corpus_bytes(generate_corpus(cfg, seed, counters)) == corpus_bytes(ref.generate_corpus(cfg, seed))
+        records = generate_corpus(cfg, seed, counters)
+        if round(density * w.volume()) == 0:  # nothing to draw: the reference's records, draw for draw
+            assert corpus_bytes(records) == corpus_bytes(ref.generate_corpus(cfg, seed))
+        assert_legal_shortest_records(records, cfg)
+        assert len({r.trajectory.seed for r in records}) == cfg.count
         rejected = counters.rejected_distance + counters.rejected_unreachable + counters.rejected_too_long
         assert counters.attempts == cfg.count + rejected
-        assert counters.bfs_runs == counters.attempts - counters.rejected_distance
+        assert counters.obstacle_draws == counters.bfs_runs == counters.attempts - counters.rejected_distance
+
+
+def corpus_bytes(records):
+    return "".join(json.dumps(record_to_dict(r), sort_keys=True) + "\n" for r in records)
+
+
+def test_generators_draw_every_obstacle_start_goal_triple_alike():
+    """A 3x2x1 box with one obstacle stays connected, so every (obstacle, start, goal) triple yields a
+    record: both generators must hit each of the 120 about equally often (chi-square, 119 degrees of freedom)."""
+    cfg = GenerationConfig(Workspace(0, 2, 0, 1, 0, 0), count=6000, obstacle_density=0.2)
+    for generate in (generate_corpus, ref.generate_corpus):
+        tally = Counter((int(r.workspace.ranks[0]), cfg.workspace.rank(r.trajectory.start),
+                         cfg.workspace.rank(r.trajectory.end)) for r in generate(cfg, 4))
+        assert len(tally) == 120 and all(len(set(triple)) == 3 for triple in tally)
+        chi2 = sum((n - 50) ** 2 / 50 for n in tally.values())
+        assert chi2 < 172, (generate.__module__, chi2)  # about the 0.999 quantile
 
 
 def test_saturated_box_is_refused_before_any_attempt():
     with pytest.raises(ValueError, match="fewer than two free cells .* box has 1 cells and obstacle_density 0.0 blocks 0"):
         GenerationConfig(Workspace(0, 0, 0, 0, 0, 0), count=1, max_resample_attempts=3)
     cfg = GenerationConfig(Workspace(0, 0, 0, 0, 0, 2), count=3, obstacle_density=0.2)  # one blocked, two free
-    assert generate_corpus(cfg, 0) == ref.generate_corpus(cfg, 0)
+    assert_legal_shortest_records(generate_corpus(cfg, 0), cfg)
+    assert_legal_shortest_records(ref.generate_corpus(cfg, 0), cfg)
     cfg = replace(cfg, count=4, max_path_length=2, max_resample_attempts=1)  # an attempt fails if the obstacle splits the box
     for generate in (generate_corpus, ref.generate_corpus):
         with pytest.raises(ValueError, match="after 1 attempts"):

@@ -1,9 +1,14 @@
 """Fixed-seed CLI outputs pinned by sha256, so any drift in a codec, a report format or the BFS shows.
 
-The gen and envelope digests were computed from the code before workspaces
-stored their obstacles as cell ranks; the eval, report, train and oracle
-`sim` digests from the code before configs, loss breakdowns, eval reports
-and twin outcomes serialized from their dataclass fields. None of these
+The gen and eval digests are those of record schema v2 and the generator
+that draws start and goal before the obstacles. The schema-v1 digests they
+replace stay pinned too: the reference (v1) generator, written by the v1
+writer, must still give the v1 corpora, and eval of those corpora the v1
+reports. The v1 gen manifests are not rebuilt, as the reference keeps no
+counters. The train and oracle `sim` digests were computed from the code
+before configs, loss breakdowns, eval reports and twin outcomes serialized
+from their dataclass fields; the train digests did not move with schema v2,
+as its density-0 corpus holds the v1 generator's records. None of these
 bytes may move.
 """
 
@@ -13,23 +18,35 @@ import random
 
 import numpy as np
 import pytest
+import reference_lattice as ref
 
 from latticepath.cli import main
-from latticepath.corpus import Trajectory, read_records, write_records
-from latticepath.lattice import neighbors
+from latticepath.corpus import GenerationConfig, Trajectory, read_records, write_records
+from latticepath.lattice import Workspace, desk_workspace, neighbors
 
 ENVELOPE_BOX = (-22, 22, -22, 22, 0, 34)
 
 GEN_DIGESTS = {
     "desk": {
+        "corpus_train.jsonl": "bc2cbdd4aa5c77c3a1a9fbde1a81ba916b5b4bfb70c8a11acfe1a353f0265eb2",
+        "corpus_validation.jsonl": "f637c2280322681f2931be29a39502bf8a9cd67a9df786a2a24e71f2cd468652",
+        "manifest.json": "0481492c848c794f4c49480c5c83ae27ff64182d842df1e26d67e793009cf1b0",
+    },
+    "envelope": {
+        "corpus_train.jsonl": "74bc7f23671a48d3e7703e1efc60006be4a17ea28dd41fbef7d96b15abf61b20",
+        "corpus_validation.jsonl": "068b439e58e777eb21774e12be79e176d776c54c96c078608129e37fc6cb6dcc",
+        "manifest.json": "398919fa814cce611e012a8a86cb3b9f28ea010d0d158211f4197bac74c59c26",
+    },
+}
+
+V1_GEN_DIGESTS = {  # and manifests 7192e91c… (desk) and d7cce10e… (envelope)
+    "desk": {
         "corpus_train.jsonl": "cffbf0b02d1cee54d6a6dfbcfd6c820fc97cacaa6652500ec6260e87a0ff4062",
         "corpus_validation.jsonl": "35c19857308a322c536f9ed8f0abf9486895312e0bba1483fd2b997507cca8f2",
-        "manifest.json": "7192e91c515fc52d171fe399f2f63a7b25e645225f7a4c8f969b4ff08d22d6ac",
     },
     "envelope": {
         "corpus_train.jsonl": "7d2aeed88b3ac6f780cc0dfa4667537032ddb1bd2315fb156f051d18950e443d",
         "corpus_validation.jsonl": "d87c0de5c64aea4e17802a429ff007a3b52991ece00e81b4f9752df3e25a4c18",
-        "manifest.json": "d7cce10e43f579a91e98bec4ed70f8af351f3dec0874c128c38a6a74f0983018",
     },
 }
 
@@ -42,6 +59,12 @@ GEN_ARGS = {
 }
 
 
+GEN_CONFIGS = {  # GEN_ARGS as the reference generator takes them
+    "desk": GenerationConfig(desk_workspace(), count=300, obstacle_density=0.1),
+    "envelope": GenerationConfig(Workspace(*ENVELOPE_BOX), count=2, obstacle_density=0.05, max_path_length=32),
+}
+
+
 def sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -50,6 +73,20 @@ def sha256(path) -> str:
 def test_gen_outputs_match_pinned_digests(tmp_path, name):
     assert main(["gen", "--out", str(tmp_path), "--seed", "0", *GEN_ARGS[name]]) == 0
     assert {f: sha256(tmp_path / f) for f in GEN_DIGESTS[name]} == GEN_DIGESTS[name]
+
+
+def write_v1_corpus(out, cfg: GenerationConfig) -> None:
+    """The reference generator's corpus at seed 0, as schema v1 gen wrote it."""
+    out.mkdir()
+    records = ref.generate_corpus(cfg, 0)
+    for split in ("train", "validation"):
+        (out / f"corpus_{split}.jsonl").write_bytes(ref.v1_bytes(r for r in records if r.split_tag == split))
+
+
+@pytest.mark.parametrize("name", sorted(GEN_ARGS))
+def test_reference_generator_and_v1_writer_give_the_v1_digests(tmp_path, name):
+    write_v1_corpus(tmp_path / "v1", GEN_CONFIGS[name])
+    assert {f: sha256(tmp_path / "v1" / f) for f in V1_GEN_DIGESTS[name]} == V1_GEN_DIGESTS[name]
 
 
 def envelope_scenes(n: int) -> list[dict]:
@@ -97,6 +134,15 @@ def test_envelope_oracle_outcomes_match_pinned_digest(tmp_path):
 
 
 EVAL_DIGESTS = {
+    "eval_a/report.json": "3754d4161a5e81c6524aa6fa97e5b4ee45cdae70701bbd05f002e71f92bd8451",
+    "eval_a/report.txt": "b18261f4ed3cd9f1621c00ae636ece0672da27c68fd135f00dcf04b27b2ffcc6",
+    "eval_b/report.json": "3040d61fc72b87807690f152541cf1b6ca5e74fb9f8a3a8000278dba130ceaaf",
+    "eval_b/report.txt": "0b7e9aaf0901aba1d828bb55b32eaa06c98395fbf122e96e42cc0fb1aee540ac",
+    "one/summary.txt": "b18261f4ed3cd9f1621c00ae636ece0672da27c68fd135f00dcf04b27b2ffcc6",
+    "two/summary.txt": "5acae69466295701399980c4a340f0789eacf87a225564ec79aa2ff840ae8f70",
+}
+
+V1_EVAL_DIGESTS = {  # the same reports on the reference generator's corpus
     "eval_a/report.json": "de85e265dafb25d7afa9e50ddc9f5ceafa1cb219a362eb119b2112c1a71223ab",
     "eval_a/report.txt": "7232999394dd46e77814214b7cd8ca229d74a3fb31e7afad951d95cd7de2d985",
     "eval_b/report.json": "51e4f963379fa94b15a54e8f4de0b2c2567e2644002b949b02d71cb70e606205",
@@ -138,16 +184,28 @@ def write_predictions(gold_path, pred_path) -> None:
     ])
 
 
-def test_eval_and_report_outputs_match_pinned_digests(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    assert main(["gen", "--out", "corpus", "--seed", "0", "--count", "60", "--obstacle-density", "0.1"]) == 0
+def eval_and_report(gold_dir) -> None:
+    """eval of perturbed predictions on the validation and train splits, and report of one and both."""
     for name, split in (("eval_a", "validation"), ("eval_b", "train")):
-        write_predictions(f"corpus/corpus_{split}.jsonl", f"pred_{split}.jsonl")
-        assert main(["eval", "--gold", f"corpus/corpus_{split}.jsonl", "--pred", f"pred_{split}.jsonl",
+        write_predictions(f"{gold_dir}/corpus_{split}.jsonl", f"pred_{split}.jsonl")
+        assert main(["eval", "--gold", f"{gold_dir}/corpus_{split}.jsonl", "--pred", f"pred_{split}.jsonl",
                      "--out", name]) == 0
     assert main(["report", "eval_a/report.json", "--out", "one"]) == 0
     assert main(["report", "eval_a/report.json", "eval_b/report.json", "--out", "two"]) == 0
+
+
+def test_eval_and_report_outputs_match_pinned_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen", "--out", "corpus", "--seed", "0", "--count", "60", "--obstacle-density", "0.1"]) == 0
+    eval_and_report("corpus")
     assert {f: sha256(tmp_path / f) for f in EVAL_DIGESTS} == EVAL_DIGESTS
+
+
+def test_eval_of_the_reference_v1_corpus_matches_the_v1_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_v1_corpus(tmp_path / "corpus", GenerationConfig(desk_workspace(), count=60, obstacle_density=0.1))
+    eval_and_report("corpus")
+    assert {f: sha256(tmp_path / f) for f in V1_EVAL_DIGESTS} == V1_EVAL_DIGESTS
 
 
 def test_train_manifest_and_checkpoint_metadata_match_pinned_digests(tmp_path, monkeypatch):
