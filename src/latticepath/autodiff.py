@@ -384,24 +384,6 @@ def gather_last(x: Tensor, index: np.ndarray) -> Tensor:
     return out
 
 
-def scatter_add_last(values: Tensor, index: np.ndarray, size: int) -> Tensor:
-    """out[..., j] = sum of values[..., i] with index[..., i] == j.
-
-    Index entries are constants in [0, size); leading axes are preserved.
-    """
-    index = np.asarray(index, dtype=np.int64)
-    if index.shape != values.data.shape:
-        raise ValueError("scatter index must match values shape")
-    lead = index.shape[:-1]
-    flat = (np.arange(math.prod(lead)) * size).reshape(lead + (1,)) + index
-    out = _make(_bincount(flat, values.data, lead + (size,)), (values,))
-    if out._parents:
-        def backward(g):
-            values._accumulate(np.take_along_axis(g, index, axis=-1))
-        out._backward = backward
-    return out
-
-
 def _mask_logits(logits: np.ndarray, mask, op: str) -> np.ndarray:
     """Logits with masked-out entries at -inf; every row must keep an entry."""
     if not mask.any(axis=-1).all():

@@ -42,7 +42,7 @@ from .corpus import (
 )
 from .decoder import DecodeConfig, DecodeCounters, decode_records
 from .evaluator import EvalReport, evaluate_records, format_report, format_table
-from .lattice import Workspace, desk_workspace
+from .lattice import Workspace, desk_workspace, read_int
 from .model import (
     LossBreakdown,
     LossConfig,
@@ -127,17 +127,13 @@ def _resolve(defaults: dict, file_cfg: dict, args) -> dict:
 def _integer(block, key, name: str | None = None) -> int:
     """block[key] (a dict or a list) as an int, stored back so the manifest echoes the value used.
 
-    A float with no fractional part counts as its integer; a bool, any other
-    number, or any other type is a config error naming the key (`name`, for
-    a key of a nested block).
+    lattice.read_int's rule: a float with no fractional part counts as its
+    integer; anything else is a config error naming the key (`name`, for a
+    key of a nested block).
     """
-    v = block[key]
-    if isinstance(v, float) and v.is_integer():
-        v = int(v)
-    if not isinstance(v, int) or isinstance(v, bool):
-        raise CliError("config", f"{name or key} must be an integer, got {json.dumps(v)}")
-    block[key] = v
-    return v
+    with _config_errors():
+        block[key] = read_int(block[key], name or key)
+    return block[key]
 
 
 def _number(block, key, name: str | None = None) -> float:

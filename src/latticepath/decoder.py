@@ -51,6 +51,8 @@ class DecodeConfig:
             raise ValueError("max_steps must be non-negative")
         if self.beam_width < 1:
             raise ValueError("beam_width must be at least 1")
+        if not math.isfinite(self.coverage_penalty_weight):
+            raise ValueError(f"coverage_penalty_weight must be finite, got {self.coverage_penalty_weight}")
         if self.coverage_penalty_weight < 0:
             raise ValueError("coverage_penalty_weight must be non-negative")
         if self.mode not in ("greedy", "beam"):

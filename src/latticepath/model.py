@@ -5,7 +5,9 @@ tables, a projection of the task-context features (with the optional target
 cell appended as a goal block), and a learned position table. The output head
 scores the six canonical moves plus STOP; legality masks force illegal moves
 to -inf before the softmax, so decoded motion is lattice-legal by
-construction. Training optimizes a five-term composite loss.
+construction. Training optimizes a five-term composite loss; its coord term
+scores the successor mass that lands on the gold path, read from one
+per-record on-path mask, so no training array grows with the model box.
 """
 
 from __future__ import annotations
@@ -344,7 +346,10 @@ class LossConfig:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            if getattr(self, f.name) < 0:
+            v = getattr(self, f.name)
+            if not math.isfinite(v):
+                raise ValueError(f"{f.name} must be finite, got {v}")
+            if v < 0:
                 raise ValueError(f"{f.name} must be non-negative")
 
 
@@ -360,33 +365,18 @@ class LossBreakdown:
 
 @dataclass
 class LossBatch:
-    """Numpy-side supervision arrays for one padded batch."""
+    """Numpy-side supervision arrays for one padded batch; no array grows with the model box."""
 
-    points: np.ndarray        # (B, T, 3) int
-    ctx_mat: np.ndarray       # (B, F) float
-    gold_moves: np.ndarray    # (B, T) int, STOP at each terminal position
-    legal: np.ndarray         # (B, T, 7) bool
-    move_pos: np.ndarray      # (B, T) 1.0 on positions 0..L-2
-    all_pos: np.ndarray       # (B, T) 1.0 on positions 0..L-1
-    term_index: np.ndarray    # (B,) index L-1
-    lengths: np.ndarray       # (B,) point counts
-    succ_idx: np.ndarray      # (B, T, 6) flat successor-cell index
-    gold_cells: np.ndarray    # (B, C) binary gold point-set indicator
-    start_onehot: np.ndarray  # (B, C)
-    n_cells: int
-    gold_set_size: np.ndarray  # (B,)
+    points: np.ndarray         # (B, T, 3) int
+    ctx_mat: np.ndarray        # (B, F) float
+    gold_moves: np.ndarray     # (B, T) int, STOP at each terminal position
+    legal: np.ndarray          # (B, T, 7) bool
+    lengths: np.ndarray        # (B,) point counts
+    on_path: np.ndarray        # (B, T, 6) bool, move m from point t lands on a cell of the gold path
+    gold_set_size: np.ndarray  # (B,) distinct gold cells
 
 
-def _flat_cell_index(points: np.ndarray, cfg: ModelConfig) -> np.ndarray:
-    """Flat index into the model box, with one trailing dump slot for outside cells."""
-    x0, x1, y0, y1, z0, z1 = cfg.bounds
-    nx, ny, nz = cfg.axis_sizes
-    xi = points[..., 0] - x0
-    yi = points[..., 1] - y0
-    zi = points[..., 2] - z0
-    inside = (xi >= 0) & (xi < nx) & (yi >= 0) & (yi < ny) & (zi >= 0) & (zi < nz)
-    idx = xi * (ny * nz) + yi * nz + zi
-    return np.where(inside, idx, nx * ny * nz)
+_MOVE_OFFSETS = np.array(MOVES, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -397,8 +387,17 @@ class _Supervision:
     legal: np.ndarray       # (L, 6) bool move legality
     gold_moves: np.ndarray  # (L,) int, STOP last
     ctx_row: np.ndarray     # (F,) context_features
-    cell_ids: np.ndarray    # (L,) flat cell index
+    on_path: np.ndarray     # (L, 6) bool, move m from point t lands on a cell of the path
     n_distinct: int         # distinct gold cells
+
+
+def _on_path(pts: np.ndarray) -> np.ndarray:
+    """(L, 6) bool: whether move m from point t lands on a cell of the path pts (L, 3)."""
+    lo = pts.min(axis=0) - 1
+    ext = pts.max(axis=0) - lo + 2
+    stride = np.array([ext[1] * ext[2], ext[2], 1])  # flat index over the path's box grown by one cell
+    key = (pts - lo) @ stride
+    return ((key[:, None] + _MOVE_OFFSETS @ stride)[:, :, None] == key).any(axis=-1)
 
 
 def _supervision(traj: Trajectory, ctx: TaskContext, w: Workspace, cfg: ModelConfig) -> _Supervision:
@@ -408,8 +407,7 @@ def _supervision(traj: Trajectory, ctx: TaskContext, w: Workspace, cfg: ModelCon
     moves = [move_index(a, b) for a, b in zip(traj.points, traj.points[1:])] + [STOP]
     return _Supervision(
         points=pts, legal=w.grid.move_mask(pts), gold_moves=np.array(moves, dtype=np.int64),
-        ctx_row=context_features(ctx, cfg), cell_ids=_flat_cell_index(pts, cfg),
-        n_distinct=len(set(traj.points)),
+        ctx_row=context_features(ctx, cfg), on_path=_on_path(pts), n_distinct=len(set(traj.points)),
     )
 
 
@@ -417,7 +415,8 @@ def make_loss_batch(items: list, cfg: ModelConfig) -> LossBatch:
     """Assemble padded supervision arrays; raises on illegal gold trajectories.
 
     Items are (trajectory, context, workspace) tuples or rows that fit has
-    already prepared with _supervision.
+    already prepared with _supervision. Padded positions repeat the last
+    point, and with it its legality and on-path rows.
     """
     if not items:
         raise ValueError("batch must be non-empty")
@@ -427,18 +426,13 @@ def make_loss_batch(items: list, cfg: ModelConfig) -> LossBatch:
     T = int(lengths.max())
     if T > cfg.max_seq_len:
         raise ValueError(f"gold trajectory of length {T} exceeds max_seq_len {cfg.max_seq_len}")
-    nx, ny, nz = cfg.axis_sizes
-    n_cells = nx * ny * nz + 1
 
     points = np.zeros((B, T, 3), dtype=np.int64)
     ctx_mat = np.zeros((B, cfg.task_feature_width + GOAL_FEATURE_WIDTH))
     gold_moves = np.full((B, T), STOP, dtype=np.int64)  # padding stays legal so gathered log-probs are finite
     legal = np.zeros((B, T, MOVE_VOCAB), dtype=bool)
     legal[:, :, STOP] = True
-    move_pos = np.zeros((B, T))
-    all_pos = np.zeros((B, T))
-    gold_cells = np.zeros((B, n_cells))
-    start_onehot = np.zeros((B, n_cells))
+    on_path = np.zeros((B, T, STOP), dtype=bool)
 
     for b, r in enumerate(rows):
         L = len(r.points)
@@ -447,22 +441,13 @@ def make_loss_batch(items: list, cfg: ModelConfig) -> LossBatch:
         ctx_mat[b] = r.ctx_row
         legal[b, :L, :STOP] = r.legal
         legal[b, L:] = legal[b, L - 1]
+        on_path[b, :L] = r.on_path
+        on_path[b, L:] = r.on_path[-1]
         gold_moves[b, :L] = r.gold_moves
-        move_pos[b, : L - 1] = 1.0
-        all_pos[b, :L] = 1.0
-        gold_cells[b, r.cell_ids] = 1.0
-        start_onehot[b, r.cell_ids[0]] = 1.0
-
-    succ = points[:, :, None, :] + np.array(MOVES, dtype=np.int64)[None, None, :, :]
-    succ_idx = _flat_cell_index(succ, cfg)
-    gold_set_size = np.array([r.n_distinct for r in rows], dtype=np.float64)
 
     return LossBatch(
-        points=points, ctx_mat=ctx_mat, gold_moves=gold_moves, legal=legal,
-        move_pos=move_pos, all_pos=all_pos,
-        term_index=lengths - 1, lengths=lengths,
-        succ_idx=succ_idx, gold_cells=gold_cells, start_onehot=start_onehot,
-        n_cells=n_cells, gold_set_size=gold_set_size,
+        points=points, ctx_mat=ctx_mat, gold_moves=gold_moves, legal=legal, lengths=lengths,
+        on_path=on_path, gold_set_size=np.array([r.n_distinct for r in rows], dtype=np.float64),
     )
 
 
@@ -470,16 +455,22 @@ def composite_loss(logits: Tensor, batch: LossBatch, cfg: LossConfig) -> tuple[T
     """Five-term training objective; see module docstring for the recipe.
 
     seq    mean masked cross-entropy of the gold move at pre-terminal steps
-    coord  1 - soft-F1 of accumulated successor-cell probability mass vs gold cells
+    coord  1 - soft-F1 of the successor mass that lands on the gold path: the
+           mass of the moves batch.on_path marks, over all move mass for
+           precision and over the distinct gold cells for recall; the start
+           cell adds 1 to both masses
     valid  mean unmasked probability mass on illegal moves
     cov    terminal-STOP cross-entropy plus mean premature STOP mass
     len    relative gap between expected path length and gold length
+
+    Step masks and terminal positions come from batch.lengths.
     """
     B, T, _ = logits.shape
+    lengths = batch.lengths
     logp = ad.log_softmax(logits, mask=batch.legal)
     p = logp.exp()
-    move_pos = batch.move_pos
-    all_pos = batch.all_pos
+    move_pos = (np.arange(T) < lengths[:, None] - 1).astype(np.float64)
+    all_pos = (np.arange(T) < lengths[:, None]).astype(np.float64)
     n_moves = max(move_pos.sum(), 1.0)
     n_all = max(all_pos.sum(), 1.0)
 
@@ -490,8 +481,7 @@ def composite_loss(logits: Tensor, batch: LossBatch, cfg: LossConfig) -> tuple[T
     illegal = (~batch.legal).astype(np.float64)
     valid = ((p_un * illegal).sum(axis=-1) * all_pos).sum() / n_all
 
-    rows = np.arange(B)
-    stop_lp_term = logp[rows, batch.term_index, np.full(B, STOP)]
+    stop_lp_term = logp[np.arange(B), lengths - 1, np.full(B, STOP)]
     p_stop = p[:, :, STOP]
     cov = -stop_lp_term.mean() + (p_stop * move_pos).sum() / n_moves
 
@@ -505,15 +495,12 @@ def composite_loss(logits: Tensor, batch: LossBatch, cfg: LossConfig) -> tuple[T
         survival = survival * cont[:, t]
         expected_moves = expected_moves + survival * step_w
     expected_len = expected_moves + 1.0
-    gold_len = batch.lengths.astype(np.float64)
+    gold_len = lengths.astype(np.float64)
     len_term = ((expected_len - gold_len).abs() / gold_len).mean()
 
-    p_moves = p[:, :, :6] * all_pos[:, :, None]
-    mass = ad.scatter_add_last(
-        p_moves.reshape(B, T * 6), batch.succ_idx.reshape(B, T * 6), batch.n_cells
-    ) + batch.start_onehot
-    inter = (mass * batch.gold_cells).sum(axis=-1)
-    precision = inter / mass.sum(axis=-1)
+    p_moves = p[:, :, :STOP] * all_pos[:, :, None]
+    inter = (p_moves * batch.on_path).sum(axis=(1, 2)) + 1.0  # + 1: the start cell
+    precision = inter / (p_moves.sum(axis=(1, 2)) + 1.0)
     recall = inter / batch.gold_set_size
     f1 = (2.0 * precision * recall) / (precision + recall + 1e-12)
     coord = (1.0 - f1).mean()

@@ -4,9 +4,13 @@ accumulate adds every gradient, the first one included, into a zeros array;
 gelu cubes with pow; linear is a batched matmul plus a broadcast bias, with
 the weight and bias gradients summed down by _unbroadcast; the scatters run
 np.add.at into zeros; softmax and log_softmax each check and fill their own
-mask; make_loss_batch derives every record's rows inside the batch loop.
-reference_engine() installs the autodiff ones in latticepath.autodiff, so a
-whole forward and backward pass of the model runs on this code.
+mask; make_loss_batch derives every record's rows inside the batch loop, its
+on-path mask from a set of the path's cells. composite_loss is the loss with
+the coord term over the whole model box: successor mass scattered onto flat
+cell indices (plus a dump slot for cells outside the box) and compared with
+dense gold-cell and start indicators. reference_engine() installs the
+autodiff ones in latticepath.autodiff, so a whole forward and backward pass
+of the model runs on this code.
 """
 
 import math
@@ -22,7 +26,7 @@ from latticepath.model import (
     GOAL_FEATURE_WIDTH,
     MOVE_VOCAB,
     LossBatch,
-    _flat_cell_index,
+    LossBreakdown,
     context_features,
 )
 
@@ -172,22 +176,18 @@ def make_loss_batch(items, cfg):
     T = int(lengths.max())
     if T > cfg.max_seq_len:
         raise ValueError(f"gold trajectory of length {T} exceeds max_seq_len {cfg.max_seq_len}")
-    nx, ny, nz = cfg.axis_sizes
-    n_cells = nx * ny * nz + 1
 
     points = np.zeros((B, T, 3), dtype=np.int64)
     ctx_mat = np.zeros((B, cfg.task_feature_width + GOAL_FEATURE_WIDTH))
     gold_moves = np.zeros((B, T), dtype=np.int64)
     legal = np.zeros((B, T, MOVE_VOCAB), dtype=bool)
     legal[:, :, STOP] = True
-    move_pos = np.zeros((B, T))
-    all_pos = np.zeros((B, T))
-    gold_cells = np.zeros((B, n_cells))
-    start_onehot = np.zeros((B, n_cells))
+    on_path = np.zeros((B, T, STOP), dtype=bool)
 
     for b, (traj, ctx, w) in enumerate(items):
         check_trajectory(traj, w)
         L = len(traj)
+        cells = set(traj.points)
         pts = np.array([p.as_tuple() for p in traj.points], dtype=np.int64)
         points[b, :L] = pts
         points[b, L:] = pts[-1]
@@ -198,25 +198,90 @@ def make_loss_batch(items, cfg):
                 gold_moves[b, t] = move_index(p, traj.points[t + 1])
             else:
                 gold_moves[b, t] = STOP
+            on_path[b, t] = [p.offset(*mv) in cells for mv in MOVES]
         legal[b, L:] = legal[b, L - 1]
+        on_path[b, L:] = on_path[b, L - 1]
         gold_moves[b, L:] = STOP
-        move_pos[b, : max(L - 1, 0)] = 1.0
-        all_pos[b, :L] = 1.0
-        cell_ids = _flat_cell_index(pts, cfg)
-        gold_cells[b, cell_ids] = 1.0
-        start_onehot[b, cell_ids[0]] = 1.0
 
-    succ = points[:, :, None, :] + np.array(MOVES, dtype=np.int64)[None, None, :, :]
-    succ_idx = _flat_cell_index(succ, cfg)
     gold_set_size = np.array([len({p for p in traj.points}) for traj, _, _ in items], dtype=np.float64)
 
     return LossBatch(
-        points=points, ctx_mat=ctx_mat, gold_moves=gold_moves, legal=legal,
-        move_pos=move_pos, all_pos=all_pos,
-        term_index=lengths - 1, lengths=lengths,
-        succ_idx=succ_idx, gold_cells=gold_cells, start_onehot=start_onehot,
-        n_cells=n_cells, gold_set_size=gold_set_size,
+        points=points, ctx_mat=ctx_mat, gold_moves=gold_moves, legal=legal, lengths=lengths,
+        on_path=on_path, gold_set_size=gold_set_size,
     )
+
+
+def _flat_cell_index(points, cfg):
+    """Flat index into the model box, with one trailing dump slot for outside cells."""
+    x0, x1, y0, y1, z0, z1 = cfg.bounds
+    nx, ny, nz = cfg.axis_sizes
+    xi = points[..., 0] - x0
+    yi = points[..., 1] - y0
+    zi = points[..., 2] - z0
+    inside = (xi >= 0) & (xi < nx) & (yi >= 0) & (yi < ny) & (zi >= 0) & (zi < nz)
+    idx = xi * (ny * nz) + yi * nz + zi
+    return np.where(inside, idx, nx * ny * nz)
+
+
+def composite_loss(logits, batch, cfg, model_cfg):
+    """The five-term loss with its coord term over every cell of model_cfg's box."""
+    B, T, _ = logits.shape
+    move_pos = np.zeros((B, T))
+    all_pos = np.zeros((B, T))
+    nx, ny, nz = model_cfg.axis_sizes
+    n_cells = nx * ny * nz + 1
+    gold_cells = np.zeros((B, n_cells))
+    start_onehot = np.zeros((B, n_cells))
+    for b, L in enumerate(batch.lengths):
+        move_pos[b, : L - 1] = 1.0
+        all_pos[b, :L] = 1.0
+        cell_ids = _flat_cell_index(batch.points[b, :L], model_cfg)
+        gold_cells[b, cell_ids] = 1.0
+        start_onehot[b, cell_ids[0]] = 1.0
+    succ = batch.points[:, :, None, :] + np.array(MOVES, dtype=np.int64)[None, None, :, :]
+    succ_idx = _flat_cell_index(succ, model_cfg)
+
+    logp = ad.log_softmax(logits, mask=batch.legal)
+    p = logp.exp()
+    n_moves = max(move_pos.sum(), 1.0)
+    n_all = max(all_pos.sum(), 1.0)
+
+    gold_lp = ad.gather_last(logp, batch.gold_moves)
+    seq = -(gold_lp * move_pos).sum() / n_moves
+
+    p_un = ad.softmax(logits)
+    illegal = (~batch.legal).astype(np.float64)
+    valid = ((p_un * illegal).sum(axis=-1) * all_pos).sum() / n_all
+
+    stop_lp_term = logp[np.arange(B), batch.lengths - 1, np.full(B, STOP)]
+    p_stop = p[:, :, STOP]
+    cov = -stop_lp_term.mean() + (p_stop * move_pos).sum() / n_moves
+
+    cont = 1.0 - p_stop
+    survival = Tensor(np.ones(B))
+    expected_moves = Tensor(np.zeros(B))
+    for t in range(T):
+        step_w = move_pos[:, t]
+        if step_w.sum() == 0.0:
+            break
+        survival = survival * cont[:, t]
+        expected_moves = expected_moves + survival * step_w
+    expected_len = expected_moves + 1.0
+    gold_len = batch.lengths.astype(np.float64)
+    len_term = ((expected_len - gold_len).abs() / gold_len).mean()
+
+    p_moves = p[:, :, :6] * all_pos[:, :, None]
+    mass = scatter_add_last(p_moves.reshape(B, T * 6), succ_idx.reshape(B, T * 6), n_cells) + start_onehot
+    inter = (mass * gold_cells).sum(axis=-1)
+    precision = inter / mass.sum(axis=-1)
+    recall = inter / batch.gold_set_size
+    f1 = (2.0 * precision * recall) / (precision + recall + 1e-12)
+    coord = (1.0 - f1).mean()
+
+    total = (seq + cfg.lambda_coord * coord + cfg.lambda_valid * valid + cfg.lambda_cov * cov
+             + cfg.lambda_len * len_term)
+    return total, LossBreakdown(seq=seq.item(), coord=coord.item(), valid=valid.item(), cov=cov.item(),
+                                len=len_term.item(), total=total.item())
 
 
 _PATCHES = (
@@ -226,7 +291,6 @@ _PATCHES = (
     (Tensor, "__getitem__", getitem),
     (ad, "linear", linear),
     (ad, "gather_last", gather_last),
-    (ad, "scatter_add_last", scatter_add_last),
     (ad, "softmax", softmax),
     (ad, "log_softmax", log_softmax),
 )

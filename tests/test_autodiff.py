@@ -167,19 +167,6 @@ def test_gather_last_grad():
     np.testing.assert_allclose(t.grad, num, atol=1e-6)
 
 
-def test_scatter_add_last_forward_and_grad():
-    vals = rng(26).normal(size=(2, 6))
-    idx = np.array([[0, 1, 1, 3, 0, 2], [2, 2, 2, 0, 1, 4]])
-    t = Tensor(vals, requires_grad=True)
-    out = ad.scatter_add_last(t, idx, 5)
-    assert out.shape == (2, 5)
-    np.testing.assert_allclose(out.data[0], [vals[0, 0] + vals[0, 4], vals[0, 1] + vals[0, 2],
-                                             vals[0, 5], vals[0, 3], 0.0])
-    (out ** 2.0).sum().backward()
-    num = ad.numeric_gradient(lambda v: (ad.scatter_add_last(Tensor(v), idx, 5) ** 2.0).sum().item(), vals)
-    np.testing.assert_allclose(t.grad, num, atol=1e-6)
-
-
 def test_take_rows_forward_and_grad():
     x = rng(40).normal(size=(6, 3))
     rows = np.array([4, 0, 2])

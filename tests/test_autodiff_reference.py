@@ -9,7 +9,7 @@ import reference_autodiff as ref
 import latticepath.autodiff as ad
 from latticepath.autodiff import Tensor
 from latticepath.corpus import GenerationConfig, Trajectory, generate_corpus
-from latticepath.lattice import LatticeCoord, Workspace, desk_workspace
+from latticepath.lattice import MOVES, LatticeCoord, Workspace, default_workspace, desk_workspace, legal_moves
 from latticepath.model import (
     LossConfig,
     ModelConfig,
@@ -17,6 +17,7 @@ from latticepath.model import (
     OptimizerConfig,
     PathModel,
     _supervision,
+    composite_loss,
     make_loss_batch,
     train_step,
 )
@@ -129,17 +130,6 @@ def test_gather_last_matches_add_at_exactly(shape):
     np.testing.assert_array_equal(g, rg)
 
 
-@pytest.mark.parametrize("shape", SHAPES.values(), ids=SHAPES.keys())
-def test_scatter_add_last_matches_add_at_exactly(shape):
-    values = rng(14).normal(size=shape)
-    index = rng(15).integers(0, 3, size=shape)  # 5 values into 3 slots: every row repeats
-    out, (g,) = grads(lambda t: ad.scatter_add_last(t, index, 4), values)
-    ref_out, (rg,) = grads(lambda t: ref.scatter_add_last(t, index, 4), values)
-    assert out.shape == shape[:-1] + (4,)
-    np.testing.assert_array_equal(out, ref_out)
-    np.testing.assert_array_equal(g, rg)
-
-
 # gradient accumulation ---------------------------------------------------------
 
 
@@ -211,10 +201,37 @@ def corpus_items(name, count=60, seed=3):
     return [(r.trajectory, r.context, r.workspace) for r in records]
 
 
-@pytest.mark.parametrize("name", CORPORA)
+def walk_items(count=16, seed=4):
+    """Criterion-03-style random walks over legal moves, from the starts of a density-0.2 corpus."""
+    r = rng(seed)
+    items = []
+    for traj, ctx, w in corpus_items("desk_0.2", count=count, seed=seed):
+        pts = [traj.start]
+        for _ in range(int(r.integers(2, 12))):
+            options = np.flatnonzero(legal_moves(pts[-1], w))
+            pts.append(pts[-1].offset(*MOVES[int(r.choice(options))]))
+        items.append((Trajectory(points=tuple(pts)), ctx, w))
+    return items
+
+
+LOSS_CASES = (*CORPORA, "envelope_0.05", "walks")
+
+
+def loss_items(name):
+    """A batch's (trajectory, context, workspace) items and the model box they are trained in."""
+    if name == "envelope_0.05":
+        w = default_workspace()
+        records = generate_corpus(GenerationConfig(workspace=w, count=8, obstacle_density=0.05), 3)
+        return [(r.trajectory, r.context, r.workspace) for r in records], w.bounds
+    if name == "walks":
+        return walk_items(), desk_workspace().bounds
+    return corpus_items(name), CORPORA[name][0].bounds
+
+
+@pytest.mark.parametrize("name", LOSS_CASES)
 def test_make_loss_batch_matches_per_record_reference(name):
-    items = corpus_items(name)
-    cfg = ModelConfig(bounds=CORPORA[name][0].bounds, max_seq_len=16)
+    items, bounds = loss_items(name)
+    cfg = ModelConfig(bounds=bounds, max_seq_len=32)
     rows = [_supervision(*it, cfg) for it in items]
     for lo in range(0, len(items), 16):
         want = ref.make_loss_batch(items[lo : lo + 16], cfg)
@@ -223,6 +240,32 @@ def test_make_loss_batch_matches_per_record_reference(name):
                 a, b = getattr(got, field), getattr(want, field)
                 np.testing.assert_array_equal(a, b, err_msg=field)
                 assert np.asarray(a).dtype == np.asarray(b).dtype, field
+
+
+LOSS_CONFIGS = {
+    "default": LossConfig(),
+    "coord_only": LossConfig(lambda_coord=1, lambda_valid=0, lambda_cov=0, lambda_len=0),
+}
+
+
+@pytest.mark.parametrize("loss_cfg", LOSS_CONFIGS.values(), ids=LOSS_CONFIGS)
+@pytest.mark.parametrize("name", LOSS_CASES)
+def test_on_path_coord_loss_matches_the_dense_model_box_oracle(name, loss_cfg):
+    items, bounds = loss_items(name)
+    cfg = ModelConfig(bounds=bounds, max_seq_len=32)
+    batch = make_loss_batch(items, cfg)
+    assert (batch.lengths < batch.lengths.max()).any()  # the batch has padding
+    if name == "walks":
+        assert (batch.gold_set_size < batch.lengths).any()  # some walk revisits a cell
+    logits = rng(21).normal(size=batch.legal.shape) * 2.0
+    got, want = Tensor(logits, requires_grad=True), Tensor(logits, requires_grad=True)
+    total, bd = composite_loss(got, batch, loss_cfg)
+    ref_total, ref_bd = ref.composite_loss(want, batch, loss_cfg, cfg)
+    total.backward()
+    ref_total.backward()
+    for field in vars(bd):
+        close(getattr(bd, field), getattr(ref_bd, field))
+    close(got.grad, want.grad)
 
 
 def test_supervision_rejects_an_illegal_gold_trajectory():

@@ -837,6 +837,27 @@ def test_train_non_finite_optimizer_value_in_a_config_file_is_one_config_error(i
     assert err == f"error: config: {key} must be finite, got nan\n"
 
 
+NON_FINITE_CASES = {  # command, config, the one error line after "error: config: "
+    "decode-coverage-nan": ("decode", {"mode": "beam", "coverage_penalty_weight": math.nan},
+                            "coverage_penalty_weight must be finite, got nan"),
+    "decode-coverage-inf": ("decode", {"coverage_penalty_weight": math.inf},
+                            "coverage_penalty_weight must be finite, got inf"),
+    "train-lambda_len-inf": ("train", {"loss": {"lambda_len": math.inf}}, "lambda_len must be finite, got inf"),
+    "train-lambda_coord-nan": ("train", {"loss": {"lambda_coord": math.nan}},
+                               "lambda_coord must be finite, got nan"),
+    "train-lambda_cov-minus-inf": ("train", {"loss": {"lambda_cov": -math.inf}},
+                                   "lambda_cov must be finite, got -inf"),
+    "sim-max_steps-nan": ("sim", {"max_steps": math.nan}, "max_steps must be an integer, got NaN"),
+    "sim-beam_width-inf": ("sim", {"checkpoint": "<ckpt>", "beam_width": math.inf},
+                           "beam_width must be an integer, got Infinity"),
+}
+
+
+@pytest.mark.parametrize("command, cfg, line", NON_FINITE_CASES.values(), ids=NON_FINITE_CASES)
+def test_non_finite_config_value_is_one_config_error(inputs, tmp_path, capsys, command, cfg, line):
+    assert config_error(inputs, tmp_path, capsys, command, cfg) == f"error: config: {line}\n"
+
+
 def test_train_that_diverges_is_one_config_error_naming_its_epoch(inputs, tmp_path, capsys):
     err = train_error(inputs, tmp_path, capsys, ["--optimizer", "sgd", "--lr", "1e300"])
     assert err.startswith("error: config: training diverged at epoch 0: non-finite loss term: ")

@@ -52,6 +52,12 @@ def test_decode_config_validation():
         DecodeConfig(mode="sampled")
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_decode_config_rejects_a_non_finite_coverage_weight(value):
+    with pytest.raises(ValueError, match=f"^coverage_penalty_weight must be finite, got {value}$"):
+        DecodeConfig(coverage_penalty_weight=value)
+
+
 def test_decoded_path_rejects_unknown_termination():
     with pytest.raises(ValueError):
         DecodedPath(trajectory=Trajectory(points=(C(0, 0, 0),)), score=0.0, terminated_by="oops")

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -200,16 +201,36 @@ def test_make_loss_batch_layout():
     cfg = tiny_cfg()
     t1 = Trajectory(points=(C(0, 0, 0), C(1, 0, 0)))
     t2 = Trajectory(points=(C(0, 0, 0), C(0, 1, 0), C(0, 2, 0), C(1, 2, 0)))
+    t3 = Trajectory(points=(C(0, 0, 0), C(1, 0, 0), C(0, 0, 0)))  # back to its start
     w = desk_workspace()
-    batch = make_loss_batch([(t1, ctx_for(t1.end), w), (t2, ctx_for(t2.end), w)], cfg)
-    assert batch.points.shape == (2, 4, 3)
+    batch = make_loss_batch([(t, ctx_for(t.end), w) for t in (t1, t2, t3)], cfg)
+    assert [f.name for f in fields(batch)] == [
+        "points", "ctx_mat", "gold_moves", "legal", "lengths", "on_path", "gold_set_size"]
+    assert batch.points.shape == (3, 4, 3)
     np.testing.assert_array_equal(batch.points[0, 1:], np.array([[1, 0, 0]] * 3))  # padding repeats
     assert batch.gold_moves[0].tolist() == [0, 6, 6, 6]  # +x, then STOP padding
     assert batch.gold_moves[1].tolist() == [2, 2, 0, 6]
     np.testing.assert_array_equal(batch.legal[0, 2], batch.legal[0, 1])
-    assert batch.move_pos[0].tolist() == [1.0, 0.0, 0.0, 0.0]
-    assert batch.all_pos[1].tolist() == [1.0, 1.0, 1.0, 1.0]
-    assert batch.term_index.tolist() == [1, 3]
+    assert batch.lengths.tolist() == [2, 4, 3]
+    # move order +x -x +y -y +z -z; a padded position repeats the last point's row
+    on = [[[i for i, hit in enumerate(row) if hit] for row in rows] for rows in batch.on_path.tolist()]
+    assert on[0] == [[0], [1], [1], [1]]
+    assert on[1] == [[2], [2, 3], [0, 3], [1]]
+    assert on[2] == [[0], [1], [0], [0]]
+    assert batch.gold_set_size.tolist() == [2.0, 4.0, 2.0]  # the revisit counts once
+
+
+def test_make_loss_batch_arrays_do_not_grow_with_the_model_box():
+    paths = [Trajectory(points=(C(0, 0, 0), C(1, 0, 0))),
+             Trajectory(points=(C(-3, -3, 0), C(-3, -3, 1), C(-3, -2, 1)))]
+    items = [(t, ctx_for(t.end), desk_workspace()) for t in paths]
+    desk = make_loss_batch(items, tiny_cfg())
+    envelope = make_loss_batch(items, tiny_cfg(bounds=default_workspace().bounds))
+    for f in fields(desk):
+        a, b = getattr(desk, f.name), getattr(envelope, f.name)
+        assert a.shape == b.shape, f.name
+        if f.name != "ctx_mat":  # the goal block is normalized to the model box
+            np.testing.assert_array_equal(a, b, err_msg=f.name)
 
 
 def test_make_loss_batch_rejects_empty_and_overlong():

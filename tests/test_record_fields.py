@@ -73,6 +73,13 @@ def test_every_loss_weight_must_be_non_negative(name):
         LossConfig(**{name: -0.5})
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("name", field_names(LossConfig))
+def test_every_loss_weight_must_be_finite(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+        LossConfig(**{name: value})
+
+
 def test_loss_log_header_names_every_loss_breakdown_field(tmp_path):
     assert main(["gen", "--out", str(tmp_path / "corpus"), "--seed", "0", "--count", "20"]) == 0
     assert main(["train", "--corpus", str(tmp_path / "corpus" / "corpus_train.jsonl"), "--out", str(tmp_path / "run"),
