@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -53,6 +54,7 @@ from .model import (
     TrainCounters,
     context_features,
     fit,
+    supervision_rows,
 )
 from .twinsim import (
     ModelPlanner,
@@ -277,7 +279,6 @@ def cmd_train(args) -> int:
     records = read_records(cfg["corpus"], check=check)
     if not records:
         raise CliError("config", f"corpus {cfg['corpus']} contains no records")
-    items = [(r.trajectory, r.context, r.workspace) for r in records]
     longest = max(len(r.trajectory) for r in records)
     cfg["model"], cfg["optimizer"] = mcfg.to_dict(), optimizer.cfg.to_dict()
     if model is None:
@@ -288,6 +289,15 @@ def cmd_train(args) -> int:
             f"corpus has a {longest}-point trajectory but max_seq_len is {model.cfg.max_seq_len}",
         )
 
+    def drain():
+        """The records oldest first, each dropped (with its cached grid) once its row is made."""
+        records.reverse()
+        while records:
+            r = records.pop()
+            yield r.trajectory, r.context, r.workspace
+
+    rows = supervision_rows(drain(), model.cfg)
+
     log_lines = ["\t".join(["epoch", *(f.name for f in dataclasses.fields(LossBreakdown))])]
 
     def log(epoch, bd):
@@ -296,7 +306,7 @@ def cmd_train(args) -> int:
     counters = TrainCounters()
     try:  # a diverging run ends on its non-finite loss, not on numpy's overflow warnings
         with np.errstate(all="ignore"):
-            fit(model, items, loss_cfg, optimizer, epochs=epochs, batch_size=batch_size, seed=seed, log=log,
+            fit(model, rows, loss_cfg, optimizer, epochs=epochs, batch_size=batch_size, seed=seed, log=log,
                 counters=counters)
     except FloatingPointError as e:
         raise CliError("config", str(e)) from None
@@ -470,7 +480,9 @@ def cmd_report(args) -> int:
 # parser ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; parse_args leaves it unchanged, so callers share it."""
     p = argparse.ArgumentParser(prog="latticepath", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 

@@ -411,6 +411,11 @@ def _supervision(traj: Trajectory, ctx: TaskContext, w: Workspace, cfg: ModelCon
     )
 
 
+def supervision_rows(items, cfg: ModelConfig) -> list[_Supervision]:
+    """Rows of (trajectory, context, workspace) items; rows already prepared by _supervision pass through."""
+    return [it if isinstance(it, _Supervision) else _supervision(*it, cfg) for it in items]
+
+
 def make_loss_batch(items: list, cfg: ModelConfig) -> LossBatch:
     """Assemble padded supervision arrays; raises on illegal gold trajectories.
 
@@ -420,7 +425,7 @@ def make_loss_batch(items: list, cfg: ModelConfig) -> LossBatch:
     """
     if not items:
         raise ValueError("batch must be non-empty")
-    rows = [it if isinstance(it, _Supervision) else _supervision(*it, cfg) for it in items]
+    rows = supervision_rows(items, cfg)
     B = len(rows)
     lengths = np.array([len(r.points) for r in rows])
     T = int(lengths.max())
@@ -613,7 +618,7 @@ class TrainCounters:
 
 def fit(
     model: PathModel,
-    items: list[tuple[Trajectory, TaskContext, Workspace]],
+    items: list,
     loss_cfg: LossConfig,
     optimizer: Optimizer,
     epochs: int,
@@ -624,11 +629,13 @@ def fit(
 ) -> list[LossBreakdown]:
     """Mini-batch training loop; returns the mean per-epoch loss breakdowns.
 
-    Every record's supervision is prepared (and its trajectory checked) once,
-    before the first step; batches are assembled from the prepared rows. A
-    non-finite loss term raises FloatingPointError naming the epoch.
+    Items are (trajectory, context, workspace) tuples or rows already made by
+    supervision_rows. Every record's supervision is prepared (and its
+    trajectory checked) once, before the first step; batches are assembled
+    from the prepared rows. A non-finite loss term raises FloatingPointError
+    naming the epoch.
     """
-    rows = [_supervision(traj, ctx, w, model.cfg) for traj, ctx, w in items]
+    rows = supervision_rows(items, model.cfg)
     counters = counters if counters is not None else TrainCounters()
     rng = np.random.default_rng(seed)
     history: list[LossBreakdown] = []

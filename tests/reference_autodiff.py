@@ -1,5 +1,7 @@
 """The autodiff and supervision code of the training hot path before it was fused, kept as oracles.
 
+backward is the retaining sweep: every node keeps its gradient, closure and
+parents until the sweep returns, where Tensor.backward frees them as it goes.
 accumulate adds every gradient, the first one included, into a zeros array;
 gelu cubes with pow; linear is a batched matmul plus a broadcast bias, with
 the weight and bias gradients summed down by _unbroadcast; the scatters run
@@ -29,6 +31,30 @@ from latticepath.model import (
     LossBreakdown,
     context_features,
 )
+
+
+def backward(self):
+    if self.data.size != 1:
+        raise ValueError("backward() requires a scalar tensor")
+    topo = []
+    visited = set()
+    stack = [(self, False)]
+    while stack:
+        node, processed = stack.pop()
+        if processed:
+            topo.append(node)
+            continue
+        if id(node) in visited:
+            continue
+        visited.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            if id(p) not in visited:
+                stack.append((p, False))
+    self._accumulate(np.ones_like(self.data))
+    for node in reversed(topo):
+        if node._backward is not None and node.grad is not None:
+            node._backward(node.grad)
 
 
 def accumulate(self, g):
@@ -285,6 +311,7 @@ def composite_loss(logits, batch, cfg, model_cfg):
 
 
 _PATCHES = (
+    (Tensor, "backward", backward),
     (Tensor, "_accumulate", accumulate),
     (Tensor, "sum", tensor_sum),
     (Tensor, "gelu", gelu),

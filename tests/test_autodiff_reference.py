@@ -5,6 +5,7 @@ import contextlib
 import numpy as np
 import pytest
 import reference_autodiff as ref
+from gradcheck import numeric_gradient
 
 import latticepath.autodiff as ad
 from latticepath.autodiff import Tensor
@@ -66,9 +67,9 @@ def test_linear_finite_differences_in_x_w_and_b():
 
     tx, tw, tb = (Tensor(a, requires_grad=True) for a in (x, w, b))
     loss(tx, tw, tb).backward()
-    num_x = ad.numeric_gradient(lambda v: loss(Tensor(v), Tensor(w), Tensor(b)).item(), x, h=1e-6)
-    num_w = ad.numeric_gradient(lambda v: loss(Tensor(x), Tensor(v), Tensor(b)).item(), w, h=1e-6)
-    num_b = ad.numeric_gradient(lambda v: loss(Tensor(x), Tensor(w), Tensor(v)).item(), b, h=1e-6)
+    num_x = numeric_gradient(lambda v: loss(Tensor(v), Tensor(w), Tensor(b)).item(), x, h=1e-6)
+    num_w = numeric_gradient(lambda v: loss(Tensor(x), Tensor(v), Tensor(b)).item(), w, h=1e-6)
+    num_b = numeric_gradient(lambda v: loss(Tensor(x), Tensor(w), Tensor(v)).item(), b, h=1e-6)
     np.testing.assert_allclose(tx.grad, num_x, rtol=1e-6, atol=1e-8)
     np.testing.assert_allclose(tw.grad, num_w, rtol=1e-6, atol=1e-8)
     np.testing.assert_allclose(tb.grad, num_b, rtol=1e-6, atol=1e-8)
