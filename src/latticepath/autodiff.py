@@ -96,10 +96,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         return float(self.data)
 
@@ -198,17 +194,6 @@ class Tensor:
             out._backward = backward
         return out
 
-    def __rtruediv__(self, other):
-        return as_tensor(other) / self
-
-    def __pow__(self, exponent: float):
-        out = _make(self.data ** exponent, (self,))
-        if out._parents:
-            def backward(g):
-                self._accumulate(g * exponent * self.data ** (exponent - 1))
-            out._backward = backward
-        return out
-
     def __matmul__(self, other):
         other = as_tensor(other)
         out = _make(self.data @ other.data, (self, other))
@@ -231,23 +216,6 @@ class Tensor:
             data = out.data
             def backward(g):
                 self._accumulate(g * data)
-            out._backward = backward
-        return out
-
-    def log(self):
-        out = _make(np.log(self.data), (self,))
-        if out._parents:
-            def backward(g):
-                self._accumulate(g / self.data)
-            out._backward = backward
-        return out
-
-    def tanh(self):
-        out = _make(np.tanh(self.data), (self,))
-        if out._parents:
-            data = out.data
-            def backward(g):
-                self._accumulate(g * (1.0 - data ** 2))
             out._backward = backward
         return out
 
@@ -408,19 +376,6 @@ def put_rows(x: Tensor, rows: np.ndarray, n: int) -> Tensor:
     if out._parents:
         def backward(g):
             x._accumulate(g[rows])
-        out._backward = backward
-    return out
-
-
-def gather_last(x: Tensor, index: np.ndarray) -> Tensor:
-    """out[..., ] = x[..., index[...]] along the last axis; index is constant."""
-    index = np.asarray(index, dtype=np.int64)
-    picked = np.take_along_axis(x.data, index[..., None], axis=-1)[..., 0]
-    out = _make(picked, (x,))
-    if out._parents:
-        flat = (np.arange(index.size) * x.data.shape[-1]).reshape(index.shape) + index
-        def backward(g):
-            x._accumulate(_bincount(flat, g, x.data.shape))
         out._backward = backward
     return out
 

@@ -87,6 +87,8 @@ def _load_config_file(path: str | None) -> dict:
         raise CliError("io", f"config file not found: {path}") from None
     except json.JSONDecodeError as e:
         raise CliError("config", f"{path}: invalid JSON ({e})") from None
+    except UnicodeDecodeError as e:
+        raise CliError("config", f"{path}: not UTF-8 ({e})") from None
     if not isinstance(cfg, dict):
         raise CliError("config", f"{path}: top level must be a JSON object")
     return cfg

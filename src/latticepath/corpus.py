@@ -455,8 +455,15 @@ def read_jsonl(path, parse, check=None) -> list:
     like a malformed line, the error names the file and line.
     """
     out = []
-    with open(path, "r", encoding="utf-8") as f:
+    # a byte that is not UTF-8 reads as a lone surrogate, 0xDC00 + byte, caught on its own line
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
         for lineno, line in enumerate(f, start=1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError as e:
+                    byte, col = ord(line[e.start]) - 0xDC00, e.start + 1
+                    raise CorpusFormatError(f"{path}: line {lineno}: not UTF-8 (byte 0x{byte:02x} at column {col})") from None
             if not line.strip():
                 continue
             try:

@@ -53,8 +53,6 @@ MOVES: tuple[tuple[int, int, int], ...] = (
     (0, 0, -1),
 )
 
-MOVE_NAMES: tuple[str, ...] = ("+x", "-x", "+y", "-y", "+z", "-z")
-
 # Index of the termination token in the 7-way move vocabulary.
 STOP = len(MOVES)
 
@@ -68,12 +66,6 @@ def move_index(a: LatticeCoord, b: LatticeCoord) -> int:
         return _MOVE_INDEX[delta]
     except KeyError:
         raise ValueError(f"{a} -> {b} is not a unit lattice move") from None
-
-
-def apply_move(p: LatticeCoord, idx: int) -> LatticeCoord:
-    """Cell reached from p by canonical move idx (0..5)."""
-    dx, dy, dz = MOVES[idx]
-    return p.offset(dx, dy, dz)
 
 
 _NO_RANKS = np.zeros(0, dtype=np.int64)

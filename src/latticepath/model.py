@@ -420,8 +420,9 @@ def make_loss_batch(items: list, cfg: ModelConfig) -> LossBatch:
     """Assemble padded supervision arrays; raises on illegal gold trajectories.
 
     Items are (trajectory, context, workspace) tuples or rows that fit has
-    already prepared with _supervision. Padded positions repeat the last
-    point, and with it its legality and on-path rows.
+    already prepared with _supervision. Padded positions repeat the record's
+    last row: its last point, legality and on-path rows, and STOP, its last
+    gold move, which keeps gathered log-probs finite.
     """
     if not items:
         raise ValueError("batch must be non-empty")
@@ -432,27 +433,16 @@ def make_loss_batch(items: list, cfg: ModelConfig) -> LossBatch:
     if T > cfg.max_seq_len:
         raise ValueError(f"gold trajectory of length {T} exceeds max_seq_len {cfg.max_seq_len}")
 
-    points = np.zeros((B, T, 3), dtype=np.int64)
-    ctx_mat = np.zeros((B, cfg.task_feature_width + GOAL_FEATURE_WIDTH))
-    gold_moves = np.full((B, T), STOP, dtype=np.int64)  # padding stays legal so gathered log-probs are finite
-    legal = np.zeros((B, T, MOVE_VOCAB), dtype=bool)
-    legal[:, :, STOP] = True
-    on_path = np.zeros((B, T, STOP), dtype=bool)
-
-    for b, r in enumerate(rows):
-        L = len(r.points)
-        points[b, :L] = r.points
-        points[b, L:] = r.points[-1]
-        ctx_mat[b] = r.ctx_row
-        legal[b, :L, :STOP] = r.legal
-        legal[b, L:] = legal[b, L - 1]
-        on_path[b, :L] = r.on_path
-        on_path[b, L:] = r.on_path[-1]
-        gold_moves[b, :L] = r.gold_moves
+    # row (b, t) of the concatenated per-record rows: start of record b plus min(t, L_b - 1)
+    at = (np.cumsum(lengths) - lengths)[:, None] + np.minimum(np.arange(T), lengths[:, None] - 1)
+    legal = np.ones((B, T, MOVE_VOCAB), dtype=bool)  # STOP is always legal
+    legal[:, :, :STOP] = np.concatenate([r.legal for r in rows])[at]
 
     return LossBatch(
-        points=points, ctx_mat=ctx_mat, gold_moves=gold_moves, legal=legal, lengths=lengths,
-        on_path=on_path, gold_set_size=np.array([r.n_distinct for r in rows], dtype=np.float64),
+        points=np.concatenate([r.points for r in rows])[at], ctx_mat=np.stack([r.ctx_row for r in rows]),
+        gold_moves=np.concatenate([r.gold_moves for r in rows])[at], legal=legal, lengths=lengths,
+        on_path=np.concatenate([r.on_path for r in rows])[at],
+        gold_set_size=np.array([r.n_distinct for r in rows], dtype=np.float64),
     )
 
 
@@ -479,7 +469,7 @@ def composite_loss(logits: Tensor, batch: LossBatch, cfg: LossConfig) -> tuple[T
     n_moves = max(move_pos.sum(), 1.0)
     n_all = max(all_pos.sum(), 1.0)
 
-    gold_lp = ad.gather_last(logp, batch.gold_moves)
+    gold_lp = logp[np.arange(B)[:, None], np.arange(T), batch.gold_moves]
     seq = -(gold_lp * move_pos).sum() / n_moves
 
     p_un = ad.softmax(logits)

@@ -110,30 +110,14 @@ class TaskContext:
         )
 
 
-def _check_edges(g: TaskGraph) -> None:
-    ids = {n.id for n in g.nodes}
-    for a, b in g.edges:
-        for v in (a, b):
-            if v not in ids:
-                raise ValueError(f"edge endpoint references missing task node id {v}")
-
-
-def validate_dag(g: TaskGraph) -> bool:
-    """True iff the dependency relation is acyclic. Dangling endpoints raise."""
-    _check_edges(g)
-    try:
-        topological_order(g)
-        return True
-    except ValueError:
-        return False
-
-
 def topological_order(g: TaskGraph) -> list[int]:
-    """Kahn's algorithm with ascending-id tie-breaking. Raises on cycles."""
-    _check_edges(g)
+    """Kahn's algorithm with ascending-id tie-breaking. Raises on dangling edge endpoints and on cycles."""
     indeg = {n.id: 0 for n in g.nodes}
     succ: dict[int, list[int]] = {n.id: [] for n in g.nodes}
     for a, b in g.edges:
+        for v in (a, b):
+            if v not in indeg:
+                raise ValueError(f"edge endpoint references missing task node id {v}")
         indeg[b] += 1
         succ[a].append(b)
     ready = [i for i, d in sorted(indeg.items()) if d == 0]
@@ -198,7 +182,3 @@ def chain_graph(kinds: tuple[str, ...]) -> TaskGraph:
 
 def reach_only_graph() -> TaskGraph:
     return chain_graph(("reach",))
-
-
-def pick_place_graph() -> TaskGraph:
-    return chain_graph(("reach", "grasp", "lift", "place"))

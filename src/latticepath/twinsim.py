@@ -45,7 +45,7 @@ they call the BFS oracle directly.
 from __future__ import annotations
 
 from collections.abc import Callable, Generator
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -447,12 +447,20 @@ class Scenario:
         version = d.get("schema_version")
         if version != SCENARIO_SCHEMA_VERSION:
             raise ValueError(f"unsupported scenario schema_version {version!r}")
+        tags, expected = d.get("tags", []), d.get("expected")
+        if not isinstance(tags, list) or not all(isinstance(t, str) for t in tags):
+            raise ValueError(f"scenario tags must be a list of strings, got {tags!r}")
+        if expected is not None and not isinstance(expected, dict):
+            raise ValueError(f"scenario expected must be null or an object, got {expected!r}")
+        outcome_fields = [f.name for f in fields(EpisodeOutcome)]
+        if unknown := sorted(set(expected or ()) - set(outcome_fields)):
+            raise ValueError(f"scenario expected has unknown keys {unknown}; outcome fields are {outcome_fields}")
         return cls(
             name=str(d["name"]),
             scene=Scene.from_dict(d["scene"]),
             events=tuple(Event.from_dict(e) for e in d.get("events", [])),
-            tags=tuple(d.get("tags", [])),
-            expected=d.get("expected"),
+            tags=tuple(tags),
+            expected=expected,
         )
 
 

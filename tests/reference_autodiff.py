@@ -272,7 +272,7 @@ def composite_loss(logits, batch, cfg, model_cfg):
     n_moves = max(move_pos.sum(), 1.0)
     n_all = max(all_pos.sum(), 1.0)
 
-    gold_lp = ad.gather_last(logp, batch.gold_moves)
+    gold_lp = gather_last(logp, batch.gold_moves)
     seq = -(gold_lp * move_pos).sum() / n_moves
 
     p_un = ad.softmax(logits)
@@ -317,7 +317,6 @@ _PATCHES = (
     (Tensor, "gelu", gelu),
     (Tensor, "__getitem__", getitem),
     (ad, "linear", linear),
-    (ad, "gather_last", gather_last),
     (ad, "softmax", softmax),
     (ad, "log_softmax", log_softmax),
 )

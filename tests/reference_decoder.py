@@ -21,9 +21,14 @@ from latticepath import autodiff as ad
 from latticepath.autodiff import Tensor
 from latticepath.corpus import Trajectory
 from latticepath.decoder import DecodeConfig, DecodeCounters, DecodedPath
-from latticepath.lattice import STOP, LatticeCoord, Workspace, apply_move, in_bounds, manhattan
+from latticepath.lattice import MOVES, STOP, LatticeCoord, Workspace, in_bounds, manhattan
 from latticepath.model import KVCache, PathModel, context_features, masked_softmax
 from latticepath.taskgrid import TaskContext
+
+
+def apply_move(p: LatticeCoord, idx: int) -> LatticeCoord:
+    """Cell reached from p by canonical move idx (0..5)."""
+    return p.offset(*MOVES[idx])
 
 
 def coverage_penalty(end: LatticeCoord, ctx: TaskContext, cfg: DecodeConfig) -> float:

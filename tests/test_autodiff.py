@@ -21,6 +21,10 @@ def rng(seed=0):
     return np.random.default_rng(seed)
 
 
+def square(t):
+    return t * t
+
+
 def test_backward_requires_scalar():
     t = Tensor(np.ones(3), requires_grad=True)
     with pytest.raises(ValueError):
@@ -32,9 +36,9 @@ def test_add_mul_neg_sub_grads():
     check_grad(lambda t: ((t + 2.0) * t - t * 0.5 + (-t)).sum(), x)
 
 
-def test_radd_rsub_rmul_rdiv():
-    x = rng(2).normal(size=(5,)) + 3.0  # keep away from zero for rdiv
-    check_grad(lambda t: (1.0 + t).sum() + (2.0 - t).sum() + (3.0 * t).sum() + (6.0 / t).sum(), x)
+def test_radd_rsub_rmul_grads():
+    x = rng(2).normal(size=(5,)) + 3.0  # keep away from zero for the division
+    check_grad(lambda t: (1.0 + t).sum() + (2.0 - t).sum() + (3.0 * t).sum() + (Tensor(6.0) / t).sum(), x)
 
 
 def test_tensor_division_grads_both_sides():
@@ -46,11 +50,6 @@ def test_tensor_division_grads_both_sides():
     nb = numeric_gradient(lambda v: (Tensor(a) / Tensor(v)).sum().item(), b)
     np.testing.assert_allclose(ta.grad, na, atol=1e-6)
     np.testing.assert_allclose(tb.grad, nb, atol=1e-6)
-
-
-def test_pow_grad():
-    x = np.abs(rng(5).normal(size=(4,))) + 0.5
-    check_grad(lambda t: (t ** 3.0).sum(), x)
 
 
 def test_broadcast_add_unbroadcasts_grad():
@@ -103,11 +102,9 @@ def test_matmul_with_broadcast_weight():
     assert tw.grad.shape == w.shape
 
 
-def test_exp_log_tanh_abs_gelu_grads():
+def test_exp_abs_gelu_grads():
     x = np.abs(rng(16).normal(size=(6,))) + 0.5
     check_grad(lambda t: t.exp().sum(), x)
-    check_grad(lambda t: t.log().sum(), x)
-    check_grad(lambda t: t.tanh().sum(), x)
     check_grad(lambda t: t.abs().sum(), x)  # x bounded away from 0
     y = rng(17).normal(size=(6,))
     check_grad(lambda t: t.gelu().sum(), y, tol=1e-5)
@@ -116,7 +113,7 @@ def test_exp_log_tanh_abs_gelu_grads():
 def test_reshape_transpose_grads():
     x = rng(18).normal(size=(2, 3, 4))
     check_grad(lambda t: (t.reshape(6, 4) * 2.0).sum(), x)
-    check_grad(lambda t: (t.transpose((0, 2, 1)) ** 2.0).sum(), x)
+    check_grad(lambda t: square(t.transpose((0, 2, 1))).sum(), x)
 
 
 def test_getitem_grad_scatters_back():
@@ -138,13 +135,13 @@ def test_getitem_fancy_index_accumulates():
 
 def test_sum_axis_and_keepdims_grads():
     x = rng(21).normal(size=(3, 4, 2))
-    check_grad(lambda t: (t.sum(axis=1) ** 2.0).sum(), x)
+    check_grad(lambda t: square(t.sum(axis=1)).sum(), x)
     check_grad(lambda t: (t.sum(axis=(0, 2), keepdims=True) * t).sum(), x)
 
 
 def test_mean_axis_grads():
     x = rng(22).normal(size=(3, 4))
-    check_grad(lambda t: (t.mean(axis=0) ** 2.0).sum(), x)
+    check_grad(lambda t: square(t.mean(axis=0)).sum(), x)
     check_grad(lambda t: t.mean(), x)
 
 
@@ -159,12 +156,13 @@ def test_shared_subgraph_accumulates():
     np.testing.assert_allclose(t.grad, num, atol=1e-6)
 
 
-def test_gather_last_grad():
+def test_last_axis_gather_grad():
     x = rng(24).normal(size=(3, 4, 7))
     idx = rng(25).integers(0, 7, size=(3, 4))
+    lead = (np.arange(3)[:, None], np.arange(4))
     t = Tensor(x, requires_grad=True)
-    ad.gather_last(t, idx).sum().backward()
-    num = numeric_gradient(lambda v: ad.gather_last(Tensor(v), idx).sum().item(), x)
+    t[lead + (idx,)].sum().backward()
+    num = numeric_gradient(lambda v: Tensor(v)[lead + (idx,)].sum().item(), x)
     np.testing.assert_allclose(t.grad, num, atol=1e-6)
 
 
@@ -176,7 +174,7 @@ def test_take_rows_forward_and_grad():
     np.testing.assert_array_equal(out.data, x[rows])
     weights = rng(41).normal(size=(3, 3))
     (out * out * weights).sum().backward()
-    num = numeric_gradient(lambda v: (ad.take_rows(Tensor(v), rows) ** 2.0 * weights).sum().item(), x)
+    num = numeric_gradient(lambda v: (square(ad.take_rows(Tensor(v), rows)) * weights).sum().item(), x)
     np.testing.assert_allclose(t.grad, num, atol=1e-6)
     untaken = [1, 3, 5]
     assert t.grad[untaken].tobytes() == np.zeros((3, 3)).tobytes()  # +0.0, no signed zeros
@@ -192,7 +190,7 @@ def test_put_rows_forward_and_grad():
     assert not out.data[[0, 3, 4]].any()
     weights = rng(43).normal(size=(6, 2, 2))
     (out * out * weights).sum().backward()
-    num = numeric_gradient(lambda v: (ad.put_rows(Tensor(v), rows, 6) ** 2.0 * weights).sum().item(), x)
+    num = numeric_gradient(lambda v: (square(ad.put_rows(Tensor(v), rows, 6)) * weights).sum().item(), x)
     np.testing.assert_allclose(t.grad, num, atol=1e-6)
 
 
@@ -271,12 +269,13 @@ def test_log_softmax_grad_on_legal_entries():
     # weights would poison the forward value with nan
     x = rng(33).normal(size=(2, 6))
     mask = np.array([[True, False, True, True, True, False]] * 2)
+    rows = np.arange(2)
 
     def build(t):
         lp = ad.log_softmax(t, mask=mask)
-        a = ad.gather_last(lp, np.array([0, 4]))
-        b = ad.gather_last(lp, np.array([2, 2]))
-        c = ad.gather_last(lp, np.array([3, 0]))
+        a = lp[rows, np.array([0, 4])]
+        b = lp[rows, np.array([2, 2])]
+        c = lp[rows, np.array([3, 0])]
         return (a * 1.0 + b * 0.5 + c * 2.0).sum()
 
     check_grad(build, x, tol=1e-5)

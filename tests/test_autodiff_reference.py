@@ -118,15 +118,17 @@ def test_getitem_scatter_matches_add_at_exactly(shape, index):
 
 @pytest.mark.parametrize("shape", SHAPES.values(), ids=SHAPES.keys())
 def test_gather_last_matches_add_at_exactly(shape):
+    # indexing with one array per axis, as composite_loss gathers each position's gold move
     x = rng(12).normal(size=shape)
     index = rng(13).integers(0, shape[-1], size=shape[:-1])
+    lead = np.ix_(*map(np.arange, shape[:-1]))
 
     def build(gather):
         # the second gather of the same index adds into the first one's gradient
-        return lambda t: gather(t, index) * 2.0 + gather(t, index)
+        return lambda t: gather(t) * 2.0 + gather(t)
 
-    out, (g,) = grads(build(ad.gather_last), x)
-    ref_out, (rg,) = grads(build(ref.gather_last), x)
+    out, (g,) = grads(build(lambda t: t[lead + (index,)]), x)
+    ref_out, (rg,) = grads(build(lambda t: ref.gather_last(t, index)), x)
     np.testing.assert_array_equal(out, ref_out)
     np.testing.assert_array_equal(g, rg)
 
@@ -232,6 +234,8 @@ def loss_items(name):
 @pytest.mark.parametrize("name", LOSS_CASES)
 def test_make_loss_batch_matches_per_record_reference(name):
     items, bounds = loss_items(name)
+    traj, ctx, w = items[0]
+    items = [(Trajectory(points=(traj.start,)), ctx, w)] + items  # a one-point record: every row is padding but one
     cfg = ModelConfig(bounds=bounds, max_seq_len=32)
     rows = [_supervision(*it, cfg) for it in items]
     for lo in range(0, len(items), 16):

@@ -942,6 +942,68 @@ def test_json_line_that_is_not_an_object_is_one_schema_error(inputs, tmp_path, c
     assert not out.exists()
 
 
+SCENARIO_FIELD_CASES = {
+    "expected-list": ("expected", [1], "scenario expected must be null or an object, got [1]"),
+    "expected-unknown-key": ("expected", {"success": True, "nope": 1}, "scenario expected has unknown keys ['nope']"),
+    "tags-string": ("tags", "abc", "scenario tags must be a list of strings, got 'abc'"),
+    "tags-int": ("tags", ["ok", 3], "scenario tags must be a list of strings, got ['ok', 3]"),
+}
+
+
+@pytest.mark.parametrize("key, value, detail", SCENARIO_FIELD_CASES.values(), ids=SCENARIO_FIELD_CASES)
+def test_bad_scenario_expected_or_tags_is_one_schema_error_before_any_episode(inputs, tmp_path, capsys,
+                                                                                monkeypatch, key, value, detail):
+    rows = [json.loads(line) for line in inputs["<scenes>"].read_text().splitlines()]
+    rows[1][key] = value
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    monkeypatch.setattr(cli, "run_scenarios", lambda *a, **k: pytest.fail("an episode ran"))
+    out = tmp_path / "never"
+    capsys.readouterr()
+    assert run(["sim", "--scenarios", bad, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: schema: {bad}: line 2: malformed record ({detail}") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("file", ["<corpus>", "<scenes>"])
+@pytest.mark.parametrize("line", [1, 2])
+def test_non_utf8_byte_in_a_record_or_scenario_file_is_one_schema_error_naming_its_line(inputs, tmp_path,
+                                                                                       capsys, file, line):
+    raw = inputs[file].read_bytes().splitlines(keepends=True)
+    at = raw[line - 1].index(b'"', 10)  # inside a JSON string, where a decoder that skipped the byte would pass
+    raw[line - 1] = raw[line - 1][:at + 1] + b"\xff" + raw[line - 1][at + 1:]
+    bad = tmp_path / "bad.jsonl"
+    bad.write_bytes(b"".join(raw))
+    argv = {"<corpus>": ["train", "--corpus"], "<scenes>": ["sim", "--scenarios"]}[file]
+    out = tmp_path / "never"
+    capsys.readouterr()
+    assert run([*argv, bad, "--out", out]) == 1
+    assert capsys.readouterr().err == (f"error: schema: {bad}: line {line}: not UTF-8 "
+                                       f"(byte 0xff at column {at + 2})\n")
+    assert not out.exists()
+
+
+def test_non_utf8_byte_after_a_bad_line_leaves_the_first_error_standing(inputs, tmp_path, capsys):
+    raw = inputs["<corpus>"].read_bytes().splitlines(keepends=True)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_bytes(b"[1]\n" + raw[1].replace(b'"', b'"\xff', 1))
+    capsys.readouterr()
+    assert run(["train", "--corpus", bad, "--out", tmp_path / "never"]) == 1
+    assert capsys.readouterr().err == (f"error: schema: {bad}: line 1: malformed record "
+                                       f"(expected a JSON object, got list)\n")
+
+
+def test_non_utf8_config_file_is_one_config_error_naming_it(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(b'{"seed": 1, "note": "\xff"}')
+    out = tmp_path / "never"
+    assert run(["gen", "--config", cfg, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config: {cfg}: not UTF-8 (") and "0xff" in err and err.count("\n") == 1, err
+    assert not out.exists()
+
+
 FILE_FIELDS = {  # file, the entry's keys and indices, its name in the error, whether it is a step
     "points": ("records", ("points", 1), "points[1]", False),
     "context-target": ("records", ("context", "target"), "context.target", False),

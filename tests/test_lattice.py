@@ -5,7 +5,6 @@ from latticepath.lattice import (
     STOP,
     LatticeCoord,
     Workspace,
-    apply_move,
     cell_center_mm,
     default_workspace,
     desk_workspace,
@@ -30,7 +29,7 @@ def test_canonical_move_order():
 def test_move_index_round_trip():
     p = C(2, -1, 3)
     for idx in range(6):
-        q = apply_move(p, idx)
+        q = p.offset(*MOVES[idx])
         assert manhattan(p, q) == 1
         assert move_index(p, q) == idx
 
@@ -104,7 +103,7 @@ def test_legal_moves_mask_matches_neighbors():
     p = C(0, 0, 0)
     mask = legal_moves(p, w)
     assert mask == [False, False, True, False, True, False]
-    reachable = [apply_move(p, i) for i in range(6) if mask[i]]
+    reachable = [p.offset(*MOVES[i]) for i in range(6) if mask[i]]
     assert reachable == neighbors(p, w)
 
 
