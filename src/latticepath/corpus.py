@@ -1,12 +1,12 @@
 """Synthetic trajectory corpus: BFS shortest-path oracle, generation, splits, JSONL IO.
 
 Ground-truth paths come from breadth-first search on the obstacle-masked
-lattice, expanded in canonical move order so the whole corpus is a pure
-function of (config, seed). Records serialize one-per-line as JSON (schema
-v2: the workspace's obstacles as a bitmap; v1 files, with an obstacle list,
-still read); the JSON-lines reader and writer here carry every record file
-the package writes, and validate_path is the one bounds-and-adjacency rule
-for paths.
+lattice (over the start-goal box first, then the whole grid), expanded in
+canonical move order so the whole corpus is a pure function of (config,
+seed). Records serialize one-per-line as JSON (schema v2: the workspace's
+obstacles as a bitmap; v1 files, with an obstacle list, still read); the
+JSON-lines reader and writer here carry every record file the package
+writes, and validate_path is the one bounds-and-adjacency rule for paths.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .lattice import LatticeCoord, LegalityGrid, Workspace, in_bounds, manhattan, read_cell, read_int
+from .lattice import MOVES, LatticeCoord, LegalityGrid, Workspace, in_bounds, manhattan, read_cell, read_int
 from .lattice import neighbors  # noqa: F401 (perfbench/tracer.py wraps corpus.neighbors)
 from .taskgrid import TaskContext, TaskGraph, build_context, chain_graph
 
@@ -146,13 +146,17 @@ class GenerationCounters:
     drawn and no search runs), the goal is unreachable, or the shortest path
     is too long. obstacle_draws counts the attempts that drew their
     obstacles, attempts minus rejected_distance. bfs_runs counts oracle
-    searches and bfs_cells_expanded the cells they took off the queue.
+    searches, one per oracle_path call that searches, whatever its stages.
+    bfs_cells_expanded counts the cells both stages took off their queues
+    (see oracle_path), and bfs_fallbacks the searches whose start-goal box
+    stage found no path, so that the full BFS ran too.
     """
 
     attempts: int = 0
     obstacle_draws: int = 0
     bfs_runs: int = 0
     bfs_cells_expanded: int = 0
+    bfs_fallbacks: int = 0
     rejected_distance: int = 0
     rejected_unreachable: int = 0
     rejected_too_long: int = 0
@@ -173,11 +177,26 @@ def oracle_path(
 ) -> Trajectory:
     """Shortest obstacle-avoiding path from start to goal, both endpoints included.
 
-    BFS over the flat indices of w.grid with frontier expansion in canonical
-    move order; each cell keeps the first parent that discovers it, so ties
-    resolve deterministically. Grids of LAYERED_BFS_MIN_CELLS cells or more
-    are expanded a layer at a time, smaller ones cell by cell; both give the
-    same path and count. counters, if given, tallies the search.
+    The path is the one a BFS over the flat indices of w.grid finds when it
+    expands its frontier in canonical move order and each cell keeps the
+    first parent that discovers it: of the shortest paths, the one whose
+    move sequence is lexicographically least. It is searched in two stages.
+
+    The box stage searches only the start-goal box (a copy of the grid with
+    every other cell blocked) with only the moves toward the goal, in
+    canonical order. Every path it can find is monotone, so if it reaches
+    the goal the path has the Manhattan length and is a shortest path. Then
+    every shortest path is monotone and lies in the box, so the box stage's
+    first parents give the lexicographically least of them: the full BFS's
+    path. If the box stage fails, the shortest path is longer than the
+    Manhattan distance or there is none, and the full BFS over the grid with
+    all six moves runs as the fallback.
+
+    A stage that can visit LAYERED_BFS_MIN_CELLS cells or more (the box's
+    volume, then the grid's) is expanded a layer at a time, a smaller one
+    cell by cell; both give the same path and count. counters, if given,
+    tallies the search: one bfs_runs, the cells both stages expanded, and
+    one bfs_fallbacks if the box stage failed.
     """
     if not in_bounds(start, w):
         raise ValueError(f"start {start} is out of bounds")
@@ -186,33 +205,61 @@ def oracle_path(
     if start == goal:
         return Trajectory(points=(start,))
     grid = w.grid
-    search = _bfs_layers if len(grid.free) >= LAYERED_BFS_MIN_CELLS else _bfs_queue
-    path, expanded = search(grid, grid.index(start), grid.index(goal))
+    s, g = grid.index(start), grid.index(goal)
+    table, toward, volume = _goal_box(grid, start, goal)
+    path, expanded = _bfs(volume)(table, toward, s, g)
+    fallback = path is None
+    if fallback:
+        path, more = _bfs(len(grid.free))(grid.free_mask, grid.strides, s, g)
+        expanded += more
     if counters is not None:
         counters.bfs_runs += 1
         counters.bfs_cells_expanded += expanded
+        counters.bfs_fallbacks += fallback
     if path is None:
         raise UnreachableGoalError(f"goal {goal} is unreachable from {start}")
     return Trajectory(points=tuple(grid.coord(i) for i in path))
 
 
-# Grids (padding included) of at least this many cells are searched a layer at
-# a time, smaller ones with the queue. On cubes at 0-20% obstacles the queue is
-# faster at side 7 (a 729-cell grid) and the layers from side 9 (1,331 cells);
-# the desk box's grid has 567 cells, the envelope's 81,733. Searching the desk
-# box by layers too made a 2,000-record desk `gen` about a fifth slower.
+# Searches that can visit at least this many cells (a grid's, padding included,
+# or a start-goal box's) run a layer at a time, smaller ones with the queue. On
+# cubes at 0-20% obstacles the queue is faster at side 7 (a 729-cell grid) and
+# the layers from side 9 (1,331 cells); the desk box's grid has 567 cells, the
+# envelope's 81,733. Searching the desk box by layers too made a 2,000-record
+# desk `gen` about a fifth slower.
 LAYERED_BFS_MIN_CELLS = 1200
 
 
-def _bfs_queue(grid: LegalityGrid, s: int, g: int) -> tuple[list[int] | None, int]:
+def _goal_box(grid: LegalityGrid, start: LatticeCoord,
+              goal: LatticeCoord) -> tuple[np.ndarray, tuple[int, ...], int]:
+    """The box stage's search: its table, its strides and the number of cells it can visit.
+
+    The table is grid's with every cell outside the start-goal box blocked,
+    the strides are those of the moves toward the goal, in canonical order
+    (one per axis on which start and goal differ), and the cells are the
+    box's.
+    """
+    delta = (goal.x - start.x, goal.y - start.y, goal.z - start.z)
+    toward = tuple(d for d, m in zip(grid.strides, MOVES) if m[0] * delta[0] + m[1] * delta[1] + m[2] * delta[2] > 0)
+    volume = (abs(delta[0]) + 1) * (abs(delta[1]) + 1) * (abs(delta[2]) + 1)
+    return grid.box_table(start, goal), toward, volume
+
+
+def _bfs(cells: int):
+    """The expansion for a search that can visit this many cells: _bfs_layers or _bfs_queue."""
+    return _bfs_layers if cells >= LAYERED_BFS_MIN_CELLS else _bfs_queue
+
+
+def _bfs_queue(table, strides: tuple[int, ...], s: int, g: int) -> tuple[list[int] | None, int]:
     """Flat indices of the BFS path from s to g (None if g is unreachable), and cells expanded.
 
-    The queue is expanded cell by cell in canonical move order; each cell
-    keeps the first parent that discovers it. Expanded counts the cells taken
-    off the queue, up to the one whose move discovers g.
+    table is a flat bool array, True on the cells the search may enter, and
+    strides the flat moves it may take, in the order it tries them. The
+    queue is expanded cell by cell; each cell keeps the first parent that
+    discovers it. Expanded counts the cells taken off the queue, up to the
+    one whose move discovers g.
     """
-    strides = grid.strides
-    unseen = bytearray(grid.free)
+    unseen = bytearray(table)
     unseen[s] = 0
     parent: dict[int, int] = {}
     queue = deque([s])
@@ -234,21 +281,22 @@ def _bfs_queue(grid: LegalityGrid, s: int, g: int) -> tuple[list[int] | None, in
     return None, expanded
 
 
-def _bfs_layers(grid: LegalityGrid, s: int, g: int) -> tuple[list[int] | None, int]:
+def _bfs_layers(table, strides: tuple[int, ...], s: int, g: int) -> tuple[list[int] | None, int]:
     """_bfs_queue's path and count, expanding one whole BFS layer per numpy step.
 
-    A layer's candidates, frontier position first and canonical move second,
-    are the order in which the queue would discover them; a cell reached
-    more than once keeps its first candidate (the smallest index), so each
-    layer holds the cells in the queue's order and each cell the queue's
-    parent. Layers keep their parents' positions, and only the returned path
-    is walked back.
+    A layer's candidates, frontier position first and move second, are the
+    order in which the queue would discover them; a cell reached more than
+    once keeps its first candidate (the smallest index), so each layer holds
+    the cells in the queue's order and each cell the queue's parent. Layers
+    keep their parents' positions, and only the returned path is walked
+    back.
     """
-    strides = grid.move_strides
-    unseen = grid.free_mask.copy()
+    k = len(strides)
+    unseen = table.copy()
     unseen[s] = False
-    first = np.full(len(unseen), len(unseen) * len(strides), dtype=np.int64)  # above any candidate index
+    first = np.full(len(unseen), len(unseen) * k, dtype=np.int64)  # above any candidate index
     layers = [(np.array([s]), None)]  # each layer's cells and their parents' positions in the layer before
+    strides = np.array(strides, dtype=np.int64)
     expanded = 0
     while True:
         frontier = layers[-1][0]
@@ -262,7 +310,7 @@ def _bfs_layers(grid: LegalityGrid, s: int, g: int) -> tuple[list[int] | None, i
             return None, expanded + len(frontier)
         unseen[cells] = False
         if not unseen[g]:
-            j = int(idx[np.flatnonzero(cells == g)[0]]) // len(strides)
+            j = int(idx[np.flatnonzero(cells == g)[0]]) // k
             expanded += j + 1
             path = [g]
             for layer, parents in reversed(layers):
@@ -271,7 +319,7 @@ def _bfs_layers(grid: LegalityGrid, s: int, g: int) -> tuple[list[int] | None, i
                     j = int(parents[j])
             return path[::-1], expanded
         expanded += len(frontier)
-        layers.append((cells, idx // len(strides)))
+        layers.append((cells, idx // k))
 
 
 _TASK_TEMPLATES: tuple[tuple[tuple[str, ...], int], ...] = (

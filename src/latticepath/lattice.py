@@ -225,13 +225,15 @@ class Workspace:
         if not obs:
             return box
         x0, x1, y0, y1, z0, z1 = box.bounds
-        xs, ys, zs = zip(*obs)
-        if min(xs) < x0 or max(xs) > x1 or min(ys) < y0 or max(ys) > y1 or min(zs) < z0 or max(zs) > z1:
+        try:
+            cells = np.fromiter(chain.from_iterable(obs), dtype=np.int64, count=3 * len(obs)).reshape(-1, 3)
+        except OverflowError:  # a coordinate beyond int64 lies outside any box
+            cells = None
+        if cells is None or (cells.min(axis=0) < (x0, y0, z0)).any() or (cells.max(axis=0) > (x1, y1, z1)).any():
             i = next(i for i, (x, y, z) in enumerate(obs)
                      if not (x0 <= x <= x1 and y0 <= y <= y1 and z0 <= z <= z1))
             raise ValueError(f"workspace.obstacles[{i}] = {_text(obs[i])} lies outside the workspace bounds")
         _, ny, nz = box.shape
-        cells = np.fromiter(chain.from_iterable(obs), dtype=np.int64, count=3 * len(obs)).reshape(-1, 3)
         return box._with_rank_array(_rank_array((cells - (x0, y0, z0)) @ (ny * nz, nz, 1)))
 
 
@@ -369,6 +371,16 @@ class LegalityGrid:
         """Legality (..., 6) of the canonical moves from integer cells (..., 3) of the box."""
         flat = (np.asarray(cells, dtype=np.int64) - self.origin) @ self._cell_weights
         return self.free_mask[flat[..., None] + self.move_strides]
+
+    def box_table(self, a: LatticeCoord, b: LatticeCoord) -> np.ndarray:
+        """A copy of free_mask that is False outside the box with opposite corners a and b."""
+        sx, sy = self._axis
+        box = tuple(slice(min(u, v) - o, max(u, v) - o + 1)
+                    for u, v, o in zip(a.as_tuple(), b.as_tuple(), self.origin))
+        padded = self.free_mask.reshape(-1, sx // sy, sy)
+        table = np.zeros_like(padded)
+        table[box] = padded[box]
+        return table.ravel()
 
 
 class GridStack:

@@ -44,6 +44,7 @@ they call the BFS oracle directly.
 
 from __future__ import annotations
 
+import json
 from collections.abc import Callable, Generator
 from dataclasses import asdict, dataclass, field, fields
 
@@ -74,6 +75,8 @@ class Scene:
             raise ValueError(f"target {self.target} is out of bounds")
         if self.container is not None:
             object.__setattr__(self, "container", frozenset(self.container))
+            if not self.container:
+                raise ValueError("container must be None or hold at least one cell")
             for c in self.container:
                 if not in_bounds(c, self.workspace):
                     raise ValueError(f"container cell {c} is out of bounds")
@@ -102,13 +105,16 @@ class Scene:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Scene":
+        container = d.get("container")
+        if not (container is None or (type(container) is list and container)):
+            raise ValueError(f"container must be null or a non-empty list of cells, got {json.dumps(container)}")
         return cls(
             workspace=Workspace.from_dict(d["workspace"]),
             end_effector=read_cell(d["end_effector"], "end_effector"),
             target=read_cell(d["target"], "target"),
             container=(
-                frozenset(read_cell(c, f"container[{i}]") for i, c in enumerate(d["container"]))
-                if d.get("container") is not None
+                frozenset(read_cell(c, f"container[{i}]") for i, c in enumerate(container))
+                if container is not None
                 else None
             ),
             dynamic_obstacles=tuple(

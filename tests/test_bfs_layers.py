@@ -1,8 +1,11 @@
-"""The layer-at-a-time BFS against the queue it stands in for on large grids.
+"""The oracle's two search stages, and the two expansions each stage may use.
 
-Both expansions must return the same flat-index path and the same count of
-expanded cells on every input, and the path must be the one the cell-by-cell
-reference oracle finds.
+The layer-at-a-time BFS stands in for the queue on large searches: both must
+return the same flat-index path and the same count of expanded cells on every
+table and stride set, the whole grid's and a start-goal box's. oracle_path,
+which searches the start-goal box with the moves toward the goal before the
+whole grid, must return the path the cell-by-cell reference oracle finds, and
+fall back to the whole grid exactly when no shortest path is monotone.
 """
 
 import random
@@ -18,9 +21,10 @@ from latticepath.corpus import (
     UnreachableGoalError,
     _bfs_layers,
     _bfs_queue,
+    _goal_box,
     oracle_path,
 )
-from latticepath.lattice import MOVES, LatticeCoord, Workspace, default_workspace, desk_workspace
+from latticepath.lattice import MOVES, LatticeCoord, Workspace, default_workspace, desk_workspace, manhattan
 
 C = LatticeCoord
 
@@ -44,23 +48,77 @@ def free_index(w, rng):
     return int(free[rng.randrange(len(free))])
 
 
-def reachable(grid, s):
-    """Number of cells the BFS from flat index s can reach, itself included."""
+def reachable(table, strides, s):
+    """Number of cells a search over table with these strides can reach from flat index s, itself included."""
     seen, stack = {s}, [s]
     while stack:
         p = stack.pop()
-        for d in grid.strides:
-            if grid.free[p + d] and p + d not in seen:
+        for d in strides:
+            if table[p + d] and p + d not in seen:
                 seen.add(p + d)
                 stack.append(p + d)
     return len(seen)
 
 
-def same_search(grid, s, g):
+def same_search(table, strides, s, g):
     """The layered search's result, after checking that it is the queue's."""
-    layered = _bfs_layers(grid, s, g)
-    assert layered == _bfs_queue(grid, s, g), (grid.coord(s), grid.coord(g))
+    layered = _bfs_layers(table, strides, s, g)
+    assert layered == _bfs_queue(table, strides, s, g), (s, g)
     return layered
+
+
+def full_search(grid, s, g):
+    """The whole-grid BFS with all six moves: the fallback stage, and the path both stages must give."""
+    return same_search(grid.free_mask, grid.strides, s, g)
+
+
+def box_search(grid, start, goal):
+    """The box stage's search, and its table and strides."""
+    table, strides, _ = _goal_box(grid, start, goal)
+    return same_search(table, strides, grid.index(start), grid.index(goal)), table, strides
+
+
+def searched(start, goal, w):
+    """oracle_path's points (None if the goal is unreachable) and its counters."""
+    counters = GenerationCounters()
+    try:
+        points = oracle_path(start, goal, w, counters).points
+    except UnreachableGoalError:
+        points = None
+    assert counters.bfs_runs == 1
+    return points, counters
+
+
+def check_stages(start, goal, w, reference=True):
+    """oracle_path against the whole-grid BFS and the reference, stage by stage.
+
+    Returns oracle_path's points and the cells the whole-grid BFS expanded.
+
+    The box stage answers exactly when the shortest path is monotone (its
+    length is the Manhattan distance); otherwise the whole grid is searched
+    too, and both stages' cells are counted.
+    """
+    grid = w.grid
+    s, g = grid.index(start), grid.index(goal)
+    path, expanded = full_search(grid, s, g)
+    expected = None if path is None else tuple(grid.coord(i) for i in path)
+    assert expected is None or (expected[0], expected[-1]) == (start, goal)
+    if reference:
+        try:
+            assert ref.oracle_path(start, goal, w).points == expected
+        except UnreachableGoalError:
+            assert expected is None
+    (box_path, box_expanded), _, _ = box_search(grid, start, goal)
+    points, counters = searched(start, goal, w)
+    assert points == expected, (start, goal)
+    monotone = expected is not None and len(expected) == manhattan(start, goal) + 1
+    assert counters.bfs_fallbacks == (not monotone)
+    assert (box_path is not None) == monotone
+    if monotone:
+        assert box_path == path and counters.bfs_cells_expanded == box_expanded
+    else:
+        assert counters.bfs_cells_expanded == box_expanded + expanded
+    return points, expanded
 
 
 @pytest.mark.parametrize("density", DENSITIES)
@@ -73,15 +131,13 @@ def test_layers_match_the_queue_and_the_reference(name, density):
         s, g = free_index(w, rng), free_index(w, rng)
         if s == g:
             continue
-        path, expanded = same_search(grid, s, g)
-        if path is None:
+        # the cell-by-cell reference takes seconds per envelope search
+        points, expanded = check_stages(grid.coord(s), grid.coord(g), w, reference=name != "envelope")
+        if points is None:
             unreachable += 1
-            assert expanded == reachable(grid, s)
-            continue
-        assert path[0] == s and path[-1] == g and 1 <= expanded <= reachable(grid, s)
-        if name != "envelope":  # the cell-by-cell reference takes seconds per envelope search
-            expected = ref.oracle_path(grid.coord(s), grid.coord(g), w).points
-            assert tuple(grid.coord(i) for i in path) == expected
+            assert expanded == reachable(grid.free, grid.strides, s)
+        else:
+            assert 1 <= expanded <= reachable(grid.free, grid.strides, s)
     if density < 0.2:
         assert unreachable == 0
 
@@ -94,8 +150,7 @@ def test_layers_match_the_reference_on_short_envelope_searches():
         goal = start.offset(rng.randrange(-4, 5), rng.randrange(-4, 5), rng.randrange(-4, 5))
         if goal == start or not ref.in_bounds(goal, w):
             continue
-        same_search(w.grid, w.grid.index(start), w.grid.index(goal))
-        assert oracle_path(start, goal, w).points == ref.oracle_path(start, goal, w).points
+        check_stages(start, goal, w)
 
 
 @pytest.mark.parametrize("density", [0.0, 0.2])
@@ -111,16 +166,17 @@ def test_an_unreachable_goal_expands_every_reachable_cell(name, density):
         if not ref.in_bounds(start, w):
             continue
         s = grid.index(start)
-        path, expanded = same_search(grid, s, grid.index(goal))
-        assert path is None and expanded == reachable(grid, s)
-        counters = GenerationCounters()
-        with pytest.raises(UnreachableGoalError):
-            oracle_path(start, goal, w, counters)
-        assert (counters.bfs_runs, counters.bfs_cells_expanded) == (1, expanded)
+        path, expanded = full_search(grid, s, grid.index(goal))
+        assert path is None and expanded == reachable(grid.free, grid.strides, s)
+        (box_path, box_expanded), table, strides = box_search(grid, start, goal)
+        assert box_path is None and box_expanded == reachable(table, strides, s)
+        points, counters = searched(start, goal, w)
+        assert points is None and counters.bfs_fallbacks == 1
+        assert counters.bfs_cells_expanded == box_expanded + expanded
         if density == 0.0:
             assert expanded == w.volume() - len(seal) - 1  # all but the seal and the goal
-        path, expanded = same_search(grid, grid.index(goal), s)  # from the sealed cell outward
-        assert (path, expanded) == (None, 1)
+        assert full_search(grid, grid.index(goal), s) == (None, 1)  # from the sealed cell outward
+        assert searched(goal, start, w)[1].bfs_cells_expanded == 2  # the sealed cell, once per stage
 
 
 @pytest.mark.parametrize("name", BOXES)
@@ -130,8 +186,14 @@ def test_a_goal_next_to_the_start_is_found_expanding_the_start(name):
     grid = w.grid
     s = grid.index(start)
     for m in MOVES:
-        g = grid.index(start.offset(*m))
-        assert same_search(grid, s, g) == ([s, g], 1)
+        goal = start.offset(*m)
+        g = grid.index(goal)
+        assert full_search(grid, s, g) == ([s, g], 1)
+        (box_path, box_expanded), _, strides = box_search(grid, start, goal)
+        assert (box_path, box_expanded, strides) == ([s, g], 1, (g - s,))
+        points, counters = searched(start, goal, w)
+        assert points == (start, goal)
+        assert (counters.bfs_cells_expanded, counters.bfs_fallbacks) == (1, 0)
 
 
 @pytest.mark.parametrize("name", BOXES)
@@ -146,20 +208,100 @@ def test_goals_on_the_box_faces(name):
     for goal in faces:
         if goal == start or not ref.in_bounds(goal, w):
             continue
-        path, _ = same_search(grid, grid.index(start), grid.index(goal))
-        assert path is not None and path[-1] == grid.index(goal)
+        points, _ = check_stages(start, goal, w, reference=name != "envelope")
+        assert points is not None and points[-1] == goal
 
 
-def test_the_grid_size_selects_the_expansion(monkeypatch):
+@pytest.mark.parametrize("name", [n for n in BOXES if n != "envelope"])
+def test_goals_sharing_coordinates_with_the_start_search_with_fewer_moves(name):
+    w = obstacle_box(BOXES[name], 0.1, seed=5)
+    grid, rng = w.grid, random.Random(6)
+    seen = set()
+    for _ in range(40):
+        start = grid.coord(free_index(w, rng))
+        goal = grid.coord(free_index(w, rng))
+        shared = rng.sample(range(3), rng.choice((1, 2)))  # copy one or two of the start's coordinates
+        goal = C(*(a if axis in shared else b for axis, (a, b) in enumerate(zip(start.as_tuple(), goal.as_tuple()))))
+        if goal == start or not ref.in_bounds(goal, w):
+            continue
+        _, strides, volume = _goal_box(grid, start, goal)
+        differ = [axis for axis in range(3) if start.as_tuple()[axis] != goal.as_tuple()[axis]]
+        assert len(strides) == len(differ) and list(strides) == [d for d in grid.strides if d in strides]
+        assert volume == np.prod([abs(a - b) + 1 for a, b in zip(start.as_tuple(), goal.as_tuple())])
+        seen.add(len(strides))
+        check_stages(start, goal, w)
+    assert seen == {1, 2}
+
+
+def wall(w, x, gap):
+    """w with every cell of the plane at this x blocked except the gap cell."""
+    cells = [C(x, y, z) for y in range(w.y_min, w.y_max + 1) for z in range(w.z_min, w.z_max + 1)]
+    return w.with_obstacles([c for c in cells if c != gap])
+
+
+@pytest.mark.parametrize("name", BOXES)
+def test_a_wall_across_the_box_forces_the_fallback_unless_its_gap_lies_in_the_box(name):
+    w = BOXES[name]
+    x0, _, y0, y1, z0, _ = w.bounds
+    start, goal = C(x0, y0 + 1, z0), C(x0 + 3, y0 + 2, z0 + 1)
+    inside, outside = C(x0 + 1, y0 + 2, z0), C(x0 + 1, y1, z0)
+    for gap, fallbacks in ((inside, 0), (outside, 1)):
+        blocked = wall(w, x0 + 1, gap)
+        points, _ = check_stages(start, goal, blocked, reference=name != "envelope")
+        assert gap in points
+        assert searched(start, goal, blocked)[1].bfs_fallbacks == fallbacks
+    blocked = wall(w, x0 + 1, gap=None)  # no gap at all: sealed, both stages fail
+    assert check_stages(start, goal, blocked, reference=name != "envelope")[0] is None
+
+
+@pytest.mark.parametrize("name", BOXES)
+def test_an_obstacle_free_straight_line_expands_one_cell_per_step(name):
+    w = BOXES[name]
+    lo, hi = (w.x_min, w.y_min, w.z_min), (w.x_max, w.y_max, w.z_max)
+    for axis in range(3):
+        a, b = list(lo), list(lo)
+        b[axis] = hi[axis]
+        for start, goal in ((C(*a), C(*b)), (C(*b), C(*a))):
+            points, counters = searched(start, goal, w)
+            d = manhattan(start, goal)
+            assert len(points) == d + 1
+            assert (counters.bfs_cells_expanded, counters.bfs_fallbacks) == (d, 0)
+
+
+def test_a_long_envelope_leg_searches_its_box_by_layers():
+    w = obstacle_box(default_workspace(), 0.05, seed=12)
+    start, goal = C(-20, -20, 1), C(20, 19, 33)
+    for c in (start, goal):
+        w = w.with_obstacles(set(w.obstacles) - {c})
+    grid = w.grid
+    assert _goal_box(grid, start, goal)[2] >= LAYERED_BFS_MIN_CELLS
+    points, _ = check_stages(start, goal, w, reference=False)
+    assert len(points) == manhattan(start, goal) + 1
+
+
+def test_each_stage_picks_its_expansion_by_the_cells_it_can_visit(monkeypatch):
     calls = []
     for name in ("_bfs_queue", "_bfs_layers"):
         search = getattr(corpus, name)
-        monkeypatch.setattr(corpus, name, lambda grid, s, g, name=name, search=search: (
-            calls.append(name), search(grid, s, g))[1])
+        monkeypatch.setattr(corpus, name, lambda table, strides, s, g, name=name, search=search: (
+            calls.append((name, len(strides))), search(table, strides, s, g))[1])
+
+    def expansions(start, goal, w):
+        calls.clear()
+        try:
+            oracle_path(start, goal, w)
+        except UnreachableGoalError:
+            pass
+        return list(calls)
+
     desk, envelope = desk_workspace(), default_workspace()
     assert len(desk.grid.free) < LAYERED_BFS_MIN_CELLS <= len(envelope.grid.free)
-    oracle_path(C(-3, -3, 0), C(3, 3, 4), desk)
-    oracle_path(C(-3, -3, 0), C(3, 3, 4), envelope)
-    with pytest.raises(UnreachableGoalError):
-        oracle_path(C(0, 0, 0), C(1, 1, 1), envelope.with_obstacles([C(1, 1, 1).offset(*m) for m in MOVES]))
-    assert calls == ["_bfs_queue", "_bfs_layers", "_bfs_layers"]
+    assert expansions(C(-3, -3, 0), C(3, 3, 4), desk) == [("_bfs_queue", 3)]
+    assert expansions(C(-3, -3, 0), C(3, 3, 4), envelope) == [("_bfs_queue", 3)]  # a 245-cell box
+    assert expansions(C(-22, -22, 0), C(22, 22, 34), envelope) == [("_bfs_layers", 3)]  # the whole box
+    assert expansions(C(0, 0, 0), C(3, 0, 0), desk.with_obstacles([C(1, 0, 0)])) == [("_bfs_queue", 1),
+                                                                                      ("_bfs_queue", 6)]
+    assert expansions(C(0, 0, 0), C(3, 0, 0), envelope.with_obstacles([C(1, 0, 0)])) == [("_bfs_queue", 1),
+                                                                                          ("_bfs_layers", 6)]
+    sealed = envelope.with_obstacles([C(1, 1, 1).offset(*m) for m in MOVES])
+    assert expansions(C(0, 0, 0), C(1, 1, 1), sealed) == [("_bfs_queue", 3), ("_bfs_layers", 6)]

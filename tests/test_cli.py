@@ -1051,6 +1051,29 @@ def test_non_integer_cell_or_step_in_a_file_is_one_schema_error_naming_it(inputs
     assert not out.exists()
 
 
+@pytest.mark.parametrize("container", [[], {}, "abc", 5, [[]]], ids=["empty", "object", "string", "number", "bad-cell"])
+def test_a_container_other_than_null_or_cells_is_one_schema_error_before_any_episode(tmp_path, capsys, monkeypatch,
+                                                                                    container):
+    from latticepath import twinsim
+    from latticepath.twinsim import default_scenario_pack, write_scenarios
+
+    monkeypatch.setattr(twinsim, "run_lock_step", lambda *a, **k: pytest.fail("an episode ran"))
+    write_scenarios(tmp_path / "scenes.jsonl", default_scenario_pack()[:2])
+    rows = [json.loads(line) for line in (tmp_path / "scenes.jsonl").read_text().splitlines()]
+    rows[1]["scene"]["container"] = container
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    out = tmp_path / "never"
+    capsys.readouterr()
+    assert run(["sim", "--scenarios", bad, "--out", out]) == 1
+    if container == [[]]:
+        detail = "container[0] must be three integers, got []"
+    else:
+        detail = f"container must be null or a non-empty list of cells, got {json.dumps(container)}"
+    assert capsys.readouterr().err == f"error: schema: {bad}: line 2: malformed record ({detail})\n"
+    assert not out.exists()
+
+
 def test_integral_float_cells_and_steps_in_a_file_read_as_integers(inputs, tmp_path):
     from latticepath.twinsim import default_scenario_pack, read_scenarios, write_scenarios
 

@@ -99,9 +99,11 @@ def test_oracle_path_counts_its_search():
     assert counters.bfs_runs == 0
     with pytest.raises(UnreachableGoalError):
         oracle_path(C(0, 0, 0), C(4, 4, 2), w, counters)
-    assert (counters.bfs_runs, counters.bfs_cells_expanded) == (1, 1)  # the sealed pocket
+    # the sealed pocket: its box stage and the full search each expand the start alone
+    assert (counters.bfs_runs, counters.bfs_cells_expanded, counters.bfs_fallbacks) == (1, 2, 1)
     oracle_path(C(4, 4, 2), C(4, 4, 1), w, counters)
-    assert (counters.bfs_runs, counters.bfs_cells_expanded) == (2, 2)  # found while expanding the start
+    # found while the box stage expands the start
+    assert (counters.bfs_runs, counters.bfs_cells_expanded, counters.bfs_fallbacks) == (2, 3, 1)
 
 
 BOXES = {

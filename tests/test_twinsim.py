@@ -53,6 +53,8 @@ def test_scene_validates_cells():
     with pytest.raises(ValueError):
         Scene(workspace=w, end_effector=C(0, 0, 0), target=C(1, 0, 0),
               dynamic_obstacles=((C(99, 0, 0), 2),))
+    with pytest.raises(ValueError, match="container must be None or hold at least one cell"):
+        Scene(workspace=w, end_effector=C(0, 0, 0), target=C(1, 0, 0), container=frozenset())
 
 
 def test_drop_cell_is_smallest_container_cell():
