@@ -50,12 +50,12 @@ def save_checkpoint(path, model: PathModel, optimizer: Optimizer | None = None, 
 
 
 def load_checkpoint(path) -> tuple[PathModel, Optimizer | None, int]:
-    """Model, optimizer (or None) and step; a malformed file is a CheckpointFormatError."""
+    """Model, optimizer (or None) and step; a malformed file or metadata value is a CheckpointFormatError."""
     try:
         return _read_checkpoint(path)
     except CheckpointFormatError:
         raise
-    except (zipfile.BadZipFile, EOFError, KeyError, ValueError) as e:
+    except (zipfile.BadZipFile, EOFError, KeyError, ValueError, TypeError) as e:
         detail = f"{type(e).__name__}: {e}"
         raise CheckpointFormatError(f"{path}: malformed checkpoint ({detail})") from None
 
@@ -65,6 +65,8 @@ def _read_checkpoint(path) -> tuple[PathModel, Optimizer | None, int]:
         if "__meta__" not in f:
             raise CheckpointFormatError("not a checkpoint: missing metadata entry")
         meta = json.loads(str(f["__meta__"][()]))
+        if not isinstance(meta, dict):
+            raise ValueError(f"metadata is a JSON {type(meta).__name__}, not an object")
         if meta.get("format_version") != FORMAT_VERSION:
             raise CheckpointFormatError(
                 f"unsupported checkpoint format_version {meta.get('format_version')!r}"

@@ -1,8 +1,9 @@
 """Synthetic trajectory corpus: BFS shortest-path oracle, generation, splits, JSONL IO.
 
-Ground-truth paths come from breadth-first search on the obstacle-masked
-lattice (over the start-goal box first, then the whole grid), expanded in
-canonical move order so the whole corpus is a pure function of (config,
+Ground-truth paths are the BFS shortest paths of the obstacle-masked
+lattice in canonical move order: a depth-first search over the moves toward
+the goal finds them when they are monotone, a breadth-first search over the
+whole grid otherwise, so the whole corpus is a pure function of (config,
 seed). Records serialize one-per-line as JSON (schema v2: the workspace's
 obstacles as a bitmap; v1 files, with an obstacle list, still read); the
 JSON-lines reader and writer here carry every record file the package
@@ -14,7 +15,6 @@ from __future__ import annotations
 import json
 import random
 import sys
-from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -147,9 +147,10 @@ class GenerationCounters:
     is too long. obstacle_draws counts the attempts that drew their
     obstacles, attempts minus rejected_distance. bfs_runs counts oracle
     searches, one per oracle_path call that searches, whatever its stages.
-    bfs_cells_expanded counts the cells both stages took off their queues
-    (see oracle_path), and bfs_fallbacks the searches whose start-goal box
-    stage found no path, so that the full BFS ran too.
+    bfs_cells_expanded counts the cells both stages expanded: the box
+    stage's cells stepped from or backed out of, the full BFS's cells taken
+    off its queue (see _monotone_path and _bfs_layers). bfs_fallbacks counts
+    the searches whose box stage found no path, so that the full BFS ran too.
     """
 
     attempts: int = 0
@@ -182,21 +183,17 @@ def oracle_path(
     first parent that discovers it: of the shortest paths, the one whose
     move sequence is lexicographically least. It is searched in two stages.
 
-    The box stage searches only the start-goal box (a copy of the grid with
-    every other cell blocked) with only the moves toward the goal, in
-    canonical order. Every path it can find is monotone, so if it reaches
-    the goal the path has the Manhattan length and is a shortest path. Then
-    every shortest path is monotone and lies in the box, so the box stage's
-    first parents give the lexicographically least of them: the full BFS's
-    path. If the box stage fails, the shortest path is longer than the
-    Manhattan distance or there is none, and the full BFS over the grid with
-    all six moves runs as the fallback.
+    The box stage (_monotone_path) searches depth first with only the moves
+    toward the goal, in canonical order, so every path it can find is
+    monotone: it lies in the start-goal box and has the Manhattan length, a
+    shortest path. Then every shortest path is monotone, and the box stage's
+    first path, the lexicographically least monotone move sequence, is the
+    full BFS's path. If the box stage fails, the shortest path is longer
+    than the Manhattan distance or there is none, and the layered BFS over
+    the whole grid with all six moves runs as the fallback.
 
-    A stage that can visit LAYERED_BFS_MIN_CELLS cells or more (the box's
-    volume, then the grid's) is expanded a layer at a time, a smaller one
-    cell by cell; both give the same path and count. counters, if given,
-    tallies the search: one bfs_runs, the cells both stages expanded, and
-    one bfs_fallbacks if the box stage failed.
+    counters, if given, tallies the search: one bfs_runs, the cells both
+    stages expanded, and one bfs_fallbacks if the box stage failed.
     """
     if not in_bounds(start, w):
         raise ValueError(f"start {start} is out of bounds")
@@ -205,12 +202,10 @@ def oracle_path(
     if start == goal:
         return Trajectory(points=(start,))
     grid = w.grid
-    s, g = grid.index(start), grid.index(goal)
-    table, toward, volume = _goal_box(grid, start, goal)
-    path, expanded = _bfs(volume)(table, toward, s, g)
+    path, expanded = _monotone_path(grid, start, goal)
     fallback = path is None
     if fallback:
-        path, more = _bfs(len(grid.free))(grid.free_mask, grid.strides, s, g)
+        path, more = _bfs_layers(grid.free_mask, grid.strides, grid.index(start), grid.index(goal))
         expanded += more
     if counters is not None:
         counters.bfs_runs += 1
@@ -221,75 +216,56 @@ def oracle_path(
     return Trajectory(points=tuple(grid.coord(i) for i in path))
 
 
-# Searches that can visit at least this many cells (a grid's, padding included,
-# or a start-goal box's) run a layer at a time, smaller ones with the queue. On
-# cubes at 0-20% obstacles the queue is faster at side 7 (a 729-cell grid) and
-# the layers from side 9 (1,331 cells); the desk box's grid has 567 cells, the
-# envelope's 81,733. Searching the desk box by layers too made a 2,000-record
-# desk `gen` about a fifth slower.
-LAYERED_BFS_MIN_CELLS = 1200
+def _monotone_path(grid: LegalityGrid, start: LatticeCoord, goal: LatticeCoord) -> tuple[list[int] | None, int]:
+    """Flat indices of the least monotone path from start to goal (None if there is none), and cells expanded.
 
-
-def _goal_box(grid: LegalityGrid, start: LatticeCoord,
-              goal: LatticeCoord) -> tuple[np.ndarray, tuple[int, ...], int]:
-    """The box stage's search: its table, its strides and the number of cells it can visit.
-
-    The table is grid's with every cell outside the start-goal box blocked,
-    the strides are those of the moves toward the goal, in canonical order
-    (one per axis on which start and goal differ), and the cells are the
-    box's.
+    A depth-first search on grid.free that tries only the moves toward the
+    goal, one per axis on which start and goal differ, in canonical order,
+    and counts the steps left on each axis, so it never leaves the start-goal
+    box. Whether a cell reaches the goal by such moves does not depend on
+    the way in, so a cell it backs out of is dead and never entered again.
+    The first path it completes therefore has the lexicographically least
+    monotone move sequence. Expanded counts the cells it stepped from or
+    backed out of: the path's cells before the goal, and the dead cells.
     """
     delta = (goal.x - start.x, goal.y - start.y, goal.z - start.z)
-    toward = tuple(d for d, m in zip(grid.strides, MOVES) if m[0] * delta[0] + m[1] * delta[1] + m[2] * delta[2] > 0)
-    volume = (abs(delta[0]) + 1) * (abs(delta[1]) + 1) * (abs(delta[2]) + 1)
-    return grid.box_table(start, goal), toward, volume
+    toward = [(d, axis) for d, m in zip(grid.strides, MOVES)
+              for axis in range(3) if m[axis] * delta[axis] > 0]
+    left = [abs(v) for v in delta]
+    free, g = grid.free, grid.index(goal)
+    path, tried, dead = [grid.index(start)], [0], set()
+    while path:
+        k = tried[-1]
+        if k == len(toward):  # no way on: back out
+            dead.add(path.pop())
+            tried.pop()
+            if tried:
+                left[toward[tried[-1] - 1][1]] += 1
+            continue
+        tried[-1] = k + 1
+        d, axis = toward[k]
+        u = path[-1] + d
+        if left[axis] and free[u] and u not in dead:
+            path.append(u)
+            if u == g:
+                return path, len(path) - 1 + len(dead)
+            tried.append(0)
+            left[axis] -= 1
+    return None, len(dead)
 
 
-def _bfs(cells: int):
-    """The expansion for a search that can visit this many cells: _bfs_layers or _bfs_queue."""
-    return _bfs_layers if cells >= LAYERED_BFS_MIN_CELLS else _bfs_queue
-
-
-def _bfs_queue(table, strides: tuple[int, ...], s: int, g: int) -> tuple[list[int] | None, int]:
+def _bfs_layers(table, strides: tuple[int, ...], s: int, g: int) -> tuple[list[int] | None, int]:
     """Flat indices of the BFS path from s to g (None if g is unreachable), and cells expanded.
 
     table is a flat bool array, True on the cells the search may enter, and
     strides the flat moves it may take, in the order it tries them. The
-    queue is expanded cell by cell; each cell keeps the first parent that
-    discovers it. Expanded counts the cells taken off the queue, up to the
-    one whose move discovers g.
-    """
-    unseen = bytearray(table)
-    unseen[s] = 0
-    parent: dict[int, int] = {}
-    queue = deque([s])
-    expanded = 0
-    while queue:
-        p = queue.popleft()
-        expanded += 1
-        for d in strides:
-            u = p + d
-            if unseen[u]:
-                unseen[u] = 0
-                parent[u] = p
-                if u == g:
-                    path = [g]
-                    while path[-1] != s:
-                        path.append(parent[path[-1]])
-                    return path[::-1], expanded
-                queue.append(u)
-    return None, expanded
-
-
-def _bfs_layers(table, strides: tuple[int, ...], s: int, g: int) -> tuple[list[int] | None, int]:
-    """_bfs_queue's path and count, expanding one whole BFS layer per numpy step.
-
-    A layer's candidates, frontier position first and move second, are the
-    order in which the queue would discover them; a cell reached more than
-    once keeps its first candidate (the smallest index), so each layer holds
-    the cells in the queue's order and each cell the queue's parent. Layers
-    keep their parents' positions, and only the returned path is walked
-    back.
+    result is that of a queue expanded cell by cell, each cell keeping the
+    first parent that discovers it and expanded counting the cells taken off
+    the queue up to the one whose move discovers g; but a whole layer is
+    expanded per numpy step. A layer's candidates, frontier position first
+    and move second, are the queue's discovery order, and a cell reached
+    more than once keeps its first candidate (the smallest index). Only the
+    returned path is walked back.
     """
     k = len(strides)
     unseen = table.copy()

@@ -372,16 +372,6 @@ class LegalityGrid:
         flat = (np.asarray(cells, dtype=np.int64) - self.origin) @ self._cell_weights
         return self.free_mask[flat[..., None] + self.move_strides]
 
-    def box_table(self, a: LatticeCoord, b: LatticeCoord) -> np.ndarray:
-        """A copy of free_mask that is False outside the box with opposite corners a and b."""
-        sx, sy = self._axis
-        box = tuple(slice(min(u, v) - o, max(u, v) - o + 1)
-                    for u, v, o in zip(a.as_tuple(), b.as_tuple(), self.origin))
-        padded = self.free_mask.reshape(-1, sx // sy, sy)
-        table = np.zeros_like(padded)
-        table[box] = padded[box]
-        return table.ravel()
-
 
 class GridStack:
     """Legality for a batch of rows, each on its own workspace's grid, from one flat table.

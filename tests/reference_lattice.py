@@ -15,6 +15,12 @@ was; latticepath.corpus's v2 generator draws start and goal first and is
 checked against it record by record (legal, shortest, exact obstacle count),
 not byte by byte. legal_mask_rows builds make_loss_batch's legality array
 with legal_moves, one cell at a time.
+
+bfs_queue is the cell-by-cell flat-index BFS that corpus._bfs_layers must
+match, path and count, on every table and stride set. box_stage is the
+oracle's former box stage, bfs_queue over the grid's table with every cell
+outside the start-goal box blocked and with only the moves toward the goal;
+corpus._monotone_path must find its path, and fail where it fails.
 """
 
 import json
@@ -156,6 +162,58 @@ def oracle_path(start: LatticeCoord, goal: LatticeCoord, w: Workspace) -> Trajec
                     return Trajectory(points=tuple(reversed(path)))
                 queue.append(u)
     raise UnreachableGoalError(f"goal {goal} is unreachable from {start}")
+
+
+def bfs_queue(table, strides, s: int, g: int) -> tuple[list[int] | None, int]:
+    """Flat indices of the BFS path from s to g (None if g is unreachable), and cells expanded.
+
+    table is a flat bool array, True on the cells the search may enter, and
+    strides the flat moves it may take, in the order it tries them. Each
+    cell keeps the first parent that discovers it; expanded counts the cells
+    taken off the queue, up to the one whose move discovers g.
+    """
+    unseen = bytearray(table)
+    unseen[s] = 0
+    parent: dict[int, int] = {}
+    queue = deque([s])
+    expanded = 0
+    while queue:
+        p = queue.popleft()
+        expanded += 1
+        for d in strides:
+            u = p + d
+            if unseen[u]:
+                unseen[u] = 0
+                parent[u] = p
+                if u == g:
+                    path = [g]
+                    while path[-1] != s:
+                        path.append(parent[path[-1]])
+                    return path[::-1], expanded
+                queue.append(u)
+    return None, expanded
+
+
+def toward_strides(grid, start: LatticeCoord, goal: LatticeCoord) -> tuple[int, ...]:
+    """The flat strides of the moves toward the goal, in canonical order (one per axis where start and goal differ)."""
+    delta = (goal.x - start.x, goal.y - start.y, goal.z - start.z)
+    return tuple(d for d, m in zip(grid.strides, MOVES) if sum(a * b for a, b in zip(m, delta)) > 0)
+
+
+def box_table(grid, a: LatticeCoord, b: LatticeCoord) -> np.ndarray:
+    """A copy of grid.free_mask that is False outside the box with opposite corners a and b."""
+    sx, sy = grid._axis
+    box = tuple(slice(min(u, v) - o, max(u, v) - o + 1) for u, v, o in zip(a.as_tuple(), b.as_tuple(), grid.origin))
+    padded = grid.free_mask.reshape(-1, sx // sy, sy)
+    table = np.zeros_like(padded)
+    table[box] = padded[box]
+    return table.ravel()
+
+
+def box_stage(grid, start: LatticeCoord, goal: LatticeCoord) -> tuple[list[int] | None, int]:
+    """The BFS over the start-goal box with the moves toward the goal: the least monotone path, if any."""
+    table = box_table(grid, start, goal)
+    return bfs_queue(table, toward_strides(grid, start, goal), grid.index(start), grid.index(goal))
 
 
 def _sample_cell(rng, w: Workspace, exclude=frozenset()) -> LatticeCoord:

@@ -1,11 +1,13 @@
-"""The oracle's two search stages, and the two expansions each stage may use.
+"""The oracle's two search stages, each against the search it must reproduce.
 
-The layer-at-a-time BFS stands in for the queue on large searches: both must
-return the same flat-index path and the same count of expanded cells on every
-table and stride set, the whole grid's and a start-goal box's. oracle_path,
-which searches the start-goal box with the moves toward the goal before the
-whole grid, must return the path the cell-by-cell reference oracle finds, and
-fall back to the whole grid exactly when no shortest path is monotone.
+The fallback stage, the layer-at-a-time BFS, must return the path and the
+count of expanded cells of the cell-by-cell queue (reference_lattice.bfs_queue)
+on every table and stride set, the small boxes' grids included. The box
+stage, the depth-first _monotone_path, must return the path of the queue over
+the start-goal box with the moves toward the goal (reference_lattice.box_stage)
+and fail where it fails. oracle_path must return the path the cell-by-cell
+reference oracle finds, and fall back to the whole grid exactly when no
+shortest path is monotone.
 """
 
 import random
@@ -14,16 +16,7 @@ import numpy as np
 import pytest
 import reference_lattice as ref
 
-from latticepath import corpus
-from latticepath.corpus import (
-    LAYERED_BFS_MIN_CELLS,
-    GenerationCounters,
-    UnreachableGoalError,
-    _bfs_layers,
-    _bfs_queue,
-    _goal_box,
-    oracle_path,
-)
+from latticepath.corpus import GenerationCounters, UnreachableGoalError, _bfs_layers, _monotone_path, oracle_path
 from latticepath.lattice import MOVES, LatticeCoord, Workspace, default_workspace, desk_workspace, manhattan
 
 C = LatticeCoord
@@ -63,7 +56,7 @@ def reachable(table, strides, s):
 def same_search(table, strides, s, g):
     """The layered search's result, after checking that it is the queue's."""
     layered = _bfs_layers(table, strides, s, g)
-    assert layered == _bfs_queue(table, strides, s, g), (s, g)
+    assert layered == ref.bfs_queue(table, strides, s, g), (s, g)
     return layered
 
 
@@ -72,10 +65,24 @@ def full_search(grid, s, g):
     return same_search(grid.free_mask, grid.strides, s, g)
 
 
+def box_volume(start, goal):
+    return int(np.prod([abs(a - b) + 1 for a, b in zip(start.as_tuple(), goal.as_tuple())]))
+
+
 def box_search(grid, start, goal):
-    """The box stage's search, and its table and strides."""
-    table, strides, _ = _goal_box(grid, start, goal)
-    return same_search(table, strides, grid.index(start), grid.index(goal)), table, strides
+    """The box stage's path and count, after checking them against the reference box stage.
+
+    Both find the same path or none. The depth-first search expands no more
+    cells than the box holds or than the queue takes off; when there is no
+    path, both expand every cell the moves toward the goal reach.
+    """
+    path, expanded = _monotone_path(grid, start, goal)
+    ref_path, ref_expanded = ref.box_stage(grid, start, goal)
+    assert path == ref_path, (start, goal)
+    assert 1 <= expanded <= min(box_volume(start, goal), ref_expanded)
+    if path is None:
+        assert expanded == ref_expanded
+    return path, expanded
 
 
 def searched(start, goal, w):
@@ -108,7 +115,7 @@ def check_stages(start, goal, w, reference=True):
             assert ref.oracle_path(start, goal, w).points == expected
         except UnreachableGoalError:
             assert expected is None
-    (box_path, box_expanded), _, _ = box_search(grid, start, goal)
+    box_path, box_expanded = box_search(grid, start, goal)
     points, counters = searched(start, goal, w)
     assert points == expected, (start, goal)
     monotone = expected is not None and len(expected) == manhattan(start, goal) + 1
@@ -168,7 +175,8 @@ def test_an_unreachable_goal_expands_every_reachable_cell(name, density):
         s = grid.index(start)
         path, expanded = full_search(grid, s, grid.index(goal))
         assert path is None and expanded == reachable(grid.free, grid.strides, s)
-        (box_path, box_expanded), table, strides = box_search(grid, start, goal)
+        box_path, box_expanded = box_search(grid, start, goal)
+        table, strides = ref.box_table(grid, start, goal), ref.toward_strides(grid, start, goal)
         assert box_path is None and box_expanded == reachable(table, strides, s)
         points, counters = searched(start, goal, w)
         assert points is None and counters.bfs_fallbacks == 1
@@ -176,6 +184,7 @@ def test_an_unreachable_goal_expands_every_reachable_cell(name, density):
         if density == 0.0:
             assert expanded == w.volume() - len(seal) - 1  # all but the seal and the goal
         assert full_search(grid, grid.index(goal), s) == (None, 1)  # from the sealed cell outward
+        assert box_search(grid, goal, start) == (None, 1)
         assert searched(goal, start, w)[1].bfs_cells_expanded == 2  # the sealed cell, once per stage
 
 
@@ -189,8 +198,8 @@ def test_a_goal_next_to_the_start_is_found_expanding_the_start(name):
         goal = start.offset(*m)
         g = grid.index(goal)
         assert full_search(grid, s, g) == ([s, g], 1)
-        (box_path, box_expanded), _, strides = box_search(grid, start, goal)
-        assert (box_path, box_expanded, strides) == ([s, g], 1, (g - s,))
+        assert box_search(grid, start, goal) == ([s, g], 1)
+        assert ref.toward_strides(grid, start, goal) == (g - s,)
         points, counters = searched(start, goal, w)
         assert points == (start, goal)
         assert (counters.bfs_cells_expanded, counters.bfs_fallbacks) == (1, 0)
@@ -224,10 +233,9 @@ def test_goals_sharing_coordinates_with_the_start_search_with_fewer_moves(name):
         goal = C(*(a if axis in shared else b for axis, (a, b) in enumerate(zip(start.as_tuple(), goal.as_tuple()))))
         if goal == start or not ref.in_bounds(goal, w):
             continue
-        _, strides, volume = _goal_box(grid, start, goal)
+        strides = ref.toward_strides(grid, start, goal)
         differ = [axis for axis in range(3) if start.as_tuple()[axis] != goal.as_tuple()[axis]]
         assert len(strides) == len(differ) and list(strides) == [d for d in grid.strides if d in strides]
-        assert volume == np.prod([abs(a - b) + 1 for a, b in zip(start.as_tuple(), goal.as_tuple())])
         seen.add(len(strides))
         check_stages(start, goal, w)
     assert seen == {1, 2}
@@ -268,40 +276,34 @@ def test_an_obstacle_free_straight_line_expands_one_cell_per_step(name):
             assert (counters.bfs_cells_expanded, counters.bfs_fallbacks) == (d, 0)
 
 
-def test_a_long_envelope_leg_searches_its_box_by_layers():
+def test_a_long_envelope_leg_is_found_in_its_box():
     w = obstacle_box(default_workspace(), 0.05, seed=12)
     start, goal = C(-20, -20, 1), C(20, 19, 33)
     for c in (start, goal):
         w = w.with_obstacles(set(w.obstacles) - {c})
-    grid = w.grid
-    assert _goal_box(grid, start, goal)[2] >= LAYERED_BFS_MIN_CELLS
     points, _ = check_stages(start, goal, w, reference=False)
     assert len(points) == manhattan(start, goal) + 1
+    assert searched(start, goal, w)[1].bfs_cells_expanded < box_volume(start, goal) // 100  # of a 54,120-cell box
 
 
-def test_each_stage_picks_its_expansion_by_the_cells_it_can_visit(monkeypatch):
-    calls = []
-    for name in ("_bfs_queue", "_bfs_layers"):
-        search = getattr(corpus, name)
-        monkeypatch.setattr(corpus, name, lambda table, strides, s, g, name=name, search=search: (
-            calls.append((name, len(strides))), search(table, strides, s, g))[1])
+def pocket(w):
+    """w with the cells at x0+2, y0+1 and x0+3, y0+1 (z0) blocked, and a start and goal around them.
 
-    def expansions(start, goal, w):
-        calls.clear()
-        try:
-            oracle_path(start, goal, w)
-        except UnreachableGoalError:
-            pass
-        return list(calls)
+    The moves from start to goal are +x and +y. The x-first route runs into
+    the pocket: x0+3, y0 has no way on, and then x0+2, y0 neither, so the
+    search backs out of both and takes +y one cell earlier.
+    """
+    x0, y0, z0 = w.x_min, w.y_min, w.z_min
+    return w.with_obstacles([C(x0 + 2, y0 + 1, z0), C(x0 + 3, y0 + 1, z0)]), C(x0, y0, z0), C(x0 + 3, y0 + 2, z0)
 
-    desk, envelope = desk_workspace(), default_workspace()
-    assert len(desk.grid.free) < LAYERED_BFS_MIN_CELLS <= len(envelope.grid.free)
-    assert expansions(C(-3, -3, 0), C(3, 3, 4), desk) == [("_bfs_queue", 3)]
-    assert expansions(C(-3, -3, 0), C(3, 3, 4), envelope) == [("_bfs_queue", 3)]  # a 245-cell box
-    assert expansions(C(-22, -22, 0), C(22, 22, 34), envelope) == [("_bfs_layers", 3)]  # the whole box
-    assert expansions(C(0, 0, 0), C(3, 0, 0), desk.with_obstacles([C(1, 0, 0)])) == [("_bfs_queue", 1),
-                                                                                      ("_bfs_queue", 6)]
-    assert expansions(C(0, 0, 0), C(3, 0, 0), envelope.with_obstacles([C(1, 0, 0)])) == [("_bfs_queue", 1),
-                                                                                          ("_bfs_layers", 6)]
-    sealed = envelope.with_obstacles([C(1, 1, 1).offset(*m) for m in MOVES])
-    assert expansions(C(0, 0, 0), C(1, 1, 1), sealed) == [("_bfs_queue", 3), ("_bfs_layers", 6)]
+
+@pytest.mark.parametrize("name", BOXES)
+def test_the_box_stage_backs_out_of_a_dead_end_and_counts_its_cells(name):
+    w, start, goal = pocket(BOXES[name])
+    points, counters = searched(start, goal, w)
+    x0, y0, z0 = start.as_tuple()
+    route = [(0, 0), (1, 0), (1, 1), (1, 2), (2, 2), (3, 2)]
+    assert points == tuple(C(x0 + dx, y0 + dy, z0) for dx, dy in route)
+    dead = 2  # x0+3, y0 and x0+2, y0
+    assert (counters.bfs_cells_expanded, counters.bfs_fallbacks) == (len(points) - 1 + dead, 0)
+    check_stages(start, goal, w, reference=name != "envelope")

@@ -421,17 +421,22 @@ def _without_slots(ckpt, path):
                 dst.writestr(info, src.read(info))
 
 
-def _without_embed_dim(ckpt, path):
+def _edit_meta(ckpt, path, edit):
+    """Copy ckpt to path with its metadata replaced by edit(metadata)."""
     with zipfile.ZipFile(ckpt) as src, zipfile.ZipFile(path, "w") as dst:
         for info in src.infolist():
             data = src.read(info)
             if info.filename == "__meta__.npy":
-                meta = json.loads(str(np.load(io.BytesIO(data))[()]))
-                del meta["model_config"]["embed_dim"]
+                meta = edit(json.loads(str(np.load(io.BytesIO(data))[()])))
                 buf = io.BytesIO()
                 np.lib.format.write_array(buf, np.array(json.dumps(meta)))
                 data = buf.getvalue()
             dst.writestr(info, data)
+
+
+def _without_embed_dim(ckpt, path):
+    _edit_meta(ckpt, path, lambda m: {**m, "model_config": {k: v for k, v in m["model_config"].items()
+                                                            if k != "embed_dim"}})
 
 
 def _set_first_entry(ckpt, path, prefix, value):
@@ -483,6 +488,32 @@ def test_malformed_checkpoint_is_one_schema_error(trained, tmp_path, capsys, cor
     assert run([*argv, "--out", out, "--seed", "0"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: schema:") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+WRONG_TYPED_METADATA = {
+    "seed-null": lambda m: {**m, "seed": None},
+    "metadata-a-list": lambda m: [m],
+    "optimizer-slots-an-int": lambda m: {**m, "optimizer_slots": 5},
+    "embed-dim-null": lambda m: {**m, "model_config": {**m["model_config"], "embed_dim": None}},
+    "optimizer-a-list": lambda m: {**m, "optimizer": [1]},
+}
+
+
+@pytest.mark.parametrize("edit", WRONG_TYPED_METADATA.values(), ids=WRONG_TYPED_METADATA)
+@pytest.mark.parametrize("command", ["train", "decode", "sim"])
+def test_wrong_typed_checkpoint_metadata_is_one_schema_error(trained, tmp_path, capsys, edit, command):
+    corpus, ckpt = trained
+    bad = tmp_path / "bad.npz"
+    _edit_meta(ckpt, bad, edit)
+    out = tmp_path / "out"
+    argv = {"train": ["train", "--corpus", corpus / "corpus_train.jsonl", "--resume", bad,
+                      "--epochs", "1", "--batch-size", "16"],
+            "decode": ["decode", "--checkpoint", bad, "--records", corpus / "corpus_validation.jsonl"],
+            "sim": ["sim", "--checkpoint", bad]}[command]
+    assert run([*argv, "--out", out, "--seed", "0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: schema: {bad}: malformed checkpoint (") and err.count("\n") == 1, err
     assert not out.exists()
 
 

@@ -10,8 +10,8 @@ before configs, loss breakdowns, eval reports and twin outcomes serialized
 from their dataclass fields; the train digests did not move with schema v2,
 as its density-0 corpus holds the v1 generator's records. The gen manifests
 hold the search counters, so they were re-pinned when the oracle began to
-search the start-goal box first; its corpora did not move. No other byte
-may move.
+search the start-goal box first, and again when that stage became a
+depth-first search; its corpora did not move. No other byte may move.
 """
 
 import hashlib
@@ -32,12 +32,12 @@ GEN_DIGESTS = {
     "desk": {
         "corpus_train.jsonl": "bc2cbdd4aa5c77c3a1a9fbde1a81ba916b5b4bfb70c8a11acfe1a353f0265eb2",
         "corpus_validation.jsonl": "f637c2280322681f2931be29a39502bf8a9cd67a9df786a2a24e71f2cd468652",
-        "manifest.json": "2abec2eca9ea1ef6bbb3074da001f4e6983bdba298d3a10a8bdacf1eb2e0574a",
+        "manifest.json": "b3d69b84ca5d4d39048f4786c00c3b97d4b03a0d0aab8160b403ad7be1437ae5",
     },
     "envelope": {
         "corpus_train.jsonl": "74bc7f23671a48d3e7703e1efc60006be4a17ea28dd41fbef7d96b15abf61b20",
         "corpus_validation.jsonl": "068b439e58e777eb21774e12be79e176d776c54c96c078608129e37fc6cb6dcc",
-        "manifest.json": "174b7d6104789e439ab66404eca8e01de4b0a8e4ec9955cc70b92e292f319c94",
+        "manifest.json": "feabe433fc11d633f22689bcbe61e2a45e777e3adf43c455c2252235a6bd358e",
     },
 }
 

@@ -1,11 +1,13 @@
-"""Every top-level name in src/latticepath is read somewhere.
+"""Every top-level name and method in src/latticepath is read somewhere.
 
-A module-level function, class or constant of src/latticepath/*.py must be
-named outside its own definition somewhere in src/, demos/, perfbench/ or
+A module-level function, class or constant of src/latticepath/*.py, and a
+method of a module-level class other than a dunder, must be named outside its
+own definition somewhere in src/, demos/, perfbench/ or
 tests/test_acceptance.py; a name that only tests reach is dead code. Names are
 matched as whole words in the source text, so an import, a string in
-`__all__` or a tracer install point counts as a use. Methods and other class
-attributes are not checked.
+`__all__` or a tracer install point counts as a use, and so does any other
+attribute or name spelled the same. Class attributes other than methods are
+not checked.
 """
 
 import ast
@@ -42,17 +44,28 @@ def _definitions(tree: ast.Module):
                     yield t.id, node.lineno, node.end_lineno
 
 
-def unread_names() -> list[str]:
-    """Qualified names of top-level definitions that appear nowhere but in their own definition."""
+def _methods(tree: ast.Module):
+    """(Class.name, first line, last line) of each non-dunder method of a module-level class."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                        item.name.startswith("__") and item.name.endswith("__")):
+                    yield f"{node.name}.{item.name}", item.lineno, item.end_lineno
+
+
+def unread_names(definitions=_definitions) -> list[str]:
+    """Qualified names of definitions that appear nowhere but in their own definition."""
     words = Counter(w for p in _reader_files() for w in WORD.findall(p.read_text(encoding="utf-8")))
     unread = []
     for module in sorted(PACKAGE.glob("*.py")):
         source = module.read_text(encoding="utf-8")
         lines = source.splitlines()
-        for name, first, last in _definitions(ast.parse(source)):
+        for qualified, first, last in definitions(ast.parse(source)):
+            name = qualified.rsplit(".", 1)[-1]
             own = WORD.findall("\n".join(lines[first - 1:last])).count(name)
             if words[name] == own:
-                unread.append(name if module.stem == "__init__" else f"{module.stem}.{name}")
+                unread.append(qualified if module.stem == "__init__" else f"{module.stem}.{qualified}")
     return unread
 
 
@@ -61,6 +74,11 @@ def test_every_top_level_name_is_read():
     assert unread == [], f"top-level names nothing reads: {unread}"
 
 
+def test_every_method_is_read():
+    unread = [q for q in unread_names(_methods) if q.rsplit(".", 1)[-1] not in ALLOWED]
+    assert unread == [], f"methods nothing reads: {unread}"
+
+
 def test_allowlist_names_are_still_unread():
     # an allowlisted name that has gained a reader no longer needs its entry
-    assert {q.rsplit(".", 1)[-1] for q in unread_names()} >= ALLOWED
+    assert {q.rsplit(".", 1)[-1] for q in unread_names() + unread_names(_methods)} >= ALLOWED
