@@ -13,6 +13,7 @@ import zipfile
 
 import numpy as np
 
+from .lattice import read_int
 from .model import ModelConfig, Optimizer, OptimizerConfig, PathModel
 
 FORMAT_VERSION = 1
@@ -50,11 +51,12 @@ def save_checkpoint(path, model: PathModel, optimizer: Optimizer | None = None, 
 
 
 def load_checkpoint(path) -> tuple[PathModel, Optimizer | None, int]:
-    """Model, optimizer (or None) and step; a malformed file or metadata value is a CheckpointFormatError."""
+    """Model, optimizer (or None) and step; a malformed file or metadata value is a CheckpointFormatError
+    whose message starts with the path."""
     try:
         return _read_checkpoint(path)
-    except CheckpointFormatError:
-        raise
+    except CheckpointFormatError as e:
+        raise CheckpointFormatError(f"{path}: {e}") from None
     except (zipfile.BadZipFile, EOFError, KeyError, ValueError, TypeError) as e:
         detail = f"{type(e).__name__}: {e}"
         raise CheckpointFormatError(f"{path}: malformed checkpoint ({detail})") from None
@@ -71,10 +73,10 @@ def _read_checkpoint(path) -> tuple[PathModel, Optimizer | None, int]:
             raise CheckpointFormatError(
                 f"unsupported checkpoint format_version {meta.get('format_version')!r}"
             )
-        cfg = ModelConfig.from_dict(meta["model_config"])
-        model = PathModel(cfg, seed=int(meta["seed"]))
+        cfg = ModelConfig.from_dict(_entry(meta, "model_config", dict))
+        model = PathModel(cfg, seed=read_int(meta["seed"], "seed"))
         stored = {name for name, _ in model.parameters()}
-        listed = set(meta["param_names"])
+        listed = set(_entry(meta, "param_names", list))
         if stored != listed:
             raise CheckpointFormatError("checkpoint parameter set does not match the config")
         for name, p in model.parameters():
@@ -89,11 +91,19 @@ def _read_checkpoint(path) -> tuple[PathModel, Optimizer | None, int]:
             p.data = _finite(arr, f"parameter {name}")
         optimizer = None
         if meta["optimizer"] is not None:
-            optimizer = Optimizer(OptimizerConfig.from_dict(meta["optimizer"]))
-            optimizer.step_count = int(meta["optimizer_step_count"])
-            for name in meta["optimizer_slots"]:
+            optimizer = Optimizer(OptimizerConfig.from_dict(_entry(meta, "optimizer", dict)))
+            optimizer.step_count = read_int(meta["optimizer_step_count"], "optimizer_step_count")
+            for name in _entry(meta, "optimizer_slots", list):
                 optimizer.slots[name] = _finite(f[f"slot/{name}"], f"optimizer slot {name}")
-        return model, optimizer, int(meta["step"])
+        return model, optimizer, read_int(meta["step"], "step")
+
+
+def _entry(meta: dict, key: str, kind: type):
+    """meta[key] if it is a JSON object (kind dict) or array (kind list), else a ValueError naming key."""
+    v = meta[key]
+    if not isinstance(v, kind):
+        raise ValueError(f"{key} must be a JSON {'object' if kind is dict else 'array'}, got {json.dumps(v)}")
+    return v
 
 
 def _finite(arr, name: str) -> np.ndarray:

@@ -43,7 +43,7 @@ from .corpus import (
 )
 from .decoder import DecodeConfig, DecodeCounters, decode_records
 from .evaluator import EvalReport, evaluate_records, format_report, format_table
-from .lattice import Workspace, desk_workspace, read_int
+from .lattice import Workspace, desk_workspace, read_int, read_number
 from .model import (
     LossBreakdown,
     LossConfig,
@@ -143,13 +143,12 @@ def _integer(block, key, name: str | None = None) -> int:
 def _number(block, key, name: str | None = None) -> float:
     """block[key] as a float; the value stays as given, so the manifest echoes it unchanged.
 
-    An int or a float counts; a bool, null or any other type is a config
-    error naming the key (`name`, for a key of a nested block).
+    lattice.read_number's rule: an int or a float counts; a bool, null or any
+    other type is a config error naming the key (`name`, for a key of a
+    nested block).
     """
-    v = block[key]
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
-        raise CliError("config", f"{name or key} must be a number, got {json.dumps(v)}")
-    return float(v)
+    with _config_errors():
+        return read_number(block[key], name or key)
 
 
 @contextlib.contextmanager
@@ -256,9 +255,6 @@ def cmd_train(args) -> int:
     if cfg["corpus"] is None:
         raise CliError("config", "train requires --corpus (or a corpus path in the config)")
     seed, epochs, batch_size = (_integer(cfg, k) for k in ("seed", "epochs", "batch_size"))
-    for key in cfg["optimizer"]:
-        if key != "kind":
-            _number(cfg["optimizer"], key, f"optimizer.{key}")
     with _config_errors():
         loss_cfg = LossConfig(**{k: _number(cfg["loss"], k, f"loss.{k}") for k in cfg["loss"]})
         optimizer = Optimizer(OptimizerConfig.from_dict(cfg["optimizer"]))

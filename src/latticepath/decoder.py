@@ -12,11 +12,13 @@ widths), and, at wider widths, one lexsort that keeps the best candidates of
 every job. The model is stepped through forward_batch with a KV cache, so
 each step runs only the newest cell of each row. Greedy decoding is the
 width-1 search; beam decoding runs the width-1 search as its floor, then
-the width-B search. A hypothesis score is the sum of chosen-action
-log-probabilities (math.log, so scores do not depend on numpy's log) minus
-an optional coverage penalty (weighted Manhattan distance from the
-hypothesis end to the context target), which discourages early truncation.
-DecodeCounters tallies model steps, rows stepped, candidates ranked and
+the width-B search, which stops stepping the hypotheses that can no longer
+win against that floor or against a finished hypothesis (see _search). A
+hypothesis score is the sum of chosen-action log-probabilities (math.log,
+so scores do not depend on numpy's log) minus an optional coverage penalty
+(weighted Manhattan distance from the hypothesis end to the context
+target), which discourages early truncation. DecodeCounters tallies model
+steps, rows stepped, candidates ranked, rows pruned, jobs decoded again and
 terminations.
 """
 
@@ -77,12 +79,16 @@ class DecodeCounters:
     model_steps counts batched model steps, rows_stepped the rows they ran,
     candidates the pool entries ranked at those steps (each stepped row's
     expansions plus the finished hypotheses of its job; at width 1 one per
-    row), and terminated how each returned path ended.
+    row), rows_pruned the beam rows dropped below their job's bar,
+    jobs_redecoded the jobs whose pruned beam was decoded again without a
+    floor, and terminated how each returned path ended.
     """
 
     model_steps: int = 0
     rows_stepped: int = 0
     candidates: int = 0
+    rows_pruned: int = 0
+    jobs_redecoded: int = 0
     terminated: dict[str, int] = field(default_factory=lambda: dict.fromkeys(TERMINATION_KINDS, 0))
 
 
@@ -170,7 +176,8 @@ def _scorer(jobs: list[Job], cfg: DecodeConfig):
 # the search ---------------------------------------------------------------------------
 
 
-def _search(model, jobs: list[Job], cfg: DecodeConfig, width: int, counters: DecodeCounters) -> list[DecodedPath]:
+def _search(model, jobs: list[Job], cfg: DecodeConfig, width: int, counters: DecodeCounters,
+            floor: list[DecodedPath] | None = None) -> list[DecodedPath]:
     """Width-`width` search for every job at once; one batched model step per decode step.
 
     Width 1 takes the highest-probability legal action of each row (ties
@@ -180,6 +187,29 @@ def _search(model, jobs: list[Job], cfg: DecodeConfig, width: int, counters: Dec
     lexicographically smaller move sequence, and the best `width` survive.
     A job stops stepping once its beam holds only finished hypotheses. The
     best finished hypothesis wins, else the best unfinished one at max_steps.
+
+    Given `floor` (each job's greedy path; no coverage penalty), every step
+    but the last drops the live rows whose log_sum is below their job's bar:
+    the higher of the floor (the greedy score if that rollout stopped, else
+    -inf) and the best finished hypothesis in the job's beam. This returns
+    what decode_batch returns unpruned:
+    - math.log(p) <= 0, so a row's log_sum, and in floating point every
+      descendant's too, is at most its own;
+    - with no coverage penalty a row's score is its log_sum, so every row at
+      or above the bar ranks above every row below it. Rows below the bar
+      never displace one at or above it, and the rows at or above the bar
+      evolve as they do unpruned. When a finished row leaves the beam and
+      the bar falls, B rows ranked above it, so the beam is the unpruned
+      beam again;
+    - decode_batch returns `g if g.score > b.score else b`, so an answer
+      below the floor is never returned: a job that pruning left with no
+      row returns its floor.
+    A finished hypothesis wins over unfinished ones, so whether any row
+    below the floor survives to max_steps can decide the result. A job is
+    therefore settled unless pruning dropped one of its rows and, at
+    max_steps, it has no finished row at or above its floor and holds some
+    but fewer than `width` rows at or above it. Those jobs are decoded again
+    without a floor, in one call.
     """
     ctx_mat = np.array([context_features(ctx, model.cfg) for _, ctx, _ in jobs])
     grids = GridStack.of([w for _, _, w in jobs])
@@ -190,8 +220,11 @@ def _search(model, jobs: list[Job], cfg: DecodeConfig, width: int, counters: Dec
     starts = np.array([start.as_tuple() for start, _, _ in jobs], dtype=np.int64).reshape(n, 1, 3)
     live = _Rows(np.arange(n), starts, np.zeros(n), np.zeros(n, dtype=np.int64), none, none)
     done = live.take(slice(0, 0))
+    if floor is not None:
+        floor_score = np.array([g.score if g.terminated_by == "stop_token" else -math.inf for g in floor])
+        cut = np.zeros(n, dtype=bool)  # jobs that lost a row to the bar
 
-    for _ in range(cfg.max_steps):
+    for step in range(cfg.max_steps):
         if not len(live):
             break
         with ad.no_grad():
@@ -222,6 +255,14 @@ def _search(model, jobs: list[Job], cfg: DecodeConfig, width: int, counters: Dec
         finished = pool.action == STOP
         if finished.any():
             done, pool = done + pool.take(finished), pool.take(~finished)
+        if floor is not None and step + 1 < cfg.max_steps:  # no model step follows the last
+            bar = floor_score.copy()
+            np.maximum.at(bar, done.job, done.log_sum)
+            low = pool.log_sum < bar[pool.job]
+            if low.any():
+                counters.rows_pruned += int(low.sum())
+                cut[pool.job[low]] = True
+                pool = pool.take(~low)
         if width > 1 or len(pool) < len(live):  # gather the rows that go on from the cache
             cache.keep(pool.parent)
             ctx_mat, grids = ctx_mat[pool.parent], grids.take(pool.parent)
@@ -230,16 +271,26 @@ def _search(model, jobs: list[Job], cfg: DecodeConfig, width: int, counters: Dec
     rows = done + live
     scores = score(rows)
     order = np.lexsort((rows.rank, -scores, rows.action != STOP, rows.job))
-    best = order[np.searchsorted(rows.job[order], np.arange(n))]
-    out = []
-    for b, path in zip(best.tolist(), rows.path[best].tolist()):
+    kept, first = np.unique(rows.job[order], return_index=True)
+    best = order[first]
+    out = list(floor) if floor is not None else [None] * n  # a job left with no row returns its floor
+    for j, b, path in zip(kept.tolist(), best.tolist(), rows.path[best].tolist()):
         while len(path) > 1 and path[-1] == path[-2]:  # a finished row repeats its last cell
             path.pop()
-        out.append(DecodedPath(
+        out[j] = DecodedPath(
             trajectory=Trajectory(points=tuple(LatticeCoord(*c) for c in path)),
             score=float(scores[b]),
             terminated_by="stop_token" if rows.action[b] == STOP else "max_steps",
-        ))
+        )
+    if floor is not None:
+        above = np.zeros(n, dtype=bool)
+        above[done.job[done.log_sum >= floor_score[done.job]]] = True
+        holding = np.bincount(live.job[live.log_sum >= floor_score[live.job]], minlength=n)
+        redo = np.flatnonzero(cut & ~above & (holding > 0) & (holding < width)).tolist()
+        if redo:
+            counters.jobs_redecoded += len(redo)
+            for j, d in zip(redo, _search(model, [jobs[j] for j in redo], cfg, width, counters)):
+                out[j] = d
     return out
 
 
@@ -248,7 +299,11 @@ def decode_batch(model, jobs: list[Job], cfg: DecodeConfig, counters: DecodeCoun
 
     Beam mode scores the greedy rollout as a floor: where the width-B search
     ends below it, the greedy path is returned, so the beam score never falls
-    below the greedy score. Width 1 returns the greedy paths.
+    below the greedy score. With no coverage penalty the greedy paths also go
+    into the width-B search, which drops the hypotheses that can no longer
+    beat them (see _search); with a penalty, scores can rise as a row nears
+    its target, so that search runs unpruned. Width 1 returns the greedy
+    paths.
     """
     for start, _, w in jobs:
         if not in_bounds(start, w):
@@ -256,7 +311,8 @@ def decode_batch(model, jobs: list[Job], cfg: DecodeConfig, counters: DecodeCoun
     counters = DecodeCounters() if counters is None else counters
     paths = _search(model, jobs, cfg, 1, counters)
     if cfg.mode == "beam" and cfg.beam_width > 1:
-        beams = _search(model, jobs, cfg, cfg.beam_width, counters)
+        floor = paths if cfg.coverage_penalty_weight == 0.0 else None
+        beams = _search(model, jobs, cfg, cfg.beam_width, counters, floor)
         paths = [g if g.score > b.score else b for g, b in zip(paths, beams)]
     for d in paths:
         counters.terminated[d.terminated_by] += 1

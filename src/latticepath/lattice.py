@@ -299,6 +299,13 @@ def read_int(v, name: str) -> int:
     return int(v)
 
 
+def read_number(v, name: str) -> float:
+    """Entry `name` of a file as a float: an int or a float (not a bool), else a ValueError naming it."""
+    if type(v) not in (int, float):
+        raise ValueError(f"{name} must be a number, got {_text(v)}")
+    return float(v)
+
+
 def read_step(v, name: str) -> int:
     """A tick or count `name` as an int: a non-negative integer (an integral float counts), else a ValueError."""
     if not (_integral(v) and v >= 0):

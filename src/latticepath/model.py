@@ -20,7 +20,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .corpus import Trajectory, check_trajectory
-from .lattice import MOVES, STOP, Workspace, in_bounds, move_index
+from .lattice import MOVES, STOP, Workspace, in_bounds, move_index, read_int, read_number
 from .lattice import legal_moves  # noqa: F401 (perfbench/tracer.py wraps model.legal_moves)
 from .taskgrid import TASK_FEATURE_WIDTH, TaskContext
 
@@ -73,9 +73,10 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        """Inverse of to_dict; a missing key is a KeyError, extra keys are ignored."""
-        return cls(**{f.name: int(d[f.name]) for f in fields(cls) if f.name != "bounds"},
-                   bounds=tuple(int(v) for v in d["bounds"]))
+        """Inverse of to_dict, as a checkpoint's model_config entry: a missing key is a KeyError, a value
+        that is not an integer a ValueError naming it (model_config.<key>), and extra keys are ignored."""
+        sizes = {f.name: read_int(d[f.name], f"model_config.{f.name}") for f in fields(cls) if f.name != "bounds"}
+        return cls(**sizes, bounds=tuple(read_int(v, f"model_config.bounds[{i}]") for i, v in enumerate(d["bounds"])))
 
 
 @dataclass(frozen=True)
@@ -542,8 +543,10 @@ class OptimizerConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "OptimizerConfig":
-        """Inverse of to_dict; a missing key is a KeyError, extra keys are ignored."""
-        return cls(kind=str(d["kind"]), **{f.name: float(d[f.name]) for f in fields(cls) if f.name != "kind"})
+        """Inverse of to_dict, as a config's or a checkpoint's optimizer entry: a missing key is a KeyError,
+        a value that is not a number a ValueError naming it (optimizer.<key>), and extra keys are ignored."""
+        return cls(kind=str(d["kind"]),
+                   **{f.name: read_number(d[f.name], f"optimizer.{f.name}") for f in fields(cls) if f.name != "kind"})
 
 
 class Optimizer:

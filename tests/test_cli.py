@@ -491,18 +491,24 @@ def test_malformed_checkpoint_is_one_schema_error(trained, tmp_path, capsys, cor
     assert not out.exists()
 
 
-WRONG_TYPED_METADATA = {
-    "seed-null": lambda m: {**m, "seed": None},
-    "metadata-a-list": lambda m: [m],
-    "optimizer-slots-an-int": lambda m: {**m, "optimizer_slots": 5},
-    "embed-dim-null": lambda m: {**m, "model_config": {**m["model_config"], "embed_dim": None}},
-    "optimizer-a-list": lambda m: {**m, "optimizer": [1]},
+WRONG_TYPED_METADATA = {  # the edit, and the key the error line names
+    "seed-null": (lambda m: {**m, "seed": None}, "seed"),
+    "step-a-string": (lambda m: {**m, "step": "7"}, "step"),
+    "optimizer-step-count-fractional": (lambda m: {**m, "optimizer_step_count": 2.5}, "optimizer_step_count"),
+    "metadata-a-list": (lambda m: [m], "metadata"),
+    "optimizer-slots-an-int": (lambda m: {**m, "optimizer_slots": 5}, "optimizer_slots"),
+    "embed-dim-null": (lambda m: {**m, "model_config": {**m["model_config"], "embed_dim": None}},
+                       "model_config.embed_dim"),
+    "bound-a-string": (lambda m: {**m, "model_config": {**m["model_config"], "bounds": [-3, "3", -3, 3, 0, 4]}},
+                       "model_config.bounds[1]"),
+    "optimizer-a-list": (lambda m: {**m, "optimizer": [1]}, "optimizer"),
+    "lr-null": (lambda m: {**m, "optimizer": {**m["optimizer"], "lr": None}}, "optimizer.lr"),
 }
 
 
-@pytest.mark.parametrize("edit", WRONG_TYPED_METADATA.values(), ids=WRONG_TYPED_METADATA)
+@pytest.mark.parametrize("edit,key", WRONG_TYPED_METADATA.values(), ids=WRONG_TYPED_METADATA)
 @pytest.mark.parametrize("command", ["train", "decode", "sim"])
-def test_wrong_typed_checkpoint_metadata_is_one_schema_error(trained, tmp_path, capsys, edit, command):
+def test_wrong_typed_checkpoint_metadata_is_one_schema_error(trained, tmp_path, capsys, edit, key, command):
     corpus, ckpt = trained
     bad = tmp_path / "bad.npz"
     _edit_meta(ckpt, bad, edit)
@@ -514,6 +520,61 @@ def test_wrong_typed_checkpoint_metadata_is_one_schema_error(trained, tmp_path, 
     assert run([*argv, "--out", out, "--seed", "0"]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: schema: {bad}: malformed checkpoint (") and err.count("\n") == 1, err
+    assert f"{key} " in err, err
+    assert not out.exists()
+
+
+def _without_member(ckpt, path, name):
+    with zipfile.ZipFile(ckpt) as src, zipfile.ZipFile(path, "w") as dst:
+        for info in src.infolist():
+            if info.filename != name:
+                dst.writestr(info, src.read(info))
+
+
+def _first_param(ckpt):
+    with zipfile.ZipFile(ckpt) as zf:
+        return next(n for n in zf.namelist() if n.startswith("param/"))
+
+
+def _reshaped_param(ckpt, path):
+    first = _first_param(ckpt)
+    with zipfile.ZipFile(ckpt) as src, zipfile.ZipFile(path, "w") as dst:
+        for info in src.infolist():
+            data = src.read(info)
+            if info.filename == first:
+                buf = io.BytesIO()
+                np.lib.format.write_array(buf, np.load(io.BytesIO(data)).ravel()[:-1])
+                data = buf.getvalue()
+            dst.writestr(info, data)
+
+
+CHECKPOINT_FORMAT_ERRORS = {  # a checkpoint that reads yet is not this program's, and the error it names
+    "missing-metadata": (lambda ckpt, path: _without_member(ckpt, path, "__meta__.npy"),
+                         "not a checkpoint: missing metadata entry"),
+    "format-version-2": (lambda ckpt, path: _edit_meta(ckpt, path, lambda m: {**m, "format_version": 2}),
+                         "unsupported checkpoint format_version 2"),
+    "param-set-mismatch": (lambda ckpt, path: _edit_meta(ckpt, path, lambda m: {**m, "param_names": ["w"]}),
+                           "checkpoint parameter set does not match the config"),
+    "shape-mismatch": (_reshaped_param, "has shape"),
+    "missing-parameter-array": (lambda ckpt, path: _without_member(ckpt, path, _first_param(ckpt)),
+                                "checkpoint missing array for parameter"),
+}
+
+
+@pytest.mark.parametrize("corrupt,detail", CHECKPOINT_FORMAT_ERRORS.values(), ids=CHECKPOINT_FORMAT_ERRORS)
+@pytest.mark.parametrize("command", ["train", "decode", "sim"])
+def test_checkpoint_format_errors_name_the_file(trained, tmp_path, capsys, corrupt, detail, command):
+    corpus, ckpt = trained
+    bad = tmp_path / "bad.npz"
+    corrupt(ckpt, bad)
+    out = tmp_path / "out"
+    argv = {"train": ["train", "--corpus", corpus / "corpus_train.jsonl", "--resume", bad,
+                      "--epochs", "1", "--batch-size", "16"],
+            "decode": ["decode", "--checkpoint", bad, "--records", corpus / "corpus_validation.jsonl"],
+            "sim": ["sim", "--checkpoint", bad]}[command]
+    assert run([*argv, "--out", out, "--seed", "0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: schema: {bad}: ") and detail in err and err.count("\n") == 1, err
     assert not out.exists()
 
 

@@ -1,5 +1,7 @@
 """The batched, KV-cached decoder against the full-prefix reference it replaced."""
 
+import math
+
 import numpy as np
 import pytest
 from reference_decoder import reference_decode, reference_decode_batch
@@ -8,7 +10,7 @@ from test_acceptance import quick_trained_model, random_desk_workspace, random_f
 
 from latticepath import autodiff as ad
 from latticepath.corpus import CorpusRecord, Trajectory
-from latticepath.decoder import DecodeConfig, DecodeCounters, decode_batch, decode_records
+from latticepath.decoder import DecodeConfig, DecodeCounters, _search, decode_batch, decode_records
 from latticepath.lattice import MOVES, LatticeCoord, Workspace, desk_workspace, legal_moves, manhattan
 from latticepath.model import KVCache, ModelConfig, PathModel, context_features
 from latticepath.taskgrid import build_context, reach_only_graph
@@ -220,7 +222,10 @@ def assert_same_as_object_pool(model, jobs, cfg):
     got = decode_batch(model, jobs, cfg, got_counters)
     ref = reference_decode_batch(model, jobs, cfg, ref_counters)
     assert got == ref  # paths, terminations and scores, bit for bit
-    assert got_counters == ref_counters
+    if cfg.mode == "beam" and cfg.beam_width > 1 and cfg.coverage_penalty_weight == 0.0:  # pruned: fewer rows step
+        assert got_counters.terminated == ref_counters.terminated
+    else:
+        assert got_counters == ref_counters
     return got, got_counters
 
 
@@ -282,3 +287,104 @@ def test_equal_scores_prefer_the_smaller_move_sequence():
     for cfg in DECODE_CONFIGS:
         got, _ = assert_same_as_object_pool(model, [job], cfg)
         assert got[0].trajectory.points == (a, b)
+
+
+# the pruned beam against the unpruned object-pool search ------------------------------
+
+
+def assert_same_as_unpruned(model, jobs, cfg, counters, exact):
+    """decode_batch equals the reference's unpruned search: bit for bit if `exact`, else paths and
+    terminations equal and scores within 1e-12 (pruning changes which rows share a model step,
+    and a BLAS product of a row can depend on its neighbours)."""
+    got = decode_batch(model, jobs, cfg, counters)
+    ref = reference_decode_batch(model, jobs, cfg)
+    if exact:
+        assert got == ref
+    else:
+        assert [(d.trajectory, d.terminated_by) for d in got] == [(d.trajectory, d.terminated_by) for d in ref]
+        assert max(abs(a.score - b.score) for a, b in zip(got, ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("width", [2, 5, 8])
+def test_pruned_beam_equals_unpruned_search(pool_models, width):
+    counters = DecodeCounters()
+    for k, (name, model, boxes) in enumerate(pool_models):
+        for max_steps in (2, 3, 5, 9):
+            cfg = DecodeConfig(max_steps=max_steps, mode="beam", beam_width=width)
+            jobs = mixed_jobs(400 + 10 * k + max_steps, 32, boxes)
+            assert_same_as_unpruned(model, jobs, cfg, counters, exact=name == "scripted")
+    assert counters.rows_pruned > 0
+
+
+def test_a_coverage_penalty_prunes_nothing(pool_models):
+    cfg = DecodeConfig(max_steps=6, mode="beam", beam_width=5, coverage_penalty_weight=0.5)
+    for k, (_, model, boxes) in enumerate(pool_models):
+        got, counters = assert_same_as_object_pool(model, mixed_jobs(500 + k, 32, boxes), cfg)
+        assert (counters.rows_pruned, counters.jobs_redecoded) == (0, 0)
+
+
+ACTIONS = ("px", "nx", "py", "ny", "pz", "nz", "stop")  # +x, -x, ..., STOP in canonical order
+
+
+def dist(**p):
+    """Logits giving each named action its probability; the rest vanish."""
+    row = np.full(7, -800.0)
+    for name, prob in p.items():
+        row[ACTIONS.index(name)] = math.log(prob)
+    return row
+
+
+# From S the greedy rollout takes +x to X and stops there: its score, the floor, is
+# log .5 + log .3. W = S + y scores log .48, and its two children at log .48 + log .5
+# outrank the greedy STOP, which leaves the width-2 beam.
+S, X, W = C(0, 0, 2), C(1, 0, 2), C(0, 1, 2)
+FORK = {S: dist(px=0.5, py=0.48, pz=0.02),
+        X: dist(stop=0.3, px=0.7 / 6, nx=0.7 / 6, py=0.7 / 6, ny=0.7 / 6, pz=0.7 / 6, nz=0.7 / 6),
+        W: dist(py=0.5, pz=0.5)}
+W1, W2 = C(0, 2, 2), C(0, 1, 3)
+
+
+def one_job(table, cfg, default=None, start=S):
+    """decode_batch and the unpruned reference on one scripted job; returns the result, the counters
+    and whether the pruned width-B search returned the greedy floor itself."""
+    model = ScriptedModel(table, default)
+    job = (start, ctx_for(None, 5), desk_workspace())
+    counters = DecodeCounters()
+    d = decode_batch(model, [job], cfg, counters)[0]
+    assert d == reference_decode(model, *job, cfg) == reference_decode_batch(model, [job], cfg)[0]
+    floor = _search(model, [job], cfg, 1, DecodeCounters())
+    return d, counters, _search(model, [job], cfg, cfg.beam_width, DecodeCounters(), floor)[0] is floor[0]
+
+
+def test_a_job_pruning_empties_returns_its_greedy_floor():
+    # every child of W1 and W2 falls below the floor and none finishes, so step 3 drops them all
+    table = {**FORK, W1: dist(nx=0.25, px=0.25, py=0.25, pz=0.25), W2: dist(nx=0.25, px=0.25, py=0.25, ny=0.25)}
+    d, counters, emptied = one_job(table, DecodeConfig(max_steps=4, mode="beam", beam_width=2))
+    assert emptied and (d.trajectory.points, d.terminated_by) == ((S, X), "stop_token")
+    assert counters.rows_pruned == 2 and counters.jobs_redecoded == 0
+
+
+def test_a_job_left_with_fewer_than_b_rows_above_its_floor_is_decoded_again():
+    """At step 3 the beam holds W1a above the floor and W2a below it, which is dropped. Unpruned,
+    W2a stops at step 4 and, finished, beats W1a's near-certain child; it scores below the floor,
+    so the greedy path is the answer. Pruned, W1a's child would win: the job must be decoded again."""
+    w1a, w2a = C(0, 3, 2), C(0, 1, 4)
+    table = {**FORK, W1: dist(py=0.9, nx=0.1), W2: dist(pz=0.55, stop=0.45),
+             w1a: dist(px=0.99, nx=0.01), w2a: dist(stop=0.9, ny=0.1)}
+    d, counters, emptied = one_job(table, DecodeConfig(max_steps=4, mode="beam", beam_width=2))
+    assert (d.trajectory.points, d.terminated_by) == ((S, X), "stop_token")
+    assert counters.rows_pruned == 1 and counters.jobs_redecoded == 1
+
+
+def test_the_bar_falls_when_its_finished_row_leaves_the_beam():
+    """The greedy rollout never stops, so the floor is -inf. From S, +x is likely and STOP finishes
+    F at about -2.1. X's two children at about -0.8 push F out of the width-2 beam, and at step 3
+    every row is below F. The bar must fall back to the floor: the rows below F are the answer."""
+    xx, xy = C(-1, 0, 2), C(-2, 1, 2)
+    start = C(-3, 0, 2)
+    four_way = dist(px=0.25, nx=0.25, py=0.25, ny=0.25)
+    table = {start: dist(px=0.88, stop=0.12), C(-2, 0, 2): dist(px=0.5, py=0.5),
+             xx: dist(px=1 / 6, nx=1 / 6, py=1 / 6, ny=1 / 6, pz=1 / 6, nz=1 / 6), xy: four_way}
+    d, counters, _ = one_job(table, DecodeConfig(max_steps=4, mode="beam", beam_width=2), four_way, start)
+    assert d.terminated_by == "max_steps" and d.trajectory.points[2] == xy  # not the greedy path through xx
+    assert counters.rows_pruned == 0

@@ -11,7 +11,10 @@ from their dataclass fields; the train digests did not move with schema v2,
 as its density-0 corpus holds the v1 generator's records. The gen manifests
 hold the search counters, so they were re-pinned when the oracle began to
 search the start-goal box first, and again when that stage became a
-depth-first search; its corpora did not move. No other byte may move.
+depth-first search; its corpora did not move. The decode digests pin the
+greedy and beam-5 predictions of a small seeded model; they were computed
+before the beam search began to drop hypotheses that can no longer win. No
+other byte may move.
 """
 
 import hashlib
@@ -228,3 +231,21 @@ def test_train_manifest_and_checkpoint_metadata_match_pinned_digests(tmp_path, m
 def test_default_pack_oracle_outcomes_match_pinned_digest(tmp_path):
     assert main(["sim", "--out", str(tmp_path), "--seed", "0"]) == 0
     assert sha256(tmp_path / "outcomes.jsonl") == PACK_OUTCOMES_DIGEST
+
+
+DECODE_DIGESTS = {
+    "greedy": "53cce93718b0685ef59ee003880e2da871a61961addcb88273ac67a6662bb538",
+    "beam": "703f4c8e8bdda7e3120b98394e5a2ff963bb8c18f716944075e45f36df679f3b",
+}
+
+
+def test_greedy_and_beam_predictions_match_pinned_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen", "--out", "corpus", "--seed", "0", "--count", "200", "--obstacle-density", "0.1"]) == 0
+    assert main(["train", "--corpus", "corpus/corpus_train.jsonl", "--out", "run", "--seed", "3",
+                 "--epochs", "4", "--batch-size", "16", "--embed-dim", "16", "--num-layers", "1",
+                 "--num-heads", "2", "--max-seq-len", "20", "--optimizer", "adam", "--lr", "0.003"]) == 0
+    for mode in DECODE_DIGESTS:
+        assert main(["decode", "--checkpoint", "run/model.npz", "--records", "corpus/corpus_validation.jsonl",
+                     "--out", mode, "--mode", mode, "--beam-width", "5"]) == 0
+    assert {mode: sha256(tmp_path / mode / "predictions.jsonl") for mode in DECODE_DIGESTS} == DECODE_DIGESTS
