@@ -36,6 +36,7 @@ from .corpus import (
     GenerationConfig,
     GenerationCounters,
     UnreachableGoalError,
+    check_trajectory,
     generate_corpus,
     read_records,
     write_jsonl,
@@ -43,7 +44,7 @@ from .corpus import (
 )
 from .decoder import DecodeConfig, DecodeCounters, decode_records
 from .evaluator import EvalReport, evaluate_records, format_report, format_table
-from .lattice import Workspace, desk_workspace, read_int, read_number
+from .lattice import Workspace, desk_workspace, in_bounds, read_int, read_number
 from .model import (
     LossBreakdown,
     LossConfig,
@@ -54,7 +55,7 @@ from .model import (
     TrainCounters,
     context_features,
     fit,
-    supervision_rows,
+    supervision_row,
 )
 from .twinsim import (
     ModelPlanner,
@@ -273,6 +274,7 @@ def cmd_train(args) -> int:
         if mcfg is None:  # a fresh model's box and context width come from the first record
             mcfg = _model_config(cfg["model"], record)
         _check_decodable(mcfg, record)
+        check_trajectory(record.trajectory, record.workspace)  # the one check of each gold path
 
     records = read_records(cfg["corpus"], check=check)
     if not records:
@@ -294,7 +296,7 @@ def cmd_train(args) -> int:
             r = records.pop()
             yield r.trajectory, r.context, r.workspace
 
-    rows = supervision_rows(drain(), model.cfg)
+    rows = [supervision_row(*item, model.cfg) for item in drain()]
 
     log_lines = ["\t".join(["epoch", *(f.name for f in dataclasses.fields(LossBreakdown))])]
 
@@ -375,9 +377,14 @@ def _check_search_length(dcfg: DecodeConfig, model: PathModel) -> None:
 
 
 def _check_decodable(mcfg: ModelConfig, record) -> None:
-    """Every cell a record's paths may visit must lie in the model box; its context must fit the model."""
+    """Every cell a record's paths may visit must lie in the model box, and its path must start on a free
+    cell of its workspace; its context must fit the model."""
     mcfg.check_workspace(record.workspace)
     context_features(record.context, mcfg)
+    start, w = record.trajectory.start, record.workspace
+    if not in_bounds(start, w):
+        where = "on an obstacle" if w._in_box(start) else "outside the workspace box"
+        raise ValueError(f"path starts {where}, at {list(start.as_tuple())}")
 
 
 # eval -----------------------------------------------------------------------------

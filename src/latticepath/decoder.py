@@ -1,25 +1,29 @@
 """Constrained decoding over the lattice: one search loop for greedy and beam.
 
 A decode call steps all of its rows together (records x live hypotheses):
-one model step per decode step, with one (rows, 7) legality mask, so emitted
-paths satisfy adjacency and bounds by construction. The search state is row
-arrays (job, cell history, log-probability sum, and the rank of the row's
-move sequence within its job), so each decode step is a fixed number of
-array operations whatever the batch: one legality gather from a GridStack
-(the batch's legality grids as one flat table), one candidate expansion
-(the argmax at width 1, every action of nonzero probability at wider
-widths), and, at wider widths, one lexsort that keeps the best candidates of
-every job. The model is stepped through forward_batch with a KV cache, so
-each step runs only the newest cell of each row. Greedy decoding is the
-width-1 search; beam decoding runs the width-1 search as its floor, then
-the width-B search, which stops stepping the hypotheses that can no longer
-win against that floor or against a finished hypothesis (see _search). A
-hypothesis score is the sum of chosen-action log-probabilities (math.log,
-so scores do not depend on numpy's log) minus an optional coverage penalty
-(weighted Manhattan distance from the hypothesis end to the context
-target), which discourages early truncation. DecodeCounters tallies model
-steps, rows stepped, candidates ranked, rows pruned, jobs decoded again and
-terminations.
+at most one model step per decode step, with one (rows, 7) legality mask,
+so emitted paths satisfy adjacency and bounds by construction. The search
+state is row arrays (job, cell history, log-probability sum, and the rank
+of the row's move sequence within its job), so each decode step is a fixed
+number of array operations whatever the batch: one legality gather from a
+GridStack (the batch's legality grids as one flat table), one candidate
+expansion (the argmax at width 1, every action of nonzero probability at
+wider widths), and, at wider widths, one lexsort that keeps the best
+candidates of every job. The model is stepped through forward_batch with a
+KV cache, so each step runs only the newest cell of each row. Greedy
+decoding is the width-1 search; beam decoding runs the width-1 search as
+its floor, keeping each of its model steps, then the width-B search. That
+search takes the step of every row still on its job's greedy prefix from
+the kept steps (by causality the same logits, keys and values; about three
+rows in four on desk inputs), so only the other rows run through the
+model, and it stops stepping the hypotheses that can no longer win against
+the floor or against a finished hypothesis (see _search). A hypothesis
+score is the sum of chosen-action log-probabilities (math.log, so scores
+do not depend on numpy's log) minus an optional coverage penalty (weighted
+Manhattan distance from the hypothesis end to the context target), which
+discourages early truncation. DecodeCounters tallies model steps, rows
+stepped, rows reused, candidates ranked, rows pruned, jobs decoded again
+and terminations.
 """
 
 from __future__ import annotations
@@ -77,15 +81,17 @@ class DecodeCounters:
     """Seed-determined tallies of decode calls; no timings.
 
     model_steps counts batched model steps, rows_stepped the rows they ran,
-    candidates the pool entries ranked at those steps (each stepped row's
-    expansions plus the finished hypotheses of its job; at width 1 one per
-    row), rows_pruned the beam rows dropped below their job's bar,
-    jobs_redecoded the jobs whose pruned beam was decoded again without a
-    floor, and terminated how each returned path ended.
+    rows_reused the beam rows whose step was taken from the greedy rollout
+    instead (see _search), candidates the pool entries ranked at each decode
+    step (each live row's expansions plus the finished hypotheses of its
+    job; at width 1 one per row), rows_pruned the beam rows dropped below
+    their job's bar, jobs_redecoded the jobs whose pruned beam was decoded
+    again without a floor, and terminated how each returned path ended.
     """
 
     model_steps: int = 0
     rows_stepped: int = 0
+    rows_reused: int = 0
     candidates: int = 0
     rows_pruned: int = 0
     jobs_redecoded: int = 0
@@ -176,9 +182,76 @@ def _scorer(jobs: list[Job], cfg: DecodeConfig):
 # the search ---------------------------------------------------------------------------
 
 
-def _search(model, jobs: list[Job], cfg: DecodeConfig, width: int, counters: DecodeCounters,
-            floor: list[DecodedPath] | None = None) -> list[DecodedPath]:
-    """Width-`width` search for every job at once; one batched model step per decode step.
+@dataclass(frozen=True)
+class _Batch:
+    """A decode call's jobs with their context features and legality table, built once for every stage."""
+
+    jobs: list[Job]
+    ctx_mat: np.ndarray
+    grids: GridStack
+
+    @classmethod
+    def of(cls, model, jobs: list[Job]) -> "_Batch":
+        return cls(jobs, np.array([context_features(ctx, model.cfg) for _, ctx, _ in jobs]),
+                   GridStack.of([w for _, _, w in jobs]))
+
+    def take(self, idx: list[int]) -> "_Batch":
+        return _Batch([self.jobs[j] for j in idx], self.ctx_mat[idx], self.grids.take(np.array(idx, dtype=np.int64)))
+
+
+@dataclass(frozen=True)
+class _GreedyStep:
+    """One model step of the greedy rollout, kept for the width-B search.
+
+    job holds the stepped rows' jobs (ascending), probs their masked
+    probabilities (rows, 7), and keys and values the per-layer keys and
+    values (rows, heads, 1, head width) of the cell each row fed in.
+    """
+
+    job: np.ndarray
+    probs: np.ndarray
+    keys: list[np.ndarray]
+    values: list[np.ndarray]
+
+
+def _model_step(model, cells: np.ndarray, ctx_mat: np.ndarray, legal: np.ndarray, cache: KVCache,
+                counters: DecodeCounters) -> np.ndarray:
+    """Masked probabilities (rows, 7) of the next action from each row's cell; the cells join the cache."""
+    with ad.no_grad():
+        raw = model.forward_batch(cells[:, None], ctx_mat, cache).data[:, 0]
+    counters.model_steps += 1
+    counters.rows_stepped += len(cells)
+    return ad.softmax(Tensor(raw), mask=legal).data
+
+
+def _greedy_prefix(greedy: list[_GreedyStep], job: np.ndarray, t: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per-layer keys and values (rows, heads, t, head width) of the first t cells of each job's greedy rollout."""
+    at = [np.searchsorted(greedy[s].job, job) for s in range(t)]
+    layers = range(len(greedy[0].keys))
+    keys = [np.concatenate([greedy[s].keys[i][at[s]] for s in range(t)], axis=2) for i in layers]
+    values = [np.concatenate([greedy[s].values[i][at[s]] for s in range(t)], axis=2) for i in layers]
+    return keys, values
+
+
+def _merged(cache: KVCache, slot: np.ndarray, cached: np.ndarray, prefix, t: int) -> KVCache:
+    """A cache of t positions: where `cached`, rows `slot` of `cache`, in order; elsewhere the rows of
+    `prefix` (per-layer keys and values, as from _greedy_prefix)."""
+    out = KVCache()
+    out.t = t
+    for old, pre, new in zip((cache.keys, cache.values), prefix, (out.keys, out.values)):
+        if not cached.any():  # `cache` may be empty, with no layers
+            new.extend(pre)
+            continue
+        for a, p in zip(old, pre):
+            rows = np.empty((len(cached), *p.shape[1:]))
+            rows[cached], rows[~cached] = a[slot], p
+            new.append(rows)
+    return out
+
+
+def _search(model, batch: _Batch, cfg: DecodeConfig, width: int, counters: DecodeCounters,
+            floor: list[DecodedPath] | None = None, greedy: list[_GreedyStep] | None = None) -> list[DecodedPath]:
+    """Width-`width` search for every job at once; at most one batched model step per decode step.
 
     Width 1 takes the highest-probability legal action of each row (ties
     resolve to the lowest canonical move index): the greedy rollout. Wider
@@ -187,6 +260,24 @@ def _search(model, jobs: list[Job], cfg: DecodeConfig, width: int, counters: Dec
     lexicographically smaller move sequence, and the best `width` survive.
     A job stops stepping once its beam holds only finished hypotheses. The
     best finished hypothesis wins, else the best unfinished one at max_steps.
+
+    Given `greedy`, the width-1 search appends each of its model steps to
+    it, and a wider search of the same jobs reuses them. A row is on its
+    job's greedy prefix if it is a start row, or its parent was and its
+    action is the greedy action at that step (the argmax of the parent's
+    probabilities). Such a row has the cells, context and workspace of the
+    greedy row of that step, so by causality its logits and its new cell's
+    keys and values are the greedy row's: it takes them from `greedy`, and
+    only the other rows go through the model and its KV cache. A step with
+    no other row makes no model call; the start rows are one. A row that
+    leaves the greedy prefix (its parent was on it, its action is not the
+    greedy one) joins the cache with the keys and values of its parent's
+    cells from `greedy`. Ranking, pruning and the result are those of
+    stepping every row. In floating point the reused numbers come from the
+    greedy step's product, not from one that holds the beam's rows;
+    OpenBLAS runs a one-row product with another kernel, so a one-row
+    product can differ in its last bits from the same row computed
+    alongside others, and so can a score.
 
     Given `floor` (each job's greedy path; no coverage penalty), every step
     but the last drops the live rows whose log_sum is below their job's bar:
@@ -211,15 +302,16 @@ def _search(model, jobs: list[Job], cfg: DecodeConfig, width: int, counters: Dec
     but fewer than `width` rows at or above it. Those jobs are decoded again
     without a floor, in one call.
     """
-    ctx_mat = np.array([context_features(ctx, model.cfg) for _, ctx, _ in jobs])
-    grids = GridStack.of([w for _, _, w in jobs])
-    cache = KVCache()
-    score = _scorer(jobs, cfg)
-    n = len(jobs)
+    ctx_mat, grids = batch.ctx_mat, batch.grids
+    cache = KVCache()  # keys and values of the rows that step (those off the greedy prefix), in row order
+    score = _scorer(batch.jobs, cfg)
+    n = len(batch.jobs)
     none = np.full(n, -1)
-    starts = np.array([start.as_tuple() for start, _, _ in jobs], dtype=np.int64).reshape(n, 1, 3)
+    starts = np.array([start.as_tuple() for start, _, _ in batch.jobs], dtype=np.int64).reshape(n, 1, 3)
     live = _Rows(np.arange(n), starts, np.zeros(n), np.zeros(n, dtype=np.int64), none, none)
     done = live.take(slice(0, 0))
+    reuse = greedy is not None and width > 1
+    on_greedy = np.full(n, reuse)
     if floor is not None:
         floor_score = np.array([g.score if g.terminated_by == "stop_token" else -math.inf for g in floor])
         cut = np.zeros(n, dtype=bool)  # jobs that lost a row to the bar
@@ -227,13 +319,22 @@ def _search(model, jobs: list[Job], cfg: DecodeConfig, width: int, counters: Dec
     for step in range(cfg.max_steps):
         if not len(live):
             break
-        with ad.no_grad():
-            raw = model.forward_batch(live.path[:, -1:], ctx_mat, cache).data[:, 0]
         legal = np.ones((len(live), STOP + 1), dtype=bool)
         legal[:, :STOP] = grids.move_mask(live.path[:, -1])
-        probs = ad.softmax(Tensor(raw), mask=legal).data
-        counters.model_steps += 1
-        counters.rows_stepped += len(live)
+        if not on_greedy.any():
+            probs = _model_step(model, live.path[:, -1], ctx_mat, legal, cache, counters)
+        else:  # the rows on the greedy prefix are rows of the greedy rollout's step
+            rec = greedy[step]
+            probs = np.empty((len(live), STOP + 1))
+            probs[on_greedy] = rec.probs[np.searchsorted(rec.job, live.job[on_greedy])]
+            counters.rows_reused += int(on_greedy.sum())
+            stepped = np.flatnonzero(~on_greedy)
+            if len(stepped):
+                probs[stepped] = _model_step(model, live.path[stepped, -1], ctx_mat[stepped], legal[stepped], cache,
+                                             counters)
+        if greedy is not None and width == 1:
+            greedy.append(_GreedyStep(live.job, probs, [k[:, :, -1:].copy() for k in cache.keys],
+                                      [v[:, :, -1:].copy() for v in cache.values]))
         if width == 1:
             pool = _children(live, probs.argmax(axis=1), probs.max(axis=1))
         else:
@@ -263,8 +364,22 @@ def _search(model, jobs: list[Job], cfg: DecodeConfig, width: int, counters: Dec
                 counters.rows_pruned += int(low.sum())
                 cut[pool.job[low]] = True
                 pool = pool.take(~low)
-        if width > 1 or len(pool) < len(live):  # gather the rows that go on from the cache
-            cache.keep(pool.parent)
+        if reuse:  # a child stays on the greedy prefix if its parent was and it took the greedy action
+            stays = np.where(on_greedy, probs.argmax(axis=1), -1)[pool.parent] == pool.action
+            # the next cache: the rows of stepped parents, and the greedy prefix of each row leaving it
+            goes = np.flatnonzero(~stays)
+            parent = pool.parent[goes]
+            cached = ~on_greedy[parent]
+            slot = (np.cumsum(~on_greedy) - 1)[parent[cached]]  # a stepped parent's row in the cache
+            if cached.all():
+                cache = cache.take(slot)
+            else:
+                prefix = _greedy_prefix(greedy, pool.job[goes[~cached]], step + 1)
+                cache = _merged(cache, slot, cached, prefix, step + 1)
+            on_greedy = stays
+        elif width > 1 or len(pool) < len(live):
+            cache = cache.take(pool.parent)
+        if width > 1 or len(pool) < len(live):  # gather the rows that go on
             ctx_mat, grids = ctx_mat[pool.parent], grids.take(pool.parent)
         live = pool
 
@@ -289,7 +404,7 @@ def _search(model, jobs: list[Job], cfg: DecodeConfig, width: int, counters: Dec
         redo = np.flatnonzero(cut & ~above & (holding > 0) & (holding < width)).tolist()
         if redo:
             counters.jobs_redecoded += len(redo)
-            for j, d in zip(redo, _search(model, [jobs[j] for j in redo], cfg, width, counters)):
+            for j, d in zip(redo, _search(model, batch.take(redo), cfg, width, counters)):
                 out[j] = d
     return out
 
@@ -297,22 +412,29 @@ def _search(model, jobs: list[Job], cfg: DecodeConfig, width: int, counters: Dec
 def decode_batch(model, jobs: list[Job], cfg: DecodeConfig, counters: DecodeCounters | None = None) -> list[DecodedPath]:
     """Decode every (start, ctx, workspace) job together, dispatching on cfg.mode.
 
-    Beam mode scores the greedy rollout as a floor: where the width-B search
-    ends below it, the greedy path is returned, so the beam score never falls
-    below the greedy score. With no coverage penalty the greedy paths also go
+    Beam mode runs the greedy rollout first, keeping each of its model
+    steps, then the width-B search, which takes the step of every row still
+    on its job's greedy prefix from those instead of the model (see
+    _search): on seed-1 desk_decode inputs that is about three rows in four.
+    The greedy rollout is also a floor: where the width-B search ends below
+    it, the greedy path is returned, so the beam score never falls below
+    the greedy score. With no coverage penalty the greedy paths also go
     into the width-B search, which drops the hypotheses that can no longer
-    beat them (see _search); with a penalty, scores can rise as a row nears
-    its target, so that search runs unpruned. Width 1 returns the greedy
-    paths.
+    beat them; with a penalty, scores can rise as a row nears its target,
+    so that search runs unpruned. Width 1 returns the greedy paths. Both
+    stages share one batch of context features and legality grids.
     """
     for start, _, w in jobs:
         if not in_bounds(start, w):
             raise ValueError(f"start {start} is out of bounds")
     counters = DecodeCounters() if counters is None else counters
-    paths = _search(model, jobs, cfg, 1, counters)
-    if cfg.mode == "beam" and cfg.beam_width > 1:
+    batch = _Batch.of(model, jobs)
+    beam = cfg.mode == "beam" and cfg.beam_width > 1
+    greedy = [] if beam else None
+    paths = _search(model, batch, cfg, 1, counters, greedy=greedy)
+    if beam:
         floor = paths if cfg.coverage_penalty_weight == 0.0 else None
-        beams = _search(model, jobs, cfg, cfg.beam_width, counters, floor)
+        beams = _search(model, batch, cfg, cfg.beam_width, counters, floor, greedy)
         paths = [g if g.score > b.score else b for g, b in zip(paths, beams)]
     for d in paths:
         counters.terminated[d.terminated_by] += 1

@@ -387,7 +387,7 @@ class GridStack:
     grid shared by several rows is stored once); each row keeps its grid's
     offset into that table and its move strides, so rows on boxes of
     different shapes are masked by one gather. take() selects and reorders
-    rows, as KVCache.keep does.
+    rows, as KVCache.take does.
     """
 
     def __init__(self, free: np.ndarray, base: np.ndarray, move_strides: np.ndarray):

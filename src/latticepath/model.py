@@ -107,7 +107,7 @@ class KVCache:
 
     Inference only: it holds plain arrays, so no gradient flows through cached
     positions. `t` counts the positions cached so far; every row has the same
-    count. `keep` selects and reorders rows by index.
+    count. `take` returns a cache of the rows it selects, in its order.
     """
 
     def __init__(self):
@@ -125,9 +125,12 @@ class KVCache:
             self.values[layer] = np.concatenate([self.values[layer], v], axis=2)
         return self.keys[layer], self.values[layer]
 
-    def keep(self, rows: np.ndarray) -> None:
-        self.keys = [k[rows] for k in self.keys]
-        self.values = [v[rows] for v in self.values]
+    def take(self, rows: np.ndarray) -> "KVCache":
+        sub = KVCache()
+        sub.t = self.t
+        sub.keys = [k[rows] for k in self.keys]
+        sub.values = [v[rows] for v in self.values]
+        return sub
 
 
 def context_features(ctx: TaskContext, cfg: ModelConfig) -> np.ndarray:
@@ -401,9 +404,8 @@ def _on_path(pts: np.ndarray) -> np.ndarray:
     return ((key[:, None] + _MOVE_OFFSETS @ stride)[:, :, None] == key).any(axis=-1)
 
 
-def _supervision(traj: Trajectory, ctx: TaskContext, w: Workspace, cfg: ModelConfig) -> _Supervision:
-    """Check a gold trajectory and derive its supervision; raises if it is illegal."""
-    check_trajectory(traj, w)
+def supervision_row(traj: Trajectory, ctx: TaskContext, w: Workspace, cfg: ModelConfig) -> _Supervision:
+    """A gold trajectory's supervision; the caller has checked the path (check_trajectory)."""
     pts = np.array([p.as_tuple() for p in traj.points], dtype=np.int64)
     moves = [move_index(a, b) for a, b in zip(traj.points, traj.points[1:])] + [STOP]
     return _Supervision(
@@ -413,15 +415,22 @@ def _supervision(traj: Trajectory, ctx: TaskContext, w: Workspace, cfg: ModelCon
 
 
 def supervision_rows(items, cfg: ModelConfig) -> list[_Supervision]:
-    """Rows of (trajectory, context, workspace) items; rows already prepared by _supervision pass through."""
-    return [it if isinstance(it, _Supervision) else _supervision(*it, cfg) for it in items]
+    """Rows of (trajectory, context, workspace) items, each gold path checked first (raises if one is
+    illegal); rows already prepared by supervision_row pass through."""
+    rows = []
+    for it in items:
+        if not isinstance(it, _Supervision):
+            check_trajectory(it[0], it[2])
+            it = supervision_row(*it, cfg)
+        rows.append(it)
+    return rows
 
 
 def make_loss_batch(items: list, cfg: ModelConfig) -> LossBatch:
     """Assemble padded supervision arrays; raises on illegal gold trajectories.
 
     Items are (trajectory, context, workspace) tuples or rows that fit has
-    already prepared with _supervision. Padded positions repeat the record's
+    already prepared with supervision_row. Padded positions repeat the record's
     last row: its last point, legality and on-path rows, and STOP, its last
     gold move, which keeps gathered log-probs finite.
     """

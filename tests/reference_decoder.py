@@ -9,7 +9,9 @@ reference_decode_batch is the object-pool search that the array-state search
 replaced: the same batched model steps (KV cache for a PathModel), with one
 hypothesis object per row, a per-row legality mask and a pool sorted on
 (-score, moves) tuples. latticepath.decoder.decode_batch must return
-DecodedPaths equal to its own, scores included, and the same counters.
+DecodedPaths equal to its own, scores included, and the same counters where
+nothing is pruned, but for the rows its width-B search reuses from the
+greedy rollout instead of stepping them.
 """
 
 import math
@@ -149,7 +151,7 @@ class CachedStep:
         return raw, legal
 
     def keep(self, parents: np.ndarray) -> None:
-        self.cache.keep(parents)
+        self.cache = self.cache.take(parents)
         self.ctx_mat = self.ctx_mat[parents]
 
 

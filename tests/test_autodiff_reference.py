@@ -17,9 +17,10 @@ from latticepath.model import (
     Optimizer,
     OptimizerConfig,
     PathModel,
-    _supervision,
     composite_loss,
     make_loss_batch,
+    supervision_row,
+    supervision_rows,
     train_step,
 )
 
@@ -237,7 +238,7 @@ def test_make_loss_batch_matches_per_record_reference(name):
     traj, ctx, w = items[0]
     items = [(Trajectory(points=(traj.start,)), ctx, w)] + items  # a one-point record: every row is padding but one
     cfg = ModelConfig(bounds=bounds, max_seq_len=32)
-    rows = [_supervision(*it, cfg) for it in items]
+    rows = [supervision_row(*it, cfg) for it in items]
     for lo in range(0, len(items), 16):
         want = ref.make_loss_batch(items[lo : lo + 16], cfg)
         for got in (make_loss_batch(items[lo : lo + 16], cfg), make_loss_batch(rows[lo : lo + 16], cfg)):
@@ -277,7 +278,7 @@ def test_supervision_rejects_an_illegal_gold_trajectory():
     _, ctx, w = corpus_items("desk_0.1", count=1)[0]
     jump = Trajectory(points=(LatticeCoord(0, 0, 0), LatticeCoord(2, 0, 0)))
     with pytest.raises(ValueError):
-        _supervision(jump, ctx, w, ModelConfig())
+        supervision_rows([(jump, ctx, w)], ModelConfig())
     with pytest.raises(ValueError):
         ref.make_loss_batch([(jump, ctx, w)], ModelConfig())
 

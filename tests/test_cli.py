@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -5,12 +6,14 @@ import zipfile
 
 import numpy as np
 import pytest
+from test_decoder_batched import decode_without_reuse
 
 from latticepath import cli
 from latticepath.checkpoint import load_checkpoint
 from latticepath.cli import main
-from latticepath.corpus import read_records
-from latticepath.decoder import validate_path
+from latticepath.corpus import read_records, write_records
+from latticepath.decoder import DecodeConfig, DecodeCounters, validate_path
+from latticepath.lattice import LatticeCoord as C
 
 GEN_ARGS = ["--seed", "0", "--count", "40"]
 
@@ -325,6 +328,45 @@ def test_decode_rejects_records_outside_the_model_box(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: schema: {records}: line 1: ") and err.count("\n") == 1, err
     assert "model box" in err
+    assert not out.exists()
+
+
+def _with_points(r, points):
+    return dataclasses.replace(r, trajectory=dataclasses.replace(r.trajectory, points=tuple(points)))
+
+
+# edit of the record on line 2 -> the error after "line 2: "
+BAD_PATHS = {
+    "start-outside-the-box": (lambda r: _with_points(r, (C(9, 9, 9),) + r.trajectory.points),
+                              "path starts outside the workspace box, at [9, 9, 9]"),
+    "start-on-an-obstacle": (lambda r: dataclasses.replace(
+        r, workspace=r.workspace.with_obstacles(r.workspace.obstacles | {r.trajectory.start})),
+        "path starts on an obstacle, at {start}"),
+    "later-jump": (lambda r: _with_points(r, r.trajectory.points[:2] + (r.trajectory.points[1].offset(2, 0, 0),)),
+                   "trajectory point 2 = {jump} is out of bounds or not a unit move"),
+}
+
+
+@pytest.mark.parametrize("command, case", [(c, k) for c in ("decode", "train") for k in BAD_PATHS
+                                           if (c, k) != ("decode", "later-jump")])  # decode reads only the start
+def test_a_path_off_its_workspace_names_the_file_and_line(inputs, tmp_path, capsys, command, case):
+    """A record whose path starts outside its box or on an obstacle is refused as it is read, and so is a
+    later illegal step of a gold path that train learns from."""
+    edit, message = BAD_PATHS[case]
+    records = read_records(inputs["<gold>"])
+    records[1] = edit(records[1])
+    bad = tmp_path / "bad.jsonl"
+    write_records(bad, records)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    if command == "decode":
+        argv = ["decode", "--checkpoint", inputs["<ckpt>"], "--records", bad, "--out", out]
+    else:
+        argv = ["train", "--corpus", bad, "--out", out, "--epochs", "1", "--embed-dim", "8", "--num-heads", "2"]
+    assert run(argv) == 1
+    points = records[1].trajectory.points
+    detail = message.format(start=list(points[0].as_tuple()), jump=points[-1])
+    assert capsys.readouterr().err == f"error: schema: {bad}: line 2: {detail}\n"
     assert not out.exists()
 
 
@@ -998,9 +1040,18 @@ def test_decode_manifest_counts_ranked_candidates(inputs, tmp_path):
         counters[mode] = json.loads(manifests[0])["counters"]
     greedy, beam = counters["greedy"], counters["beam"]
     assert greedy["candidates"] == greedy["rows_stepped"] > 0  # width 1: one candidate per stepped row
-    # beam runs the greedy floor, then the width-3 search, whose rows each rank up to 7 actions
-    assert beam["rows_stepped"] > greedy["rows_stepped"]
-    assert beam["candidates"] - greedy["candidates"] > beam["rows_stepped"] - greedy["rows_stepped"]
+    assert greedy["rows_reused"] == 0
+    # beam runs the greedy floor, then the width-3 search, whose rows each rank up to 7 actions; a row on
+    # its job's greedy prefix takes the floor's step instead of stepping, and no floor row serves two rows
+    model, _, _ = load_checkpoint(inputs["<ckpt>"])
+    jobs = [(r.trajectory.start, r.context, r.workspace) for r in read_records(inputs["<gold>"])]
+    stepped = DecodeCounters()
+    decode_without_reuse(model, jobs, DecodeConfig(max_steps=model.cfg.max_seq_len, beam_width=3, mode="beam"),
+                         stepped)
+    assert beam["rows_stepped"] + beam["rows_reused"] == stepped.rows_stepped
+    assert (beam["candidates"], beam["terminated"]) == (stepped.candidates, stepped.terminated)
+    assert 0 < beam["rows_reused"] <= greedy["rows_stepped"]
+    assert beam["candidates"] - greedy["candidates"] > stepped.rows_stepped - greedy["rows_stepped"]
 
 
 def test_sim_without_a_checkpoint_still_checks_the_search_settings(tmp_path, capsys):
@@ -1349,4 +1400,5 @@ def test_sim_checkpoint_reruns_are_byte_identical_and_count_decodes(inputs, tmp_
     assert 0 < counters["plan_batches"] < counters["plan_requests"]
     assert sum(counters["terminated"].values()) == counters["plan_requests"]  # one decoded path per leg
     assert counters["rows_stepped"] >= counters["model_steps"] > 0
+    assert (counters["rows_reused"] > 0) == (mode == "beam")  # beam rows on the greedy prefix reuse its steps
     assert counters["ticks"] == sum(r["ticks"] for r in _outcome_rows(outs[0]))

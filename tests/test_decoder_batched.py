@@ -1,6 +1,7 @@
 """The batched, KV-cached decoder against the full-prefix reference it replaced."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from test_acceptance import quick_trained_model, random_desk_workspace, random_f
 
 from latticepath import autodiff as ad
 from latticepath.corpus import CorpusRecord, Trajectory
-from latticepath.decoder import DecodeConfig, DecodeCounters, _search, decode_batch, decode_records
+from latticepath.decoder import DecodeConfig, DecodeCounters, _Batch, _search, decode_batch, decode_records
 from latticepath.lattice import MOVES, LatticeCoord, Workspace, desk_workspace, legal_moves, manhattan
 from latticepath.model import KVCache, ModelConfig, PathModel, context_features
 from latticepath.taskgrid import build_context, reach_only_graph
@@ -46,7 +47,7 @@ def test_cached_step_matches_full_forward_at_every_step(num_layers):
         for t in range(cfg.max_seq_len):
             if t == 5:  # drop a row and reorder the rest, as a beam reselection does
                 keep = np.array([4, 0, 0, 2, 5])
-                cache.keep(keep)
+                cache = cache.take(keep)
                 points, ctx = points[keep], ctx[keep]
             step = model.forward_batch(points[:, t:t + 1], ctx, cache).data[:, 0]
             full = model.forward_batch(points[:, :t + 1], ctx).data[:, -1]
@@ -217,15 +218,36 @@ def pool_models(models):
     ]
 
 
+def decode_without_reuse(model, jobs, cfg, counters):
+    """decode_batch's stages with no greedy record kept: every width-B row steps through the model."""
+    batch = _Batch.of(model, jobs)
+    paths = _search(model, batch, cfg, 1, counters)
+    if cfg.mode == "beam" and cfg.beam_width > 1:
+        floor = paths if cfg.coverage_penalty_weight == 0.0 else None
+        beams = _search(model, batch, cfg, cfg.beam_width, counters, floor)
+        paths = [g if g.score > b.score else b for g, b in zip(paths, beams)]
+    for d in paths:
+        counters.terminated[d.terminated_by] += 1
+    return paths
+
+
+def assert_reuse_counts(got, stepped):
+    """Counters of a decode against those of the same decode with every row stepped: equal, but the rows
+    reused from the greedy rollout no longer step, and each is one row the other decode stepped."""
+    assert got.rows_stepped + got.rows_reused == stepped.rows_stepped
+    assert got.model_steps <= stepped.model_steps
+    assert replace(got, model_steps=0, rows_stepped=0, rows_reused=0) == replace(stepped, model_steps=0, rows_stepped=0)
+
+
 def assert_same_as_object_pool(model, jobs, cfg):
-    got_counters, ref_counters = DecodeCounters(), DecodeCounters()
+    got_counters, ref_counters, own_counters = DecodeCounters(), DecodeCounters(), DecodeCounters()
     got = decode_batch(model, jobs, cfg, got_counters)
     ref = reference_decode_batch(model, jobs, cfg, ref_counters)
-    assert got == ref  # paths, terminations and scores, bit for bit
-    if cfg.mode == "beam" and cfg.beam_width > 1 and cfg.coverage_penalty_weight == 0.0:  # pruned: fewer rows step
-        assert got_counters.terminated == ref_counters.terminated
-    else:
-        assert got_counters == ref_counters
+    assert got == ref == decode_without_reuse(model, jobs, cfg, own_counters)  # bit for bit
+    assert_reuse_counts(got_counters, own_counters)
+    assert got_counters.terminated == ref_counters.terminated
+    if not (cfg.mode == "beam" and cfg.beam_width > 1 and cfg.coverage_penalty_weight == 0.0):  # unpruned
+        assert_reuse_counts(got_counters, ref_counters)
     return got, got_counters
 
 
@@ -292,28 +314,49 @@ def test_equal_scores_prefer_the_smaller_move_sequence():
 # the pruned beam against the unpruned object-pool search ------------------------------
 
 
-def assert_same_as_unpruned(model, jobs, cfg, counters, exact):
-    """decode_batch equals the reference's unpruned search: bit for bit if `exact`, else paths and
-    terminations equal and scores within 1e-12 (pruning changes which rows share a model step,
-    and a BLAS product of a row can depend on its neighbours)."""
+def assert_same_as_unpruned(model, jobs, cfg, exact):
+    """decode_batch equals the reference's unpruned search: bit for bit if `exact`, with the counters of
+    the same decode with every row stepped less the reused rows; else paths and terminations equal and
+    scores within 1e-12 (pruning changes which rows share a model step, a reused row's step comes from
+    the greedy rollout's product, and a BLAS product of a row can depend on its neighbours: OpenBLAS
+    runs a one-row product with another kernel). Returns decode_batch's counters."""
+    counters, stepped = DecodeCounters(), DecodeCounters()
     got = decode_batch(model, jobs, cfg, counters)
     ref = reference_decode_batch(model, jobs, cfg)
     if exact:
-        assert got == ref
+        assert got == ref == decode_without_reuse(model, jobs, cfg, stepped)
+        assert_reuse_counts(counters, stepped)
     else:
         assert [(d.trajectory, d.terminated_by) for d in got] == [(d.trajectory, d.terminated_by) for d in ref]
         assert max(abs(a.score - b.score) for a, b in zip(got, ref)) <= 1e-12
+    return counters
 
 
 @pytest.mark.parametrize("width", [2, 5, 8])
 def test_pruned_beam_equals_unpruned_search(pool_models, width):
-    counters = DecodeCounters()
+    pruned = 0
     for k, (name, model, boxes) in enumerate(pool_models):
         for max_steps in (2, 3, 5, 9):
             cfg = DecodeConfig(max_steps=max_steps, mode="beam", beam_width=width)
             jobs = mixed_jobs(400 + 10 * k + max_steps, 32, boxes)
-            assert_same_as_unpruned(model, jobs, cfg, counters, exact=name == "scripted")
-    assert counters.rows_pruned > 0
+            pruned += assert_same_as_unpruned(model, jobs, cfg, exact=name == "scripted").rows_pruned
+    assert pruned > 0
+
+
+@pytest.mark.parametrize("width", [2, 5, 8])
+def test_reused_greedy_steps_equal_the_object_pool_search(pool_models, width):
+    """Batches on mixed boxes and one-record jobs (each greedy product then has one row), with and
+    without a coverage penalty, where greedy rollouts stop early or run out at max_steps."""
+    reused, stepped, ends = 0, 0, set()
+    for k, (name, model, boxes) in enumerate(pool_models):
+        for max_steps, penalty in ((2, 0.0), (6, 0.0), (6, 0.5)):
+            cfg = DecodeConfig(max_steps=max_steps, mode="beam", beam_width=width, coverage_penalty_weight=penalty)
+            jobs = mixed_jobs(600 + 10 * k + width, 16, boxes)
+            for part in [jobs] + [[job] for job in jobs[:4]]:
+                counters = assert_same_as_unpruned(model, part, cfg, exact=name == "scripted")
+                reused, stepped = reused + counters.rows_reused, stepped + counters.rows_stepped
+                ends.update(kind for kind, count in counters.terminated.items() if count)
+    assert reused > stepped / 4 and ends == {"stop_token", "max_steps"}
 
 
 def test_a_coverage_penalty_prunes_nothing(pool_models):
@@ -344,16 +387,19 @@ FORK = {S: dist(px=0.5, py=0.48, pz=0.02),
 W1, W2 = C(0, 2, 2), C(0, 1, 3)
 
 
-def one_job(table, cfg, default=None, start=S):
+def one_job(table, cfg, default=None, start=S, goal=None):
     """decode_batch and the unpruned reference on one scripted job; returns the result, the counters
     and whether the pruned width-B search returned the greedy floor itself."""
     model = ScriptedModel(table, default)
-    job = (start, ctx_for(None, 5), desk_workspace())
-    counters = DecodeCounters()
+    job = (start, ctx_for(goal, 5), desk_workspace())
+    counters, stepped = DecodeCounters(), DecodeCounters()
     d = decode_batch(model, [job], cfg, counters)[0]
     assert d == reference_decode(model, *job, cfg) == reference_decode_batch(model, [job], cfg)[0]
-    floor = _search(model, [job], cfg, 1, DecodeCounters())
-    return d, counters, _search(model, [job], cfg, cfg.beam_width, DecodeCounters(), floor)[0] is floor[0]
+    assert decode_without_reuse(model, [job], cfg, stepped) == [d]
+    assert_reuse_counts(counters, stepped)
+    batch = _Batch.of(model, [job])
+    floor = _search(model, batch, cfg, 1, DecodeCounters())
+    return d, counters, _search(model, batch, cfg, cfg.beam_width, DecodeCounters(), floor)[0] is floor[0]
 
 
 def test_a_job_pruning_empties_returns_its_greedy_floor():
@@ -374,6 +420,19 @@ def test_a_job_left_with_fewer_than_b_rows_above_its_floor_is_decoded_again():
     d, counters, emptied = one_job(table, DecodeConfig(max_steps=4, mode="beam", beam_width=2))
     assert (d.trajectory.points, d.terminated_by) == ((S, X), "stop_token")
     assert counters.rows_pruned == 1 and counters.jobs_redecoded == 1
+    assert counters.rows_reused == 2  # S and X in the first pass; the pass without a floor reuses nothing
+
+
+def test_a_beam_that_outlives_its_greedy_rollout_steps_its_own_rows():
+    """The greedy rollout stops at X in two steps. With a coverage penalty nothing is pruned, and the rows
+    through W step on past the end of the greedy record."""
+    table = {**FORK, W1: dist(py=0.5, stop=0.5), W2: dist(pz=0.5, stop=0.5)}
+    cfg = DecodeConfig(max_steps=5, mode="beam", beam_width=2, coverage_penalty_weight=0.5)
+    d, counters, _ = one_job(table, cfg, goal=C(0, 3, 2))
+    assert d.trajectory.points[:2] == (S, W)
+    # greedy: steps 0 and 1; width 2: S and X reused, W stepped at step 1, then two rows at step 2 and one
+    # at step 3, past the two greedy steps
+    assert (counters.model_steps, counters.rows_stepped, counters.rows_reused) == (2 + 3, 2 + 4, 2)
 
 
 def test_the_bar_falls_when_its_finished_row_leaves_the_beam():
