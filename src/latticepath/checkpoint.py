@@ -16,7 +16,7 @@ import numpy as np
 from .lattice import read_int
 from .model import ModelConfig, Optimizer, OptimizerConfig, PathModel
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2  # 2: goal-sign tables replace version 1's absolute coordinate tables
 
 
 class CheckpointFormatError(ValueError):

@@ -248,7 +248,7 @@ def cmd_train(args) -> int:
         "epochs": 30,
         "batch_size": 64,
         "resume": None,
-        "model": {**model_defaults, "bounds": None, "task_feature_width": None},  # unset: from the corpus
+        "model": {**model_defaults, "task_feature_width": None},  # unset: from the corpus
         "optimizer": OptimizerConfig().to_dict(),
         "loss": dataclasses.asdict(LossConfig()),
     }
@@ -271,7 +271,7 @@ def cmd_train(args) -> int:
 
     def check(record):
         nonlocal mcfg
-        if mcfg is None:  # a fresh model's box and context width come from the first record
+        if mcfg is None:  # a fresh model's context width comes from the first record
             mcfg = _model_config(cfg["model"], record)
         _check_decodable(mcfg, record)
         check_trajectory(record.trajectory, record.workspace)  # the one check of each gold path
@@ -319,16 +319,11 @@ def cmd_train(args) -> int:
 
 
 def _model_config(m: dict, first) -> ModelConfig:
-    """A fresh model's config; unset bounds and context width come from the first record."""
-    m = {**m, "bounds": m.get("bounds") or list(first.workspace.bounds),
-         "task_feature_width": m.get("task_feature_width") or len(first.context.task_feature_vector)}
-    if not isinstance(m["bounds"], list):
-        raise CliError("config", f"model.bounds must be a list of six integers, got {json.dumps(m['bounds'])}")
-    for i in range(len(m["bounds"])):
-        _integer(m["bounds"], i, f"model.bounds[{i}]")
-    sizes = {k: _integer(m, k, f"model.{k}") for k in m if k != "bounds"}
+    """A fresh model's config; an unset context width comes from the first record."""
+    m = {**m, "task_feature_width": m.get("task_feature_width") or len(first.context.task_feature_vector)}
+    sizes = {k: _integer(m, k, f"model.{k}") for k in m}
     with _config_errors():
-        return ModelConfig(**sizes, bounds=tuple(m["bounds"]))
+        return ModelConfig(**sizes)
 
 
 # decode ---------------------------------------------------------------------------
@@ -377,9 +372,7 @@ def _check_search_length(dcfg: DecodeConfig, model: PathModel) -> None:
 
 
 def _check_decodable(mcfg: ModelConfig, record) -> None:
-    """Every cell a record's paths may visit must lie in the model box, and its path must start on a free
-    cell of its workspace; its context must fit the model."""
-    mcfg.check_workspace(record.workspace)
+    """A record's path must start on a free cell of its workspace, and its context must fit the model."""
     context_features(record.context, mcfg)
     start, w = record.trajectory.start, record.workspace
     if not in_bounds(start, w):
@@ -425,11 +418,7 @@ def cmd_sim(args) -> int:
             cfg["max_steps"] = model.cfg.max_seq_len
             dcfg = dataclasses.replace(dcfg, max_steps=model.cfg.max_seq_len)
         _check_search_length(dcfg, model)
-    if cfg["scenarios"] is not None:
-        check = None if model is None else lambda s: model.cfg.check_workspace(s.scene.workspace)
-        scenarios = read_scenarios(cfg["scenarios"], check=check)
-    else:
-        scenarios = default_scenario_pack()
+    scenarios = read_scenarios(cfg["scenarios"]) if cfg["scenarios"] is not None else default_scenario_pack()
     if not scenarios:
         raise CliError("config", "no scenarios to run")
     planner = OraclePlanner() if model is None else ModelPlanner(model, dcfg)

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,6 +75,18 @@ class DecodedPath:
     def __post_init__(self) -> None:
         if self.terminated_by not in TERMINATION_KINDS:
             raise ValueError(f"unknown termination kind {self.terminated_by!r}")
+
+
+class _Found(NamedTuple):
+    """One job's search result as plain values: its path's cells as [x, y, z] lists."""
+
+    cells: list[list[int]]
+    score: float
+    terminated_by: str
+
+    def path(self) -> DecodedPath:
+        return DecodedPath(Trajectory(points=tuple(LatticeCoord(*c) for c in self.cells)), self.score,
+                           self.terminated_by)
 
 
 @dataclass
@@ -250,7 +263,7 @@ def _merged(cache: KVCache, slot: np.ndarray, cached: np.ndarray, prefix, t: int
 
 
 def _search(model, batch: _Batch, cfg: DecodeConfig, width: int, counters: DecodeCounters,
-            floor: list[DecodedPath] | None = None, greedy: list[_GreedyStep] | None = None) -> list[DecodedPath]:
+            floor: list[_Found] | None = None, greedy: list[_GreedyStep] | None = None) -> list[_Found]:
     """Width-`width` search for every job at once; at most one batched model step per decode step.
 
     Width 1 takes the highest-probability legal action of each row (ties
@@ -260,6 +273,8 @@ def _search(model, batch: _Batch, cfg: DecodeConfig, width: int, counters: Decod
     lexicographically smaller move sequence, and the best `width` survive.
     A job stops stepping once its beam holds only finished hypotheses. The
     best finished hypothesis wins, else the best unfinished one at max_steps.
+    Each job's result is plain values (a _Found): decode_batch builds a
+    DecodedPath only for the path it returns.
 
     Given `greedy`, the width-1 search appends each of its model steps to
     it, and a wider search of the same jobs reuses them. A row is on its
@@ -392,11 +407,7 @@ def _search(model, batch: _Batch, cfg: DecodeConfig, width: int, counters: Decod
     for j, b, path in zip(kept.tolist(), best.tolist(), rows.path[best].tolist()):
         while len(path) > 1 and path[-1] == path[-2]:  # a finished row repeats its last cell
             path.pop()
-        out[j] = DecodedPath(
-            trajectory=Trajectory(points=tuple(LatticeCoord(*c) for c in path)),
-            score=float(scores[b]),
-            terminated_by="stop_token" if rows.action[b] == STOP else "max_steps",
-        )
+        out[j] = _Found(path, float(scores[b]), "stop_token" if rows.action[b] == STOP else "max_steps")
     if floor is not None:
         above = np.zeros(n, dtype=bool)
         above[done.job[done.log_sum >= floor_score[done.job]]] = True
@@ -431,14 +442,14 @@ def decode_batch(model, jobs: list[Job], cfg: DecodeConfig, counters: DecodeCoun
     batch = _Batch.of(model, jobs)
     beam = cfg.mode == "beam" and cfg.beam_width > 1
     greedy = [] if beam else None
-    paths = _search(model, batch, cfg, 1, counters, greedy=greedy)
+    found = _search(model, batch, cfg, 1, counters, greedy=greedy)
     if beam:
-        floor = paths if cfg.coverage_penalty_weight == 0.0 else None
+        floor = found if cfg.coverage_penalty_weight == 0.0 else None
         beams = _search(model, batch, cfg, cfg.beam_width, counters, floor, greedy)
-        paths = [g if g.score > b.score else b for g, b in zip(paths, beams)]
-    for d in paths:
-        counters.terminated[d.terminated_by] += 1
-    return paths
+        found = [g if g.score > b.score else b for g, b in zip(found, beams)]
+    for f in found:
+        counters.terminated[f.terminated_by] += 1
+    return [f.path() for f in found]
 
 
 def decode_greedy(

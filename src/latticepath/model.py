@@ -1,13 +1,17 @@
 """Causal transformer over lattice prefixes with a 7-way constrained move head.
 
-The per-step embedding sums three learned components: per-axis coordinate
-tables, a projection of the task-context features (with the optional target
-cell appended as a goal block), and a learned position table. The output head
-scores the six canonical moves plus STOP; legality masks force illegal moves
-to -inf before the softmax, so decoded motion is lattice-legal by
+The per-step embedding sums three learned components: per-axis goal-sign
+tables, a projection of the task-context features, and a learned position
+table. Each goal-sign table has three rows, indexed by the sign of target
+minus cell on its axis (below, level, above), so the "where" input says only
+in which direction the target lies; a row with no target adds zeros. No
+input depends on absolute coordinates: a model has no box, and a path, its
+target and its workspace shifted together get bit-equal logits. The output
+head scores the six canonical moves plus STOP; legality masks force illegal
+moves to -inf before the softmax, so decoded motion is lattice-legal by
 construction. Training optimizes a five-term composite loss; its coord term
 scores the successor mass that lands on the gold path, read from one
-per-record on-path mask, so no training array grows with the model box.
+per-record on-path mask.
 """
 
 from __future__ import annotations
@@ -26,10 +30,8 @@ from .taskgrid import TASK_FEATURE_WIDTH, TaskContext
 
 MOVE_VOCAB = len(MOVES) + 1  # six canonical moves + STOP
 
-# normalized target x/y/z + has-target flag, appended to the task features
+# target x/y/z as integers + has-target flag, appended to the task features
 GOAL_FEATURE_WIDTH = 4
-
-DESK_BOUNDS = (-3, 3, -3, 3, 0, 4)
 
 
 @dataclass(frozen=True)
@@ -40,7 +42,6 @@ class ModelConfig:
     max_seq_len: int = 32
     task_feature_width: int = TASK_FEATURE_WIDTH
     move_vocab: int = MOVE_VOCAB
-    bounds: tuple[int, int, int, int, int, int] = DESK_BOUNDS
 
     def __post_init__(self) -> None:
         for name, least in (("embed_dim", 1), ("num_heads", 1), ("num_layers", 0)):
@@ -52,31 +53,15 @@ class ModelConfig:
             raise ValueError("max_seq_len must be at least 2")
         if self.move_vocab != MOVE_VOCAB:
             raise ValueError(f"move_vocab is fixed at {MOVE_VOCAB}")
-        b = self.bounds
-        if len(b) != 6 or not all(isinstance(v, int) for v in b) or any(b[a] > b[a + 1] for a in (0, 2, 4)):
-            raise ValueError(f"bounds must be six ints x_min, x_max, y_min, y_max, z_min, z_max "
-                             f"with min <= max on each axis, got {list(b)}")
-
-    @property
-    def axis_sizes(self) -> tuple[int, int, int]:
-        x0, x1, y0, y1, z0, z1 = self.bounds
-        return (x1 - x0 + 1, y1 - y0 + 1, z1 - z0 + 1)
-
-    def check_workspace(self, w: Workspace) -> None:
-        """Raise ValueError unless every cell of w lies inside the model box."""
-        box = self.bounds
-        if any(w.bounds[a] < box[a] or w.bounds[a + 1] > box[a + 1] for a in (0, 2, 4)):
-            raise ValueError(f"workspace box {_box_text(w.bounds)} exceeds the model box {_box_text(box)}")
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "bounds": list(self.bounds)}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
         """Inverse of to_dict, as a checkpoint's model_config entry: a missing key is a KeyError, a value
         that is not an integer a ValueError naming it (model_config.<key>), and extra keys are ignored."""
-        sizes = {f.name: read_int(d[f.name], f"model_config.{f.name}") for f in fields(cls) if f.name != "bounds"}
-        return cls(**sizes, bounds=tuple(read_int(v, f"model_config.bounds[{i}]") for i, v in enumerate(d["bounds"])))
+        return cls(**{f.name: read_int(d[f.name], f"model_config.{f.name}") for f in fields(cls)})
 
 
 @dataclass(frozen=True)
@@ -134,24 +119,16 @@ class KVCache:
 
 
 def context_features(ctx: TaskContext, cfg: ModelConfig) -> np.ndarray:
-    """Task features plus the goal block (target normalized to the model box)."""
+    """Task features plus the goal block: the target's x, y, z as integers (exact in float64) and a
+    has-target flag, or four zeros without a target. The task features feed task_w; the goal block only
+    picks the goal-sign rows of each cell."""
     feat = np.asarray(ctx.task_feature_vector, dtype=np.float64)
     if feat.shape != (cfg.task_feature_width,):
         raise ValueError(
             f"context feature width {feat.shape} does not match configured "
             f"task_feature_width {cfg.task_feature_width}"
         )
-    x0, x1, y0, y1, z0, z1 = cfg.bounds
-    if ctx.target is None:
-        goal = np.zeros(GOAL_FEATURE_WIDTH)
-    else:
-        t = ctx.target
-        goal = np.array([
-            (t.x - x0) / max(x1 - x0, 1),
-            (t.y - y0) / max(y1 - y0, 1),
-            (t.z - z0) / max(z1 - z0, 1),
-            1.0,
-        ])
+    goal = np.zeros(GOAL_FEATURE_WIDTH) if ctx.target is None else np.array([*ctx.target.as_tuple(), 1.0])
     return np.concatenate([feat, goal])
 
 
@@ -169,10 +146,6 @@ def _check_lengths(lengths, B: int, T: int, cache) -> np.ndarray:
     return lengths
 
 
-def _box_text(b) -> str:
-    return f"x {b[0]}..{b[1]}, y {b[2]}..{b[3]}, z {b[4]}..{b[5]}"
-
-
 class PathModel:
     """Transformer parameters plus the forward pass."""
 
@@ -185,8 +158,6 @@ class PathModel:
     def _init_params(self, rng) -> None:
         d = self.cfg.embed_dim
         scale = 1.0 / math.sqrt(d)
-        nx, ny, nz = self.cfg.axis_sizes
-        fin = self.cfg.task_feature_width + GOAL_FEATURE_WIDTH
 
         def uniform(name, *shape):
             self.params[name] = Tensor(rng.uniform(-scale, scale, size=shape), requires_grad=True)
@@ -197,10 +168,9 @@ class PathModel:
         def zeros(name, *shape):
             self.params[name] = Tensor(np.zeros(shape), requires_grad=True)
 
-        uniform("coord_x", nx, d)
-        uniform("coord_y", ny, d)
-        uniform("coord_z", nz, d)
-        uniform("task_w", fin, d)
+        for axis in "xyz":
+            uniform(f"sign_{axis}", 3, d)
+        uniform("task_w", self.cfg.task_feature_width, d)
         uniform("task_b", d)
         uniform("seq", self.cfg.max_seq_len, d)
         for i in range(self.cfg.num_layers):
@@ -227,19 +197,6 @@ class PathModel:
         for p in self.params.values():
             p.zero_grad()
 
-    # embedding helpers -----------------------------------------------------
-
-    def _axis_indices(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        x0, x1, y0, y1, z0, z1 = self.cfg.bounds
-        xi = points[..., 0] - x0
-        yi = points[..., 1] - y0
-        zi = points[..., 2] - z0
-        nx, ny, nz = self.cfg.axis_sizes
-        for idx, n, lo, hi, name in ((xi, nx, x0, x1, "x"), (yi, ny, y0, y1, "y"), (zi, nz, z0, z1, "z")):
-            if idx.min() < 0 or idx.max() >= n:
-                raise ValueError(f"coordinate outside the model box on axis {name} (bounds {lo}..{hi})")
-        return xi, yi, zi
-
     # forward passes ----------------------------------------------------------
 
     def forward_batch(self, points: np.ndarray, ctx_mat: np.ndarray, cache: KVCache | None = None,
@@ -247,7 +204,9 @@ class PathModel:
         """Logits (B, T, 7) for every position of each padded point sequence.
 
         points is an int array (B, T, 3); ctx_mat is (B, task_feature_width +
-        goal block) as produced by context_features. Causal masking keeps
+        goal block) as produced by context_features: each position embeds the
+        goal-sign rows of its cell against its row's target, its row's task
+        features and its position. Causal masking keeps
         position t blind to later positions, so right padding never leaks into
         real positions.
 
@@ -260,8 +219,8 @@ class PathModel:
         back with take_rows before the o projection. Padded positions get
         zero logits and pass no gradient. The weight gradients then sum over
         the N real rows, a different float association than a sum over all
-        B * T slots. Without lengths every slot is real, padded slots must
-        repeat a valid cell, and packing is a plain reshape.
+        B * T slots. Without lengths every slot is real and packing is a
+        plain reshape.
 
         With a cache (inference under ad.no_grad only, without lengths),
         points holds the cells at positions cache.t .. cache.t + T - 1 of each
@@ -295,9 +254,10 @@ class PathModel:
             return spread(a).reshape(B, T, H, dh).transpose((0, 2, 1, 3))
 
         row, pos = np.divmod(real, T)
-        xi, yi, zi = self._axis_indices(points.reshape(B * T, 3)[real])
-        x = P["coord_x"][xi] + P["coord_y"][yi] + P["coord_z"][zi]
-        task = ad.linear(Tensor(ctx_mat), P["task_w"], P["task_b"])
+        goal = ctx_mat[row, -GOAL_FEATURE_WIDTH:]  # target x, y, z and has-target flag of each real position
+        sign = (np.sign(goal[:, :3] - points.reshape(B * T, 3)[real]) + 1).astype(np.int64)
+        x = (P["sign_x"][sign[:, 0]] + P["sign_y"][sign[:, 1]] + P["sign_z"][sign[:, 2]]) * goal[:, 3:]
+        task = ad.linear(Tensor(ctx_mat[:, :-GOAL_FEATURE_WIDTH]), P["task_w"], P["task_b"])
         x = x + task[row]
         x = x + P["seq"][t0 + pos]
 
@@ -369,7 +329,7 @@ class LossBreakdown:
 
 @dataclass
 class LossBatch:
-    """Numpy-side supervision arrays for one padded batch; no array grows with the model box."""
+    """Numpy-side supervision arrays for one padded batch."""
 
     points: np.ndarray         # (B, T, 3) int
     ctx_mat: np.ndarray        # (B, F) float

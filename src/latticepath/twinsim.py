@@ -474,9 +474,9 @@ def write_scenarios(path, scenarios: list[Scenario]) -> None:
     write_jsonl(path, (s.to_dict() for s in scenarios))
 
 
-def read_scenarios(path, check=None) -> list[Scenario]:
-    """Scenarios of a JSONL file; check is as for corpus.read_jsonl."""
-    return read_jsonl(path, Scenario.from_dict, check)
+def read_scenarios(path) -> list[Scenario]:
+    """Scenarios of a JSONL file."""
+    return read_jsonl(path, Scenario.from_dict)
 
 
 def check_expectation(scenario: Scenario, outcome: EpisodeOutcome) -> bool:

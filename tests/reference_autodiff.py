@@ -8,9 +8,9 @@ the weight and bias gradients summed down by _unbroadcast; the scatters run
 np.add.at into zeros; softmax and log_softmax each check and fill their own
 mask; make_loss_batch derives every record's rows inside the batch loop, its
 on-path mask from a set of the path's cells. composite_loss is the loss with
-the coord term over the whole model box: successor mass scattered onto flat
-cell indices (plus a dump slot for cells outside the box) and compared with
-dense gold-cell and start indicators. reference_engine() installs the
+the coord term over the whole box of the batch's workspace: successor mass
+scattered onto flat cell indices (plus a dump slot for cells outside the box)
+and compared with dense gold-cell and start indicators. reference_engine() installs the
 autodiff ones in latticepath.autodiff, so a whole forward and backward pass
 of the model runs on this code.
 """
@@ -237,10 +237,11 @@ def make_loss_batch(items, cfg):
     )
 
 
-def _flat_cell_index(points, cfg):
-    """Flat index into the model box, with one trailing dump slot for outside cells."""
-    x0, x1, y0, y1, z0, z1 = cfg.bounds
-    nx, ny, nz = cfg.axis_sizes
+def _flat_cell_index(points, box):
+    """Flat index into box (x_min, x_max, y_min, y_max, z_min, z_max), with one trailing dump slot for
+    outside cells."""
+    x0, x1, y0, y1, z0, z1 = box
+    nx, ny, nz = x1 - x0 + 1, y1 - y0 + 1, z1 - z0 + 1
     xi = points[..., 0] - x0
     yi = points[..., 1] - y0
     zi = points[..., 2] - z0
@@ -249,23 +250,23 @@ def _flat_cell_index(points, cfg):
     return np.where(inside, idx, nx * ny * nz)
 
 
-def composite_loss(logits, batch, cfg, model_cfg):
-    """The five-term loss with its coord term over every cell of model_cfg's box."""
+def composite_loss(logits, batch, cfg, box):
+    """The five-term loss with its coord term over every cell of box, the bounds of the batch's workspace."""
     B, T, _ = logits.shape
     move_pos = np.zeros((B, T))
     all_pos = np.zeros((B, T))
-    nx, ny, nz = model_cfg.axis_sizes
-    n_cells = nx * ny * nz + 1
+    x0, x1, y0, y1, z0, z1 = box
+    n_cells = (x1 - x0 + 1) * (y1 - y0 + 1) * (z1 - z0 + 1) + 1
     gold_cells = np.zeros((B, n_cells))
     start_onehot = np.zeros((B, n_cells))
     for b, L in enumerate(batch.lengths):
         move_pos[b, : L - 1] = 1.0
         all_pos[b, :L] = 1.0
-        cell_ids = _flat_cell_index(batch.points[b, :L], model_cfg)
+        cell_ids = _flat_cell_index(batch.points[b, :L], box)
         gold_cells[b, cell_ids] = 1.0
         start_onehot[b, cell_ids[0]] = 1.0
     succ = batch.points[:, :, None, :] + np.array(MOVES, dtype=np.int64)[None, None, :, :]
-    succ_idx = _flat_cell_index(succ, model_cfg)
+    succ_idx = _flat_cell_index(succ, box)
 
     logp = ad.log_softmax(logits, mask=batch.legal)
     p = logp.exp()

@@ -222,7 +222,7 @@ LOSS_CASES = (*CORPORA, "envelope_0.05", "walks")
 
 
 def loss_items(name):
-    """A batch's (trajectory, context, workspace) items and the model box they are trained in."""
+    """A batch's (trajectory, context, workspace) items and the workspace box they lie in."""
     if name == "envelope_0.05":
         w = default_workspace()
         records = generate_corpus(GenerationConfig(workspace=w, count=8, obstacle_density=0.05), 3)
@@ -234,10 +234,10 @@ def loss_items(name):
 
 @pytest.mark.parametrize("name", LOSS_CASES)
 def test_make_loss_batch_matches_per_record_reference(name):
-    items, bounds = loss_items(name)
+    items, _ = loss_items(name)
     traj, ctx, w = items[0]
     items = [(Trajectory(points=(traj.start,)), ctx, w)] + items  # a one-point record: every row is padding but one
-    cfg = ModelConfig(bounds=bounds, max_seq_len=32)
+    cfg = ModelConfig(max_seq_len=32)
     rows = [supervision_row(*it, cfg) for it in items]
     for lo in range(0, len(items), 16):
         want = ref.make_loss_batch(items[lo : lo + 16], cfg)
@@ -256,9 +256,9 @@ LOSS_CONFIGS = {
 
 @pytest.mark.parametrize("loss_cfg", LOSS_CONFIGS.values(), ids=LOSS_CONFIGS)
 @pytest.mark.parametrize("name", LOSS_CASES)
-def test_on_path_coord_loss_matches_the_dense_model_box_oracle(name, loss_cfg):
-    items, bounds = loss_items(name)
-    cfg = ModelConfig(bounds=bounds, max_seq_len=32)
+def test_on_path_coord_loss_matches_the_dense_workspace_box_oracle(name, loss_cfg):
+    items, box = loss_items(name)
+    cfg = ModelConfig(max_seq_len=32)
     batch = make_loss_batch(items, cfg)
     assert (batch.lengths < batch.lengths.max()).any()  # the batch has padding
     if name == "walks":
@@ -266,7 +266,7 @@ def test_on_path_coord_loss_matches_the_dense_model_box_oracle(name, loss_cfg):
     logits = rng(21).normal(size=batch.legal.shape) * 2.0
     got, want = Tensor(logits, requires_grad=True), Tensor(logits, requires_grad=True)
     total, bd = composite_loss(got, batch, loss_cfg)
-    ref_total, ref_bd = ref.composite_loss(want, batch, loss_cfg, cfg)
+    ref_total, ref_bd = ref.composite_loss(want, batch, loss_cfg, box)
     total.backward()
     ref_total.backward()
     for field in vars(bd):

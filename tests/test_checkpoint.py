@@ -127,7 +127,7 @@ def test_rejects_shape_mismatch(tmp_path):
 
 
 @pytest.mark.parametrize("member, value, name", [("param/head_w", np.nan, "parameter head_w"),
-                                                  ("slot/coord_x.v", -np.inf, "optimizer slot coord_x.v")])
+                                                  ("slot/sign_x.v", -np.inf, "optimizer slot sign_x.v")])
 def test_rejects_non_finite_arrays(tmp_path, member, value, name):
     m, opt = trained_pair(tmp_path)
     path = tmp_path / "ck.npz"

@@ -207,31 +207,26 @@ def bigger_box_corpus(tmp_path):
                                        "--box", "-6", "6", "-6", "6", "0", "8"])
 
 
-def test_train_rejects_records_outside_the_model_box(tmp_path, capsys):
+def test_train_takes_records_of_any_boxes_fresh_or_resumed(tmp_path):
+    """A model has no box: one corpus may mix workspace boxes, and a resumed run may train on another box."""
     desk = gen(tmp_path, extra=["--seed", "1", "--count", "20"])
-    desk_lines = (desk / "corpus_train.jsonl").read_text()
+    big = bigger_box_corpus(tmp_path) / "corpus_train.jsonl"
     mixed = tmp_path / "mixed.jsonl"
-    mixed.write_text(desk_lines + (bigger_box_corpus(tmp_path) / "corpus_train.jsonl").read_text())
-    out = tmp_path / "run"
-    capsys.readouterr()
-    assert run(["train", "--corpus", mixed, "--out", out, "--epochs", "1"]) == 1
-    err = capsys.readouterr().err
-    line = desk_lines.count("\n") + 1
-    assert err.startswith(f"error: schema: {mixed}: line {line}: workspace box ") and err.count("\n") == 1, err
-    assert "exceeds the model box x -3..3, y -3..3, z 0..4" in err
-    assert not out.exists()
+    mixed.write_text((desk / "corpus_train.jsonl").read_text() + big.read_text())
+    assert run(["train", "--corpus", mixed, "--out", tmp_path / "run", "--epochs", "1"]) == 0
+    model_dir = train(tmp_path, desk, "desk_run")
+    assert run(["train", "--corpus", big, "--out", tmp_path / "resumed", "--epochs", "1",
+                "--resume", model_dir / "model.npz"]) == 0
 
 
-def test_train_resume_rejects_records_outside_the_checkpoint_box(tmp_path, capsys):
-    model_dir = train(tmp_path, gen(tmp_path))
-    records = bigger_box_corpus(tmp_path) / "corpus_train.jsonl"
-    out = tmp_path / "resumed"
+def test_train_config_model_bounds_is_an_unknown_key(tmp_path, capsys):
+    corpus = gen(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": {"bounds": [-3, 3, -3, 3, 0, 4]}}))
+    out = tmp_path / "never"
     capsys.readouterr()
-    assert run(["train", "--corpus", records, "--out", out, "--epochs", "1",
-                "--resume", model_dir / "model.npz"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: schema: {records}: line 1: workspace box ") and err.count("\n") == 1, err
-    assert "model box" in err
+    assert run(["train", "--config", cfg, "--corpus", corpus / "corpus_train.jsonl", "--out", out]) == 1
+    assert capsys.readouterr().err == "error: config: unknown config key 'model'.'bounds'\n"
     assert not out.exists()
 
 
@@ -316,19 +311,21 @@ def test_decode_manifest_counters_are_seed_determined(tmp_path):
     assert 0 < counters["model_steps"] <= counters["rows_stepped"]
 
 
-def test_decode_rejects_records_outside_the_model_box(tmp_path, capsys):
-    desk = gen(tmp_path)
-    model_dir = train(tmp_path, desk)
-    big = gen(tmp_path, "big", extra=["--box", "-6", "6", "-6", "6", "0", "8"])
-    records = big / "corpus_validation.jsonl"
+@pytest.mark.parametrize("box, extra", [
+    (("17", "23", "-13", "-7", "5", "9"), []),
+    (("-22", "22", "-22", "22", "0", "34"), ["--count", "8", "--max-path-length", "24", "--obstacle-density", "0.05"]),
+], ids=["shifted", "envelope"])
+@pytest.mark.parametrize("mode", ["greedy", "beam"])
+def test_desk_checkpoint_decodes_records_of_other_boxes(inputs, tmp_path, box, extra, mode):
+    records = gen(tmp_path, "other", extra=["--box", *box, *extra]) / "corpus_validation.jsonl"
     out = tmp_path / "decoded"
-    capsys.readouterr()
-    assert run(["decode", "--checkpoint", model_dir / "model.npz", "--records", records,
-                "--out", out]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: schema: {records}: line 1: ") and err.count("\n") == 1, err
-    assert "model box" in err
-    assert not out.exists()
+    assert run(["decode", "--checkpoint", inputs["<ckpt>"], "--records", records, "--out", out,
+                "--mode", mode, "--beam-width", "3"]) == 0
+    golds, preds = read_records(records), read_records(out / "predictions.jsonl")
+    assert len(preds) == len(golds) > 0
+    for g, p in zip(golds, preds):
+        assert p.trajectory.start == g.trajectory.start
+        assert validate_path(p.trajectory, p.workspace).valid, p.trajectory.points
 
 
 def _with_points(r, points):
@@ -541,8 +538,6 @@ WRONG_TYPED_METADATA = {  # the edit, and the key the error line names
     "optimizer-slots-an-int": (lambda m: {**m, "optimizer_slots": 5}, "optimizer_slots"),
     "embed-dim-null": (lambda m: {**m, "model_config": {**m["model_config"], "embed_dim": None}},
                        "model_config.embed_dim"),
-    "bound-a-string": (lambda m: {**m, "model_config": {**m["model_config"], "bounds": [-3, "3", -3, 3, 0, 4]}},
-                       "model_config.bounds[1]"),
     "optimizer-a-list": (lambda m: {**m, "optimizer": [1]}, "optimizer"),
     "lr-null": (lambda m: {**m, "optimizer": {**m["optimizer"], "lr": None}}, "optimizer.lr"),
 }
@@ -590,11 +585,20 @@ def _reshaped_param(ckpt, path):
             dst.writestr(info, data)
 
 
+def _version_1(meta: dict) -> dict:
+    """Metadata as format version 1 wrote it: coordinate tables over a model box, named in model_config."""
+    names = [n for n in meta["param_names"] if not n.startswith("sign_")]
+    return {**meta, "format_version": 1, "model_config": {**meta["model_config"], "bounds": [-3, 3, -3, 3, 0, 4]},
+            "param_names": ["coord_x", "coord_y", "coord_z", *names]}
+
+
 CHECKPOINT_FORMAT_ERRORS = {  # a checkpoint that reads yet is not this program's, and the error it names
     "missing-metadata": (lambda ckpt, path: _without_member(ckpt, path, "__meta__.npy"),
                          "not a checkpoint: missing metadata entry"),
-    "format-version-2": (lambda ckpt, path: _edit_meta(ckpt, path, lambda m: {**m, "format_version": 2}),
-                         "unsupported checkpoint format_version 2"),
+    "format-version-1": (lambda ckpt, path: _edit_meta(ckpt, path, _version_1),
+                         "unsupported checkpoint format_version 1"),
+    "format-version-3": (lambda ckpt, path: _edit_meta(ckpt, path, lambda m: {**m, "format_version": 3}),
+                         "unsupported checkpoint format_version 3"),
     "param-set-mismatch": (lambda ckpt, path: _edit_meta(ckpt, path, lambda m: {**m, "param_names": ["w"]}),
                            "checkpoint parameter set does not match the config"),
     "shape-mismatch": (_reshaped_param, "has shape"),
@@ -728,8 +732,6 @@ WRONG_TYPE_CASES = {
     "train-seed-object": ("train", {"seed": {}}),
     "train-corpus-int": ("train", {"corpus": 7}),
     "train-resume-int": ("train", {"resume": 0}),
-    "train-bounds-two": ("train", {"model": {"bounds": [0, 1]}}),
-    "train-bounds-min-above-max": ("train", {"model": {"bounds": [3, -3, 0, 1, 0, 1]}}),
     "train-loss-null": ("train", {"loss": {"lambda_cov": None}}),
     "train-lr-string": ("train", {"optimizer": {"lr": "fast"}}),
     "decode-checkpoint-list": ("decode", {"checkpoint": ["model.npz"]}),
@@ -843,7 +845,7 @@ def test_train_resume_echoes_the_checkpoint_optimizer(tmp_path):
     assert echoed["optimizer"] == json.loads((first / "manifest.json").read_text())["config"]["optimizer"]
 
 
-def test_sim_checkpoint_rejects_scenes_outside_the_model_box(inputs, tmp_path, capsys):
+def test_sim_checkpoint_runs_scenes_outside_the_training_box(inputs, tmp_path):
     from latticepath.lattice import LatticeCoord, Workspace
     from latticepath.twinsim import Scenario, Scene, default_scenario_pack, write_scenarios
 
@@ -852,13 +854,11 @@ def test_sim_checkpoint_rejects_scenes_outside_the_model_box(inputs, tmp_path, c
     scenes = tmp_path / "scenes.jsonl"
     write_scenarios(scenes, [default_scenario_pack()[0], Scenario(name="far", scene=far)])
     out = tmp_path / "sim"
-    capsys.readouterr()
-    assert run(["sim", "--scenarios", scenes, "--checkpoint", inputs["<ckpt>"], "--out", out]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: schema: {scenes}: line 2: workspace box x -6..6, y -6..6, z 0..8 "
-                          "exceeds the model box x -3..3") and err.count("\n") == 1, err
-    assert not out.exists()
-    assert run(["sim", "--scenarios", scenes, "--out", out]) == 0  # the BFS oracle has no model box
+    assert run(["sim", "--scenarios", scenes, "--checkpoint", inputs["<ckpt>"], "--out", out]) == 0
+    rows = [json.loads(line) for line in (out / "outcomes.jsonl").read_text().splitlines()]
+    assert [r["name"] for r in rows] == [default_scenario_pack()[0].name, "far"]
+    for r in rows:  # every traced cell is a unit move from the one before
+        assert all(sum(abs(a - b) for a, b in zip(p, q)) <= 1 for p, q in zip(r["trace"], r["trace"][1:])), r
 
 
 def desk_dict():
@@ -873,8 +873,6 @@ NON_INTEGER_CASES = {  # command, config, the key the error must name
     "gen-count-fraction": ("gen", {"count": 40.5}, "count"),
     "gen-max_path_length-string": ("gen", {"max_path_length": "8"}, "max_path_length"),
     "gen-workspace-fraction": ("gen", {"workspace": {**desk_dict(), "z_max": 4.5}}, "workspace.z_max"),
-    "train-bounds-fraction": ("train", {"model": {"bounds": [-3, 3, -3, 3, 0, 4.5]}}, "model.bounds[5]"),
-    "train-bounds-number": ("train", {"model": {"bounds": 5}}, "model.bounds"),
     "train-embed_dim-fraction": ("train", {"model": {"embed_dim": 8.5}}, "model.embed_dim"),
     "train-epochs-true": ("train", {"epochs": True}, "epochs"),
     "decode-beam_width-fraction": ("decode", {"beam_width": 2.5}, "beam_width"),

@@ -162,7 +162,7 @@ def test_counters_count_steps_rows_and_terminations():
 
 # the array-state search against the object-pool search it replaced -------------------
 
-WIDE_BOUNDS = (-3, 6, -4, 3, 0, 5)  # holds the desk box, OFFSET_BOX and PAIR_BOX
+WIDE_BOUNDS = (-3, 6, -4, 3, 0, 5)  # holds the desk box, OFFSET_BOX and PAIR_BOX: the scripted models' cells
 OFFSET_BOX = Workspace(2, 6, -4, -1, 3, 5)
 PAIR_BOX = Workspace(0, 0, 0, 0, 2, 3)  # 1x1x2: one legal move from either cell
 
@@ -205,10 +205,8 @@ def tie_model(seed, w):
 def pool_models(models):
     """(name, model, boxes): random PathModels over a box holding every test box, the trained
     desk model on desk sub-boxes, and the scripted tie model."""
-    wide = [PathModel(ModelConfig(embed_dim=8, num_layers=1, num_heads=2, max_seq_len=16,
-                                  bounds=WIDE_BOUNDS), seed=7),
-            PathModel(ModelConfig(embed_dim=16, num_layers=2, num_heads=4, max_seq_len=16,
-                                  bounds=WIDE_BOUNDS), seed=8)]
+    wide = [PathModel(ModelConfig(embed_dim=8, num_layers=1, num_heads=2, max_seq_len=16), seed=7),
+            PathModel(ModelConfig(embed_dim=16, num_layers=2, num_heads=4, max_seq_len=16), seed=8)]
     all_boxes = [desk_workspace(), OFFSET_BOX, PAIR_BOX, None]
     return [
         ("random1", wide[0], all_boxes),
@@ -228,7 +226,7 @@ def decode_without_reuse(model, jobs, cfg, counters):
         paths = [g if g.score > b.score else b for g, b in zip(paths, beams)]
     for d in paths:
         counters.terminated[d.terminated_by] += 1
-    return paths
+    return [d.path() for d in paths]
 
 
 def assert_reuse_counts(got, stepped):

@@ -8,7 +8,7 @@ from gradcheck import numeric_gradient
 import latticepath.autodiff as ad
 from latticepath.autodiff import Tensor
 from latticepath.corpus import Trajectory
-from latticepath.lattice import LatticeCoord, default_workspace, desk_workspace
+from latticepath.lattice import LatticeCoord, Workspace, default_workspace, desk_workspace
 from latticepath.model import (
     MOVE_VOCAB,
     LossConfig,
@@ -60,20 +60,11 @@ def test_model_config_rejects_sizes_below_their_least_by_name(field, value, leas
         tiny_cfg(**{field: value})
 
 
-@pytest.mark.parametrize("bounds", [(0, 1), (3, -3, 0, 1, 0, 1), (-3, 3, -3, 3, 4, 0),
-                                    (-3, 3, -3, 3, 0, 4.0), (-3, 3, -3, 3, 0, 4, 5)])
-def test_model_config_rejects_malformed_bounds(bounds):
-    with pytest.raises(ValueError, match="bounds must be six ints"):
-        ModelConfig(bounds=bounds)
-
-
-def test_model_config_accepts_a_one_cell_axis():
-    assert ModelConfig(bounds=(0, 0, -2, 2, 1, 1)).axis_sizes == (1, 5, 1)
-
-
 def test_model_config_round_trip():
-    cfg = tiny_cfg(bounds=(-2, 2, -2, 2, 0, 2))
+    cfg = tiny_cfg(max_seq_len=12)
     assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+    assert [f.name for f in fields(cfg)] == [
+        "embed_dim", "num_layers", "num_heads", "max_seq_len", "task_feature_width", "move_vocab"]
 
 
 def test_step_logits_masks_illegal_entries():
@@ -118,13 +109,11 @@ def test_masked_softmax_requires_a_legal_entry():
 
 
 def test_context_features_goal_block():
-    cfg = tiny_cfg()  # desk bounds
-    hi = context_features(ctx_for(C(3, 3, 4)), cfg)
-    np.testing.assert_allclose(hi[-4:], [1.0, 1.0, 1.0, 1.0])
-    lo = context_features(ctx_for(C(-3, -3, 0)), cfg)
-    np.testing.assert_allclose(lo[-4:], [0.0, 0.0, 0.0, 1.0])
-    none = context_features(ctx_for(None), cfg)
-    np.testing.assert_allclose(none[-4:], [0.0, 0.0, 0.0, 0.0])
+    cfg = tiny_cfg()
+    far = context_features(ctx_for(C(40, -17, 9)), cfg)
+    assert far[-4:].tolist() == [40.0, -17.0, 9.0, 1.0]  # the target as integers, then the has-target flag
+    assert context_features(ctx_for(None), cfg)[-4:].tolist() == [0.0, 0.0, 0.0, 0.0]
+    assert far[:-4].tolist() == list(ctx_for(None).task_feature_vector)
 
 
 def test_context_features_rejects_wrong_width():
@@ -143,8 +132,7 @@ def test_forward_interior_cell_all_legal():
 
 
 def test_forward_corner_cell_three_moves_plus_stop():
-    cfg = tiny_cfg(bounds=(-22, 22, -22, 22, 0, 34))
-    m = PathModel(cfg, seed=0)
+    m = PathModel(tiny_cfg(), seed=0)
     s = m.forward([C(-22, -22, 0)], ctx_for(C(0, 0, 0)), default_workspace())
     assert s.legal_mask.tolist() == [True, False, True, False, True, False, True]
     p = masked_softmax(s)
@@ -178,15 +166,25 @@ def test_forward_batch_is_causal_and_deterministic_per_seed():
     assert not np.array_equal(PathModel(tiny_cfg(), seed=2).forward_batch(pts_a, ctx).data, la)
 
 
-@pytest.mark.parametrize("points, match", [
-    (np.zeros((1, 9, 3), dtype=np.int64), "exceeds max_seq_len"),
-    (np.array([[(0, 0, 0), (9, 0, 0)]], dtype=np.int64), "axis x"),
-], ids=["overlong", "outside_box"])
-def test_forward_batch_rejects_bad_points(points, match):
+def test_forward_batch_rejects_overlong_points():
     m = PathModel(tiny_cfg(), seed=0)
     ctx = context_features(ctx_for(C(0, 0, 0)), m.cfg)[None, :]
-    with pytest.raises(ValueError, match=match):
-        m.forward_batch(points, ctx)
+    with pytest.raises(ValueError, match="exceeds max_seq_len"):
+        m.forward_batch(np.zeros((1, 9, 3), dtype=np.int64), ctx)
+
+
+def test_goal_sign_embedding_reads_only_the_direction_of_the_target():
+    """Cells on the same side of the target on every axis get the same logits; a row without a
+    target adds no goal-sign row, however far its cells lie."""
+    m = PathModel(tiny_cfg(), seed=3)
+    near = np.array([[(0, 0, 0), (1, 0, 0)]], dtype=np.int64)
+    far = np.array([[(-50, 0, 0), (-49, 0, 0)]], dtype=np.int64)  # still below the target on x, level on y, z
+    ctx = context_features(ctx_for(C(5, 0, 0)), m.cfg)[None, :]
+    np.testing.assert_array_equal(m.forward_batch(near, ctx).data, m.forward_batch(far, ctx).data)
+    above = np.array([[(0, 0, 0), (6, 0, 0)]], dtype=np.int64)  # past the target on x
+    assert not np.array_equal(m.forward_batch(above, ctx).data[0, 1], m.forward_batch(near, ctx).data[0, 1])
+    none = context_features(ctx_for(None), m.cfg)[None, :]
+    np.testing.assert_array_equal(m.forward_batch(near, none).data, m.forward_batch(above + 1000, none).data)
 
 
 # loss ---------------------------------------------------------------------------
@@ -221,17 +219,23 @@ def test_make_loss_batch_layout():
     assert batch.gold_set_size.tolist() == [2.0, 4.0, 2.0]  # the revisit counts once
 
 
-def test_make_loss_batch_arrays_do_not_grow_with_the_model_box():
+def test_make_loss_batch_shifts_with_its_items():
+    """Shifting paths, targets and workspace moves the points and the target columns, and nothing else."""
     paths = [Trajectory(points=(C(0, 0, 0), C(1, 0, 0))),
              Trajectory(points=(C(-3, -3, 0), C(-3, -3, 1), C(-3, -2, 1)))]
+    d = np.array([20, -10, 5])
+    shift = C(*d.tolist())
+    moved_w = Workspace(*(np.repeat(d, 2) + desk_workspace().bounds).tolist())
     items = [(t, ctx_for(t.end), desk_workspace()) for t in paths]
-    desk = make_loss_batch(items, tiny_cfg())
-    envelope = make_loss_batch(items, tiny_cfg(bounds=default_workspace().bounds))
-    for f in fields(desk):
-        a, b = getattr(desk, f.name), getattr(envelope, f.name)
-        assert a.shape == b.shape, f.name
-        if f.name != "ctx_mat":  # the goal block is normalized to the model box
-            np.testing.assert_array_equal(a, b, err_msg=f.name)
+    moved = [(Trajectory(points=tuple(p.offset(*shift.as_tuple()) for p in t.points)),
+              ctx_for(t.end.offset(*shift.as_tuple())), moved_w) for t in paths]
+    a, b = make_loss_batch(items, tiny_cfg()), make_loss_batch(moved, tiny_cfg())
+    np.testing.assert_array_equal(b.points, a.points + d)
+    np.testing.assert_array_equal(b.ctx_mat[:, -4:-1], a.ctx_mat[:, -4:-1] + d)
+    np.testing.assert_array_equal(b.ctx_mat[:, :-4], a.ctx_mat[:, :-4])
+    for f in fields(a):
+        if f.name not in ("points", "ctx_mat"):
+            np.testing.assert_array_equal(getattr(a, f.name), getattr(b, f.name), err_msg=f.name)
 
 
 def test_make_loss_batch_rejects_empty_and_overlong():
@@ -276,13 +280,16 @@ def test_composite_loss_names_non_finite_terms():
 
 
 def test_composite_loss_gradcheck_through_model():
-    """End-to-end analytic gradients of the total loss for a few parameters."""
+    """End-to-end analytic gradients of the total loss for a few parameters; the batch's cells lie below,
+    level with and above their targets on x, so every row of sign_x is checked."""
     cfg = tiny_cfg()
     m = PathModel(cfg, seed=5)
     t1 = Trajectory(points=(C(0, 0, 0), C(1, 0, 0), C(1, 1, 0)))
     t2 = Trajectory(points=(C(-1, 0, 1), C(-1, 1, 1)))
+    t3 = Trajectory(points=(C(0, 0, 2), C(-1, 0, 2)))
     w = desk_workspace()
-    batch = make_loss_batch([(t1, ctx_for(t1.end, 3), w), (t2, ctx_for(t2.end, 2), w)], cfg)
+    batch = make_loss_batch([(t1, ctx_for(t1.end, 3), w), (t2, ctx_for(t2.end, 2), w),
+                             (t3, ctx_for(C(-2, 0, 3), 2), w)], cfg)
     lcfg = LossConfig()
 
     def loss_value():
@@ -291,7 +298,7 @@ def test_composite_loss_gradcheck_through_model():
 
     m.zero_grad()
     loss_value().backward()
-    for name in ("coord_x", "l0.wq", "l0.w1", "lnf_g", "head_w"):
+    for name in ("sign_x", "l0.wq", "l0.w1", "lnf_g", "head_w"):
         p = m.params[name]
         analytic = p.grad.copy()
         original = p.data.copy()
@@ -304,6 +311,8 @@ def test_composite_loss_gradcheck_through_model():
             return v
 
         numeric = numeric_gradient(f, original, h=1e-4)
+        if name == "sign_x":
+            assert (np.abs(numeric).max(axis=1) > 0).all()  # below, level and above each have a gradient
         denom = max(np.abs(numeric).max(), 1e-8)
         assert np.abs(analytic - numeric).max() / denom < 1e-4, name
 

@@ -24,8 +24,7 @@ from latticepath.model import (
 
 
 def model_for(name, num_layers, seed=7):
-    cfg = ModelConfig(embed_dim=16, num_layers=num_layers, num_heads=4, max_seq_len=16,
-                      bounds=CORPORA[name][0].bounds)
+    cfg = ModelConfig(embed_dim=16, num_layers=num_layers, num_heads=4, max_seq_len=16)
     return PathModel(cfg, seed=seed)
 
 

@@ -13,8 +13,11 @@ hold the search counters, so they were re-pinned when the oracle began to
 search the start-goal box first, and again when that stage became a
 depth-first search; its corpora did not move. The decode digests pin the
 greedy and beam-5 predictions of a small seeded model; they were computed
-before the beam search began to drop hypotheses that can no longer win. No
-other byte may move.
+before the beam search began to drop hypotheses that can no longer win. The
+train and decode digests were re-pinned when the model's coordinate tables
+gave way to goal-sign tables (checkpoint format version 2, no model box in
+the config): that changed the parameters, the checkpoint metadata and the
+manifest's model config, and so the decoded paths. No other byte may move.
 """
 
 import hashlib
@@ -157,8 +160,8 @@ V1_EVAL_DIGESTS = {  # the same reports on the reference generator's corpus
 }
 
 TRAIN_DIGESTS = {
-    "manifest.json": "497622f50436801217a9350bf5af6b8de45930c2726e352a1557d0c4469989c5",
-    "__meta__": "ffa3fdda560e975e68f0eaccc77d9c782d6012ee67587cfdbc7e1937d2ca064c",
+    "manifest.json": "9cef4f1dc86c81fbf9f269cc799315825836c05b669b77086762aef06cc9a2fc",
+    "__meta__": "885ca691c22c9e24baeb81723497c061e7bfae6cb37d649dd021dbb22011cdb1",
 }
 
 PACK_OUTCOMES_DIGEST = "514696dafc35129cacb565fa1a98f1dfcb774801de20f0c2aa40abda2b4e5607"
@@ -234,8 +237,8 @@ def test_default_pack_oracle_outcomes_match_pinned_digest(tmp_path):
 
 
 DECODE_DIGESTS = {
-    "greedy": "53cce93718b0685ef59ee003880e2da871a61961addcb88273ac67a6662bb538",
-    "beam": "703f4c8e8bdda7e3120b98394e5a2ff963bb8c18f716944075e45f36df679f3b",
+    "greedy": "c0aba7b62d716d110c87eaa59329164e2ad50e4846ae73d12b778415ba223d4d",
+    "beam": "1befc4e46d22d10a22043506df700e654bc73aaa0d5ab69ff858903790490af2",
 }
 
 

@@ -12,8 +12,7 @@ from latticepath.twinsim import EpisodeOutcome
 
 # every field away from its default (where it may be), so a round trip exercises each one
 NON_DEFAULT = {
-    "ModelConfig": ModelConfig(embed_dim=12, num_layers=3, num_heads=3, max_seq_len=9, task_feature_width=5,
-                               bounds=(0, 4, -1, 1, 2, 2)),
+    "ModelConfig": ModelConfig(embed_dim=12, num_layers=3, num_heads=3, max_seq_len=9, task_feature_width=5),
     "OptimizerConfig": OptimizerConfig(kind="adam", lr=0.5, weight_decay=0.25, momentum=0.5, beta1=0.75,
                                        beta2=0.875, eps=0.125),
     "EvalReport": EvalReport(stepwise_accuracy=0.5, precision=0.25, recall=0.75, f1=0.375, valid_path_percent=0.625,

@@ -30,8 +30,8 @@ BATCHES = ("desk_0.1", "envelope_0.05")
 
 
 def model_and_batch(name, num_layers=2):
-    items, bounds = loss_items(name)
-    cfg = ModelConfig(embed_dim=16, num_layers=num_layers, num_heads=4, max_seq_len=32, bounds=bounds)
+    items, _ = loss_items(name)
+    cfg = ModelConfig(embed_dim=16, num_layers=num_layers, num_heads=4, max_seq_len=32)
     batch = make_loss_batch(items, cfg)
     assert (batch.lengths < batch.lengths.max()).any()  # the batch has padding
     return PathModel(cfg, seed=7), batch
@@ -145,8 +145,8 @@ def test_allocator_policy_is_set_through_mallopt_and_skipped_without_it():
 
 
 def test_fit_on_prepared_rows_matches_fit_on_items():
-    items, bounds = loss_items("desk_0.1")
-    cfg = ModelConfig(embed_dim=16, num_layers=1, num_heads=4, max_seq_len=32, bounds=bounds)
+    items, _ = loss_items("desk_0.1")
+    cfg = ModelConfig(embed_dim=16, num_layers=1, num_heads=4, max_seq_len=32)
     runs = []
     for train_items in (items, supervision_rows(items, cfg)):
         model = PathModel(cfg, seed=3)
