@@ -37,11 +37,13 @@ from .corpus import (
     GenerationCounters,
     UnreachableGoalError,
     check_trajectory,
-    generate_corpus,
+    corpus_records,
     read_records,
     write_jsonl,
     write_records,
+    write_split_records,
 )
+from .corpus import generate_corpus  # noqa: F401 (perfbench/tracer.py wraps cli.generate_corpus)
 from .decoder import DecodeConfig, DecodeCounters, decode_records
 from .evaluator import EvalReport, evaluate_records, format_report, format_table
 from .lattice import Workspace, desk_workspace, in_bounds, read_int, read_number
@@ -161,27 +163,37 @@ def _config_errors():
         raise CliError("config", str(e)) from None
 
 
-def _write_outputs(out_dir: str, command: str, cfg: dict, files: dict, counters: dict | None = None) -> None:
+def _write_outputs(out_dir: str, command: str, cfg: dict, files: dict, counters: list | tuple = ()) -> None:
     """Write every output plus the manifest, or leave none of them behind.
 
     A file's content is its text, or a function that writes the file at the
-    path it is given. Each file is staged under a temporary name and moved
-    into place only once all are written, manifest.json last. Counters, if
-    given, are seed-determined tallies recorded in the manifest.
+    path it is given; a tuple of names is written by one function given a
+    path for each. Each file is staged under a temporary name and moved into
+    place only once all are written, manifest.json last. Counters, if any,
+    are dataclasses of seed-determined tallies, recorded in the manifest as
+    they stand once the other files are written. After a failure the out
+    directory stays, with no file of this command in it.
     """
     os.makedirs(out_dir, exist_ok=True)
-    manifest = {"command": command, "config": cfg, "outputs": sorted(files) + ["manifest.json"]}
-    if counters is not None:
-        manifest["counters"] = counters
-    files = {**files, "manifest.json": json.dumps(manifest, sort_keys=True) + "\n"}
-    staged = {name: os.path.join(out_dir, f".{name}.partial") for name in files}
+    names = [n for key in files for n in ((key,) if isinstance(key, str) else key)]
+    staged = {name: os.path.join(out_dir, f".{name}.partial") for name in names + ["manifest.json"]}
+
+    def write_text(path, text):
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(text)
+
     try:
-        for name, content in files.items():
-            if callable(content):
-                content(staged[name])
+        for key, content in files.items():
+            if isinstance(key, tuple):
+                content(*(staged[n] for n in key))
+            elif callable(content):
+                content(staged[key])
             else:
-                with open(staged[name], "w", encoding="utf-8") as f:
-                    f.write(content)
+                write_text(staged[key], content)
+        manifest = {"command": command, "config": cfg, "outputs": sorted(names) + ["manifest.json"]}
+        if counters:
+            manifest["counters"] = {k: v for c in counters for k, v in dataclasses.asdict(c).items()}
+        write_text(staged["manifest.json"], json.dumps(manifest, sort_keys=True) + "\n")
     except BaseException:
         for tmp in staged.values():
             with contextlib.suppress(FileNotFoundError):
@@ -226,13 +238,10 @@ def cmd_gen(args) -> int:
                                  "(set obstacle_density)")
 
     counters = GenerationCounters()
-    records = generate_corpus(gcfg, seed, counters)
-    train = [r for r in records if r.split_tag == "train"]
-    val = [r for r in records if r.split_tag == "validation"]
     _write_outputs(args.out, "gen", cfg, {
-        "corpus_train.jsonl": lambda path: write_records(path, train),
-        "corpus_validation.jsonl": lambda path: write_records(path, val),
-    }, counters=dataclasses.asdict(counters))
+        ("corpus_train.jsonl", "corpus_validation.jsonl"):
+            lambda train, val: write_split_records(train, val, corpus_records(gcfg, seed, counters)),
+    }, counters=[counters])
     return 0
 
 
@@ -314,7 +323,7 @@ def cmd_train(args) -> int:
     _write_outputs(args.out, "train", cfg, {
         "loss_log.tsv": "\n".join(log_lines) + "\n",
         "model.npz": lambda path: save_checkpoint(path, model, optimizer, optimizer.step_count),
-    }, counters=dataclasses.asdict(counters))
+    }, counters=[counters])
     return 0
 
 
@@ -351,7 +360,7 @@ def cmd_decode(args) -> int:
     preds = decode_records(model, records, dcfg, counters)
     _write_outputs(args.out, "decode", cfg, {
         "predictions.jsonl": lambda path: write_records(path, preds),
-    }, counters=dataclasses.asdict(counters))
+    }, counters=[counters])
     return 0
 
 
@@ -425,9 +434,7 @@ def cmd_sim(args) -> int:
 
     twin = TwinCounters()
     results = run_scenarios(scenarios, planner, twin)
-    counters = dataclasses.asdict(twin)
-    if model is not None:  # the decode calls that planned the legs
-        counters.update(dataclasses.asdict(planner.counters))
+    counters = [twin] if model is None else [twin, planner.counters]  # with a model, its decode calls too
     rows = [{
         "name": s.name,
         "tags": list(s.tags),

@@ -4,10 +4,14 @@ Ground-truth paths are the BFS shortest paths of the obstacle-masked
 lattice in canonical move order: a depth-first search over the moves toward
 the goal finds them when they are monotone, a breadth-first search over the
 whole grid otherwise, so the whole corpus is a pure function of (config,
-seed). Records serialize one-per-line as JSON (schema v2: the workspace's
-obstacles as a bitmap; v1 files, with an obstacle list, still read); the
-JSON-lines reader and writer here carry every record file the package
-writes, and validate_path is the one bounds-and-adjacency rule for paths.
+seed). The split of a corpus depends on its record seeds alone, so
+corpus_records tags each record before it is generated and yields the
+records one at a time: `gen` writes each to its split's file and drops it,
+and its memory does not grow with the record count. Records serialize
+one-per-line as JSON (schema v2: the workspace's obstacles as a bitmap; v1
+files, with an obstacle list, still read); the JSON-lines reader and writer
+here carry every record file the package writes, and validate_path is the
+one bounds-and-adjacency rule for paths.
 """
 
 from __future__ import annotations
@@ -15,7 +19,9 @@ from __future__ import annotations
 import json
 import random
 import sys
-from dataclasses import dataclass, replace
+from collections.abc import Iterator
+from dataclasses import dataclass
+from itertools import chain, starmap
 
 import numpy as np
 
@@ -318,7 +324,15 @@ def _sample_rank(rng, w: Workspace, exclude: int = -1) -> int:
             return i
 
 
-def _generate_record(record_seed: int, cfg: GenerationConfig, counters: GenerationCounters) -> CorpusRecord:
+def _task_template(k: int) -> tuple[TaskGraph, TaskContext]:
+    """_TASK_TEMPLATES[k]'s graph and its active node's context, before a record sets the hint and target."""
+    kinds, active = _TASK_TEMPLATES[k]
+    graph = chain_graph(kinds)
+    return graph, build_context(graph, active_id=active, done=frozenset(range(active)))
+
+
+def _generate_record(record_seed: int, split_tag: str, cfg: GenerationConfig,
+                     templates: dict[int, tuple[TaskGraph, TaskContext]], counters: GenerationCounters) -> CorpusRecord:
     """One record of a seeded attempt loop; cells are handled by their rank in x/y/z order.
 
     Each attempt draws start and goal, two distinct uniform box cells, from a
@@ -335,6 +349,10 @@ def _generate_record(record_seed: int, cfg: GenerationConfig, counters: Generati
     C(V-2, k). Whether an attempt is rejected depends on its triple alone,
     so the records have the same law too. At density 0 no obstacle is drawn,
     and the records are those of that generator, draw for draw.
+
+    The accepted attempt draws its task template; templates holds each
+    template of the corpus (_task_template) once it is first drawn, and the
+    record's context is its template's with the path length and the goal.
     """
     rng = random.Random(record_seed)
     obstacle_rng = None
@@ -371,53 +389,52 @@ def _generate_record(record_seed: int, cfg: GenerationConfig, counters: Generati
         if len(traj) > cfg.max_path_length:
             counters.rejected_too_long += 1
             continue
-        kinds, active = _TASK_TEMPLATES[rng.randrange(len(_TASK_TEMPLATES))]
-        graph = chain_graph(kinds)
-        done = frozenset(range(active))
-        ctx = build_context(
-            graph,
-            active_id=active,
-            done=done,
-            sequence_length_hint=len(traj),
-            target=goal,
-        )
-        traj = replace(traj, task=graph, seed=record_seed)
-        return CorpusRecord(trajectory=traj, workspace=w, context=ctx)
+        k = rng.randrange(len(_TASK_TEMPLATES))
+        if k not in templates:
+            templates[k] = _task_template(k)
+        graph, template = templates[k]
+        return CorpusRecord(Trajectory(traj.points, graph, record_seed), w,
+                            template.with_hint(len(traj), goal), split_tag)
     raise ValueError(
         f"could not generate a feasible record after {cfg.max_resample_attempts} attempts; "
         "the obstacle density likely saturates the box"
     )
 
 
-def generate_corpus(cfg: GenerationConfig, seed: int, counters: GenerationCounters | None = None) -> list[CorpusRecord]:
-    """Deterministic corpus of cfg.count records, split-tagged by record seed."""
-    counters = GenerationCounters() if counters is None else counters
-    state = splitmix64(seed)
-    records = []
+def corpus_records(cfg: GenerationConfig, seed: int, counters: GenerationCounters) -> Iterator[CorpusRecord]:
+    """The corpus of (cfg, seed), one record at a time in seed-chain order, each split-tagged.
+
+    The record seeds are the splitmix64 chain from seed, drawn and tagged
+    (split_tags) before the first record is generated; nothing else of a
+    record is kept once it is yielded. counters is complete once the last
+    record is.
+    """
+    seeds, state = [], splitmix64(seed)
     for _ in range(cfg.count):
-        record_seed = state
+        seeds.append(state)
         state = splitmix64(state)
-        records.append(_generate_record(record_seed, cfg, counters))
-    return split_records(records, cfg.train_fraction)
+    templates = {}
+    for record_seed, tag in zip(seeds, split_tags(seeds, cfg.train_fraction)):
+        yield _generate_record(record_seed, tag, cfg, templates, counters)
 
 
-def split_records(records: list[CorpusRecord], train_fraction: float) -> list[CorpusRecord]:
-    """Tag records train/validation by rank of the hashed record seed.
+def generate_corpus(cfg: GenerationConfig, seed: int, counters: GenerationCounters | None = None) -> list[CorpusRecord]:
+    """Deterministic corpus of cfg.count records, split-tagged by record seed: corpus_records as a list."""
+    return list(corpus_records(cfg, seed, GenerationCounters() if counters is None else counters))
 
-    Exactly floor(n * train_fraction) records land in train; the assignment
-    depends only on each record's seed, so it is stable under reordering.
+
+def split_tags(seeds: list[int], train_fraction: float) -> list[str]:
+    """Tag each record seed train or validation by rank of its hash.
+
+    The floor(n * train_fraction) seeds of least (splitmix64(seed), seed)
+    are train; a seed's tag depends only on the set of seeds, so it is
+    stable under reordering.
     """
     if not (0.0 < train_fraction < 1.0):
         raise ValueError("train_fraction must lie strictly between 0 and 1")
-    if not records:
-        return []
-    keyed = sorted(records, key=lambda r: (splitmix64(r.trajectory.seed), r.trajectory.seed))
-    n_train = int(len(records) * train_fraction)
-    train_seeds = {r.trajectory.seed for r in keyed[:n_train]}
-    return [
-        replace(r, split_tag="train" if r.trajectory.seed in train_seeds else "validation")
-        for r in records
-    ]
+    ranked = sorted(seeds, key=lambda s: (splitmix64(s), s))
+    train = set(ranked[:int(len(seeds) * train_fraction)])
+    return ["train" if s in train else "validation" for s in seeds]
 
 
 def record_to_dict(r: CorpusRecord) -> dict:
@@ -436,18 +453,21 @@ def record_to_dict(r: CorpusRecord) -> dict:
     return d
 
 
-def record_from_dict(d: dict) -> CorpusRecord:
-    """A record of schema v2, or of v1 (an `obstacles` list; no score or terminated_by)."""
+def record_from_dict(d: dict, shared: dict | None = None) -> CorpusRecord:
+    """A record of schema v2, or of v1 (an `obstacles` list; no score or terminated_by).
+
+    shared, if given, holds the workspaces and task graphs already read, by
+    the JSON text of their entries, and an entry of the same text gets the
+    same object (so one legality grid serves every record on that workspace).
+    Equal text means equal JSON types, so a memo hit never accepts a value
+    the parser would reject.
+    """
     version = d.get("schema_version")
     if type(version) is not int or version not in READABLE_SCHEMA_VERSIONS:
         raise CorpusFormatError(f"unsupported schema_version {version!r} (expected one of {READABLE_SCHEMA_VERSIONS})")
-    task = TaskGraph.from_dict(d["task_graph"]) if d.get("task_graph") is not None else None
-    traj = Trajectory(
-        points=tuple(read_cell(p, f"points[{i}]") for i, p in enumerate(d["points"])),
-        task=task,
-        seed=read_int(d["seed"], "seed"),
-    )
-    workspace = Workspace.from_dict(d["workspace"])
+    task = _read_shared(shared, TaskGraph.from_dict, d["task_graph"]) if d.get("task_graph") is not None else None
+    traj = Trajectory(points=_read_points(d["points"]), task=task, seed=read_int(d["seed"], "seed"))
+    workspace = _read_shared(shared, Workspace.from_dict, d["workspace"])
     if version == 2 and "obstacle_bits" not in d["workspace"]:
         raise ValueError("workspace.obstacle_bits is missing")
     score = None
@@ -465,11 +485,38 @@ def record_from_dict(d: dict) -> CorpusRecord:
     )
 
 
+def _read_shared(shared: dict | None, parse, entry):
+    """parse(entry), or the object an entry of the same JSON text was parsed to before."""
+    if shared is None:
+        return parse(entry)
+    key = (parse, json.dumps(entry))
+    value = shared.get(key)
+    if value is None:
+        value = shared[key] = parse(entry)
+    return value
+
+
+def _read_points(points) -> tuple[LatticeCoord, ...]:
+    """A record's points, each as read_cell reads it; all-integer lists, the common case, skip the per-cell check."""
+    if (type(points) is list and set(map(type, points)) <= {list} and set(map(len, points)) <= {3}
+            and set(map(type, chain.from_iterable(points))) <= {int}):
+        return tuple(starmap(LatticeCoord, points))
+    return tuple(read_cell(p, f"points[{i}]") for i, p in enumerate(points))
+
+
+# One encoder for every line: the rows are the program's own acyclic dicts, so the cycle check is off.
+_LINE_ENCODER = json.JSONEncoder(sort_keys=True, check_circular=False)
+
+
+def _json_line(row: dict) -> str:
+    return _LINE_ENCODER.encode(row) + "\n"
+
+
 def write_jsonl(path, rows) -> None:
     """Write dicts as JSON lines, one key-sorted object per line (byte-stable)."""
     with open(path, "w", encoding="utf-8") as f:
         for row in rows:
-            f.write(json.dumps(row, sort_keys=True) + "\n")
+            f.write(_json_line(row))
 
 
 def read_jsonl(path, parse, check=None) -> list:
@@ -512,6 +559,18 @@ def write_records(path, records) -> None:
     write_jsonl(path, (record_to_dict(r) for r in records))
 
 
+def write_split_records(train_path, validation_path, records) -> None:
+    """Write each record, as write_records does, to the file of its split tag, as it comes."""
+    with open(train_path, "w", encoding="utf-8") as train, open(validation_path, "w", encoding="utf-8") as val:
+        for r in records:
+            (train if r.split_tag == "train" else val).write(_json_line(record_to_dict(r)))
+
+
 def read_records(path, check=None) -> list[CorpusRecord]:
-    """Records of a corpus file; check is as for read_jsonl."""
-    return read_jsonl(path, record_from_dict, check)
+    """Records of a corpus file; check is as for read_jsonl.
+
+    Equal workspace and task-graph entries of the file are read once (see
+    record_from_dict); nothing is kept from one call to the next.
+    """
+    shared = {}
+    return read_jsonl(path, lambda d: record_from_dict(d, shared), check)

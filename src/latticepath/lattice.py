@@ -200,12 +200,17 @@ class Workspace:
             "resolution_mm": self.resolution_mm,
         }
         if packed:
-            bits = np.zeros(self.volume(), dtype=bool)
-            bits[self.ranks] = True
-            d["obstacle_bits"] = base64.b64encode(np.packbits(bits).tobytes()).decode("ascii")
+            d["obstacle_bits"] = self._obstacle_bits
         else:
             d["obstacles"] = self._obstacle_cells()
         return d
+
+    @cached_property
+    def _obstacle_bits(self) -> str:
+        """to_dict's obstacle_bits text, built on first use, so the records that share a workspace pack it once."""
+        bits = np.zeros(self.volume(), dtype=bool)
+        bits[self.ranks] = True
+        return base64.b64encode(np.packbits(bits).tobytes()).decode("ascii")
 
     @classmethod
     def from_dict(cls, d: dict) -> "Workspace":

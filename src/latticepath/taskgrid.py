@@ -87,6 +87,11 @@ class TaskContext:
             raise ValueError("sequence_length_hint must be non-negative")
         object.__setattr__(self, "task_feature_vector", tuple(float(v) for v in self.task_feature_vector))
 
+    def with_hint(self, sequence_length_hint: int, target: LatticeCoord | None) -> "TaskContext":
+        """This context with another length hint and target; the hint is the last feature."""
+        return TaskContext(self.task_feature_vector[:-1] + (sequence_length_hint / LENGTH_HINT_NORM,),
+                           self.active_task_kind, sequence_length_hint, target)
+
     def to_dict(self) -> dict:
         return {
             "feature": list(self.task_feature_vector),
@@ -137,8 +142,9 @@ def topological_order(g: TaskGraph) -> list[int]:
 
 def node_depths(g: TaskGraph) -> dict[int, int]:
     """Longest-path depth of each node from the DAG roots."""
-    depths = {i: 0 for i in topological_order(g)}
-    for i in topological_order(g):
+    order = topological_order(g)
+    depths = {i: 0 for i in order}
+    for i in order:
         for a, b in g.edges:
             if a == i:
                 depths[b] = max(depths[b], depths[i] + 1)
@@ -156,7 +162,9 @@ def build_context(
 
     Features: one-hot of the active kind, depth of the active node normalized
     by the graph's maximum depth, count of predecessors not yet in `done`,
-    and the length hint normalized by LENGTH_HINT_NORM.
+    and the length hint normalized by LENGTH_HINT_NORM. All but the hint
+    and the target depend on the graph, node and done set alone, so one
+    context of a task template serves every record through with_hint.
     """
     node = g.node(active_id)
     depths = node_depths(g)
@@ -164,13 +172,8 @@ def build_context(
     depth_norm = depths[active_id] / max_depth if max_depth > 0 else 0.0
     unsatisfied = sum(1 for a, b in g.edges if b == active_id and a not in done)
     one_hot = [1.0 if node.kind == k else 0.0 for k in TASK_KINDS]
-    feature = tuple(one_hot + [depth_norm, float(unsatisfied), sequence_length_hint / LENGTH_HINT_NORM])
-    return TaskContext(
-        task_feature_vector=feature,
-        active_task_kind=node.kind,
-        sequence_length_hint=sequence_length_hint,
-        target=target,
-    )
+    unhinted = TaskContext(tuple(one_hot + [depth_norm, float(unsatisfied), 0.0]), node.kind)
+    return unhinted.with_hint(sequence_length_hint, target)
 
 
 def chain_graph(kinds: tuple[str, ...]) -> TaskGraph:

@@ -36,7 +36,7 @@ from latticepath.corpus import (
     GenerationConfig,
     Trajectory,
     UnreachableGoalError,
-    split_records,
+    split_tags,
     splitmix64,
 )
 from latticepath.lattice import MOVES, LatticeCoord, Workspace, manhattan
@@ -276,7 +276,8 @@ def generate_corpus(cfg: GenerationConfig, seed: int) -> list[CorpusRecord]:
         record_seed = state
         state = splitmix64(state)
         records.append(_generate_record(record_seed, cfg))
-    return split_records(records, cfg.train_fraction)
+    tags = split_tags([r.trajectory.seed for r in records], cfg.train_fraction)
+    return [replace(r, split_tag=tag) for r, tag in zip(records, tags)]
 
 
 def record_to_dict_v1(r: CorpusRecord) -> dict:

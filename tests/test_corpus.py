@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -14,7 +15,7 @@ from latticepath.corpus import (
     read_records,
     record_from_dict,
     record_to_dict,
-    split_records,
+    split_tags,
     splitmix64,
     validate_path,
     write_jsonl,
@@ -119,17 +120,18 @@ def test_split_exact_counts():
 
 def test_split_is_stable_under_reordering():
     records = generate_corpus(small_cfg(count=50), seed=9)
-    by_seed = {r.trajectory.seed: r.split_tag for r in split_records(records, 0.8)}
-    reordered = split_records(list(reversed(records)), 0.8)
-    assert all(by_seed[r.trajectory.seed] == r.split_tag for r in reordered)
+    seeds = [r.trajectory.seed for r in records]
+    assert split_tags(seeds, 0.8) == [r.split_tag for r in records]
+    reordered = seeds[::-1]
+    assert split_tags(reordered, 0.8) == [r.split_tag for r in reversed(records)]
 
 
 def test_split_rejects_degenerate_fractions():
-    records = generate_corpus(small_cfg(count=5), seed=1)
+    seeds = [r.trajectory.seed for r in generate_corpus(small_cfg(count=5), seed=1)]
     with pytest.raises(ValueError):
-        split_records(records, 0.0)
+        split_tags(seeds, 0.0)
     with pytest.raises(ValueError):
-        split_records(records, 1.0)
+        split_tags(seeds, 1.0)
 
 
 def test_generation_config_validation():
@@ -211,3 +213,50 @@ def test_read_jsonl_names_file_and_line_for_any_parser(tmp_path):
     assert read_jsonl(path, lambda d: d["a"]) == [2, 3]
     with pytest.raises(CorpusFormatError, match="rows.jsonl: line 2: malformed record"):
         read_jsonl(path, lambda d: d["b"])
+
+
+def test_read_shares_equal_workspaces_and_task_graphs_within_one_read(tmp_path):
+    records = generate_corpus(small_cfg(count=30), seed=4)  # density 0: one workspace for all
+    path = tmp_path / "corpus.jsonl"
+    write_records(path, records)
+    back = read_records(path)
+    assert back == records
+    assert len({id(r.workspace) for r in back}) == 1
+    graphs = {json.dumps(r.trajectory.task.to_dict()) for r in back}
+    assert len({id(r.trajectory.task) for r in back}) == len(graphs) > 1
+    again = read_records(path)
+    assert again[0].workspace is not back[0].workspace  # nothing is kept from one read to the next
+
+
+@pytest.mark.parametrize("entry, key, value, detail", [
+    ("workspace", "z_min", False, "workspace.z_min must be an integer, got false"),
+    ("workspace", "resolution_mm", "20", "workspace.resolution_mm must be a finite positive number"),
+    ("task_graph", "edges", [[0, True], [1, 2], [2, 3]], "task_graph.edges[0][1] must be an integer, got true"),
+])
+def test_a_shared_entry_still_rejects_what_the_parser_rejects(tmp_path, entry, key, value, detail):
+    records = generate_corpus(small_cfg(count=4), seed=4)
+    rows = [record_to_dict(r) for r in records]
+    rows = [row for row in rows if len(row["task_graph"]["edges"]) == 3][:2]  # two records on the 4-node chain
+    rows[1][entry] = {**rows[0][entry], key: value}
+    if key != "resolution_mm":  # equal in Python to the entry read before, but for the type
+        assert rows[1][entry] == rows[0][entry]
+    path = tmp_path / "corpus.jsonl"
+    write_jsonl(path, rows)
+    with pytest.raises(CorpusFormatError, match=re.escape(f"line 2: malformed record ({detail}")):
+        read_records(path)
+
+
+def test_points_read_as_read_cell_reads_them(tmp_path):
+    row = record_to_dict(generate_corpus(small_cfg(count=1), seed=4)[0])
+    path = tmp_path / "corpus.jsonl"
+    x, y, z = row["points"][0]
+    for points, error in (([[float(x), y, z]], None), ([[x, y, True]], "points[0] must be three integers"),
+                          ([[x, y, z], [x, y]], "points[1] must be three integers"),
+                          ([[x, y, z, 0]], "points[0] must be three integers"),
+                          ([], "a trajectory needs at least one point")):
+        write_jsonl(path, [{**row, "points": points}])
+        if error is None:
+            assert read_records(path)[0].trajectory.points == (C(x, y, z),)
+        else:
+            with pytest.raises(CorpusFormatError, match=re.escape(error)):
+                read_records(path)
