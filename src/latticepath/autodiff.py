@@ -21,6 +21,15 @@ nothing is set. A 3-epoch d64/L2 desk `train` of 1,600 records (glibc 2.36,
 2-vCPU host) had 39k minor faults and 0.15 s of system time with the
 retaining sweep, 174k and 0.6 s with the freeing sweep alone, and 17k and
 0.07 s with both.
+
+attention() is causal multi-head attention as one node with a hand-written
+backward. Its tape keeps only the (B, H, T, T) probabilities; the backward
+places the packed q, k and v rows in the head layout again (three scatters)
+and recomputes from them, rather than keeping the padded head copies, the raw
+and scaled scores and the weighted sum that the composition of matmul,
+softmax and the row ops kept. It runs the composition's numpy operations in
+its order, in place where it can, so its outputs and gradients are
+bit-equal to it.
 """
 
 from __future__ import annotations
@@ -346,26 +355,10 @@ def _distinct_rows(rows: np.ndarray, n: int, op: str) -> np.ndarray:
     return rows
 
 
-def take_rows(x: Tensor, rows: np.ndarray) -> Tensor:
-    """out[i] = x[rows[i]] along the first axis; rows are distinct constants.
-
-    Distinct rows make the backward one exact scatter into zeros, with no sum.
-    """
-    rows = _distinct_rows(rows, x.data.shape[0], "take_rows")
-    out = _make(x.data[rows], (x,))
-    if out._parents:
-        def backward(g):
-            gx = np.zeros_like(x.data)
-            gx[rows] = g
-            x._accumulate(gx)
-        out._backward = backward
-    return out
-
-
 def put_rows(x: Tensor, rows: np.ndarray, n: int) -> Tensor:
     """n rows of zeros with row rows[i] = x[i]; rows are distinct constants.
 
-    The inverse placement of take_rows: its backward is one exact gather.
+    Its backward is one exact gather.
     """
     rows = _distinct_rows(rows, n, "put_rows")
     if rows.size != x.data.shape[0]:
@@ -380,11 +373,22 @@ def put_rows(x: Tensor, rows: np.ndarray, n: int) -> Tensor:
     return out
 
 
-def _mask_logits(logits: np.ndarray, mask, op: str) -> np.ndarray:
-    """Logits with masked-out entries at -inf; every row must keep an entry."""
+def _mask_logits(logits: np.ndarray, mask: np.ndarray, op: str) -> np.ndarray:
+    """logits with its masked-out entries set to -inf, in place; every row must keep an entry."""
     if not mask.any(axis=-1).all():
         raise ValueError(f"{op} mask leaves a row with no legal entries")
-    return np.where(mask, logits, -np.inf)
+    np.copyto(logits, -np.inf, where=~mask)
+    return logits
+
+
+def _softmax_rows(p: np.ndarray, mask: np.ndarray | None, op: str) -> np.ndarray:
+    """p's softmax over the last axis, in place (see softmax)."""
+    if mask is not None:
+        _mask_logits(p, mask, op)
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    return p
 
 
 def softmax(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
@@ -393,12 +397,7 @@ def softmax(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
     mask (boolean, constant) marks entries to keep; masked-out entries get
     probability exactly 0. Every row must keep at least one entry.
     """
-    logits = x.data
-    if mask is not None:
-        logits = _mask_logits(logits, np.asarray(mask, dtype=bool), "softmax")
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    p = e / e.sum(axis=-1, keepdims=True)
+    p = _softmax_rows(np.array(x.data), None if mask is None else np.asarray(mask, dtype=bool), "softmax")
     out = _make(p, (x,))
     if out._parents:
         def backward(g):
@@ -408,12 +407,81 @@ def softmax(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
     return out
 
 
+def attention(q: Tensor, k: Tensor, v: Tensor, shape: tuple[int, int], heads: int,
+              rows: np.ndarray | None = None, extend=None) -> Tensor:
+    """Causal multi-head attention as one node: the (N, d) context of (N, d) query, key and value rows.
+
+    The N rows are the positions `rows` (distinct constants, row-major) of
+    a (B, T) = shape grid, or all B * T of them in order without rows. Each
+    of q, k and v is placed in the (B, heads, T, d / heads) head layout,
+    zeros at the positions not in rows; the causal mask keeps those from
+    every position in rows. Position t attends to positions 0..t, with
+    scores scaled by 1 / sqrt(d / heads).
+
+    With extend (inference only), the new (B, heads, T, d / heads) keys and
+    values are handed to extend, which returns those of every position so
+    far, the new ones last, as a KV cache does; the queries are the last T
+    of those positions.
+
+    The node keeps only the probabilities (B, heads, T, T'). Its backward
+    places q, k and v in the head layout again, from its parents' data.
+    """
+    B, T = shape
+    d = q.data.shape[1]
+    dh = d // heads
+    scale = 1.0 / math.sqrt(dh)
+    if rows is not None:
+        rows = _distinct_rows(rows, B * T, "attention")
+        if rows.size != q.data.shape[0]:
+            raise ValueError(f"attention needs one row index per row of q, got {rows.size} for {q.data.shape[0]}")
+    if extend is not None and _grad_enabled and (q.requires_grad or k.requires_grad or v.requires_grad):
+        raise ValueError("attention with a KV cache is inference only; run it under no_grad")
+
+    def split(a):  # (N, d) rows -> (B, heads, T, dh) view of all B * T positions
+        if rows is not None:
+            full = np.zeros((B * T, d))
+            full[rows] = a
+            a = full
+        return a.reshape(B, T, heads, dh).transpose((0, 2, 1, 3))
+
+    def merge(a):  # (B, heads, T, dh) -> (N, d) rows
+        a = a.transpose((0, 2, 1, 3)).reshape(B * T, d)
+        return a if rows is None else a[rows]
+
+    q4, k4, v4 = split(q.data), split(k.data), split(v.data)
+    if extend is not None:
+        k4, v4 = extend(k4, v4)
+    t0 = k4.shape[2] - T
+    p = q4 @ k4.transpose((0, 1, 3, 2))
+    p *= scale
+    _softmax_rows(p, np.tril(np.ones((T, t0 + T), dtype=bool), k=t0), "attention")
+    out = _make(merge(p @ v4), (q, k, v))
+    if out._parents:
+        def backward(g):
+            g4 = np.ascontiguousarray(split(g))
+            gp = g4 @ np.swapaxes(split(v.data), -1, -2)
+            if v.requires_grad:
+                v._accumulate(merge(np.swapaxes(p, -1, -2) @ g4))
+            del g4
+            for h in range(heads):  # softmax backward, then the scale; by head, to bound the temporary
+                gh, ph = gp[:, h], p[:, h]
+                gh -= (gh * ph).sum(axis=-1, keepdims=True)
+                gh *= ph
+                gh *= scale
+            if q.requires_grad:
+                q._accumulate(merge(gp @ split(k.data)))
+            if k.requires_grad:
+                k._accumulate(merge(np.swapaxes(np.swapaxes(split(q.data), -1, -2) @ gp, -1, -2)))
+        out._backward = backward
+    return out
+
+
 def log_softmax(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
     """Log of softmax over the last axis; masked-out entries are -inf."""
     logits = x.data
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
-        logits = _mask_logits(logits, mask, "log_softmax")
+        logits = _mask_logits(np.array(logits), mask, "log_softmax")
     m = logits.max(axis=-1, keepdims=True)
     shifted = logits - m
     e = np.exp(shifted)

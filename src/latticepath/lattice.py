@@ -68,6 +68,18 @@ def move_index(a: LatticeCoord, b: LatticeCoord) -> int:
         raise ValueError(f"{a} -> {b} is not a unit lattice move") from None
 
 
+# The largest magnitude of a workspace bound or a target coordinate. Every
+# integer within it is exact in float64, so the sign of a target minus a
+# cell, which the model takes in float64, is exact too.
+MAX_COORD = 2 ** 53
+
+
+def check_magnitude(values, name: str) -> None:
+    """Raise ValueError naming `name` unless every value lies within -MAX_COORD..MAX_COORD."""
+    if any(abs(v) > MAX_COORD for v in values):
+        raise ValueError(f"{name} must lie within -2^53..2^53, got {_text(list(values))}")
+
+
 _NO_RANKS = np.zeros(0, dtype=np.int64)
 _NO_RANKS.flags.writeable = False
 
@@ -87,6 +99,7 @@ class Workspace:
                  obstacles=(), resolution_mm: float = 20.0):
         if x_min > x_max or y_min > y_max or z_min > z_max:
             raise ValueError("workspace bounds must satisfy min <= max on every axis")
+        check_magnitude((x_min, x_max, y_min, y_max, z_min, z_max), "workspace bounds")
         if not (0 < resolution_mm < math.inf):
             raise ValueError("resolution_mm must be a finite positive number")
         self.__dict__.update(x_min=x_min, x_max=x_max, y_min=y_min, y_max=y_max, z_min=z_min, z_max=z_max,

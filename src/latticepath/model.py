@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, astuple, dataclass, field, fields
+from functools import partial
 
 import numpy as np
 
@@ -213,10 +214,9 @@ class PathModel:
         lengths (B,), each in 1..T, marks positions t < lengths[b] of row b as
         real. The embedding, layer norms, projections, FFN and head then run
         on the (N, d) real positions only, in row-major order. Only the
-        attention core runs on the padded (B, H, T, dh) layout: q, k and v
-        are placed there with put_rows (zeros at padded slots, which the
-        causal mask keeps away from real queries) and its output is packed
-        back with take_rows before the o projection. Padded positions get
+        attention core (ad.attention) runs on the padded (B, H, T, dh)
+        layout, with zeros at padded slots, which the causal mask keeps away
+        from real queries; it returns the real rows. Padded positions get
         zero logits and pass no gradient. The weight gradients then sum over
         the N real rows, a different float association than a sum over all
         B * T slots. Without lengths every slot is real and packing is a
@@ -235,23 +235,13 @@ class PathModel:
             real = np.arange(B * T)
         else:
             real = np.flatnonzero(np.arange(T) < _check_lengths(lengths, B, T, cache)[:, None])
-        d = self.cfg.embed_dim
-        H = self.cfg.num_heads
-        dh = d // H
-
         P = self.params
 
         def lin(h, layer, m):
             return ad.linear(h, P[f"l{layer}.w{m}"], P[f"l{layer}.b{m}"])
 
-        def pack(a):  # (B * T, m) -> (N, m) real rows
-            return a if lengths is None else ad.take_rows(a, real)
-
         def spread(a):  # (N, m) real rows -> (B * T, m), zeros at padded slots
             return a if lengths is None else ad.put_rows(a, real, B * T)
-
-        def heads(a):
-            return spread(a).reshape(B, T, H, dh).transpose((0, 2, 1, 3))
 
         row, pos = np.divmod(real, T)
         goal = ctx_mat[row, -GOAL_FEATURE_WIDTH:]  # target x, y, z and has-target flag of each real position
@@ -261,15 +251,11 @@ class PathModel:
         x = x + task[row]
         x = x + P["seq"][t0 + pos]
 
-        causal = np.tril(np.ones((T, t0 + T), dtype=bool), k=t0)
         for i in range(self.cfg.num_layers):
             h = ad.layer_norm(x, P[f"l{i}.ln1_g"], P[f"l{i}.ln1_b"])
-            q, k, v = (heads(lin(h, i, m)) for m in "qkv")
-            if cache is not None:
-                k, v = (Tensor(a) for a in cache.extend(i, k.data, v.data))
-            scores = (q @ k.transpose((0, 1, 3, 2))) * (1.0 / math.sqrt(dh))
-            att = ad.softmax(scores, mask=causal)
-            ctx = pack((att @ v).transpose((0, 2, 1, 3)).reshape(B * T, d))
+            ctx = ad.attention(*(lin(h, i, m) for m in "qkv"), (B, T), self.cfg.num_heads,
+                               rows=None if lengths is None else real,
+                               extend=None if cache is None else partial(cache.extend, i))
             x = x + lin(ctx, i, "o")
             h2 = ad.layer_norm(x, P[f"l{i}.ln2_g"], P[f"l{i}.ln2_b"])
             x = x + lin(lin(h2, i, "1").gelu(), i, "2")

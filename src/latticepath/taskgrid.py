@@ -12,7 +12,7 @@ import heapq
 import math
 from dataclasses import dataclass, field
 
-from .lattice import LatticeCoord, read_cell, read_int, read_step
+from .lattice import LatticeCoord, check_magnitude, read_cell, read_int, read_step
 
 TASK_KINDS: tuple[str, ...] = ("reach", "grasp", "lift", "transport", "place", "release")
 
@@ -103,6 +103,9 @@ class TaskContext:
     @classmethod
     def from_dict(cls, d: dict) -> "TaskContext":
         target = d.get("target")
+        if target is not None:
+            target = read_cell(target, "context.target")
+            check_magnitude(target.as_tuple(), "context.target")
         feature = tuple(map(float, d["feature"]))
         if not all(map(math.isfinite, feature)):  # a NaN logit would defeat the decoder's legality mask
             i = next(i for i, v in enumerate(feature) if not math.isfinite(v))
@@ -111,7 +114,7 @@ class TaskContext:
             task_feature_vector=feature,
             active_task_kind=str(d["active_kind"]),
             sequence_length_hint=read_step(d.get("sequence_length_hint", 0), "context.sequence_length_hint"),
-            target=read_cell(target, "context.target") if target is not None else None,
+            target=target,
         )
 
 

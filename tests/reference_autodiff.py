@@ -6,13 +6,16 @@ accumulate adds every gradient, the first one included, into a zeros array;
 gelu cubes with pow; linear is a batched matmul plus a broadcast bias, with
 the weight and bias gradients summed down by _unbroadcast; the scatters run
 np.add.at into zeros; softmax and log_softmax each check and fill their own
-mask; make_loss_batch derives every record's rows inside the batch loop, its
-on-path mask from a set of the path's cells. composite_loss is the loss with
-the coord term over the whole box of the batch's workspace: successor mass
-scattered onto flat cell indices (plus a dump slot for cells outside the box)
-and compared with dense gold-cell and start indicators. reference_engine() installs the
-autodiff ones in latticepath.autodiff, so a whole forward and backward pass
-of the model runs on this code.
+mask; attention is the composition of put_rows, the head reshape and
+transpose, q @ k^T, the scale, the masked softmax, @ v, the merge and
+take_rows, whose tape keeps every intermediate; make_loss_batch derives
+every record's rows inside the batch loop, its on-path mask from a set of
+the path's cells. composite_loss is the loss with the coord term over the
+whole box of the batch's workspace: successor mass scattered onto flat cell
+indices (plus a dump slot for cells outside the box) and compared with dense
+gold-cell and start indicators. reference_engine() installs the autodiff
+ones in latticepath.autodiff, so a whole forward and backward pass of the
+model runs on this code; reference_attention() installs attention alone.
 """
 
 import math
@@ -194,6 +197,39 @@ def log_softmax(x, mask=None):
     return out
 
 
+def take_rows(x, rows):
+    """out[i] = x[rows[i]] along the first axis; rows are distinct constants."""
+    out = _make(x.data[rows], (x,))
+    if out._parents:
+        def backward(g):
+            gx = np.zeros_like(x.data)
+            gx[rows] = g
+            x._accumulate(gx)
+        out._backward = backward
+    return out
+
+
+def attention(q, k, v, shape, heads, rows=None, extend=None):
+    """ad.attention as the composition of autodiff ops it replaced (same arguments)."""
+    B, T = shape
+    d = q.data.shape[1]
+    dh = d // heads
+
+    def split(a):
+        if rows is not None:
+            a = ad.put_rows(a, rows, B * T)
+        return a.reshape(B, T, heads, dh).transpose((0, 2, 1, 3))
+
+    q4, k4, v4 = split(q), split(k), split(v)
+    if extend is not None:
+        k4, v4 = (Tensor(a) for a in extend(k4.data, v4.data))
+    t0 = k4.shape[2] - T
+    scores = (q4 @ k4.transpose((0, 1, 3, 2))) * (1.0 / math.sqrt(dh))
+    att = ad.softmax(scores, mask=np.tril(np.ones((T, t0 + T), dtype=bool), k=t0))
+    out = (att @ v4).transpose((0, 2, 1, 3)).reshape(B * T, d)
+    return out if rows is None else take_rows(out, rows)
+
+
 def make_loss_batch(items, cfg):
     if not items:
         raise ValueError("batch must be non-empty")
@@ -320,17 +356,27 @@ _PATCHES = (
     (ad, "linear", linear),
     (ad, "softmax", softmax),
     (ad, "log_softmax", log_softmax),
+    (ad, "attention", attention),
 )
 
 
 @contextmanager
-def reference_engine():
-    """Run the block on the oracle code above; the fast code is restored afterwards."""
-    saved = [(owner, name, getattr(owner, name)) for owner, name, _ in _PATCHES]
+def _installed(patches):
+    saved = [(owner, name, getattr(owner, name)) for owner, name, _ in patches]
     try:
-        for owner, name, fn in _PATCHES:
+        for owner, name, fn in patches:
             setattr(owner, name, fn)
         yield
     finally:
         for owner, name, fn in saved:
             setattr(owner, name, fn)
+
+
+def reference_engine():
+    """Run the block on the oracle code above; the fast code is restored afterwards."""
+    return _installed(_PATCHES)
+
+
+def reference_attention():
+    """Run the block with the attention composition above and the fast code for everything else."""
+    return _installed(((ad, "attention", attention),))

@@ -166,20 +166,6 @@ def test_last_axis_gather_grad():
     np.testing.assert_allclose(t.grad, num, atol=1e-6)
 
 
-def test_take_rows_forward_and_grad():
-    x = rng(40).normal(size=(6, 3))
-    rows = np.array([4, 0, 2])
-    t = Tensor(x, requires_grad=True)
-    out = ad.take_rows(t, rows)
-    np.testing.assert_array_equal(out.data, x[rows])
-    weights = rng(41).normal(size=(3, 3))
-    (out * out * weights).sum().backward()
-    num = numeric_gradient(lambda v: (square(ad.take_rows(Tensor(v), rows)) * weights).sum().item(), x)
-    np.testing.assert_allclose(t.grad, num, atol=1e-6)
-    untaken = [1, 3, 5]
-    assert t.grad[untaken].tobytes() == np.zeros((3, 3)).tobytes()  # +0.0, no signed zeros
-
-
 def test_put_rows_forward_and_grad():
     x = rng(42).normal(size=(3, 2, 2))
     rows = np.array([5, 1, 2])
@@ -203,16 +189,6 @@ def test_put_rows_padded_slots_pass_no_gradient():
     np.testing.assert_array_equal(t.grad, [[1.0] * 3, [2.0] * 3])
 
 
-def test_take_then_put_rows_round_trip():
-    x = rng(45).normal(size=(5, 4))
-    rows = np.array([0, 1, 3])
-    t = Tensor(x, requires_grad=True)
-    back = ad.put_rows(ad.take_rows(t, rows), rows, 5)
-    np.testing.assert_array_equal(back.data[rows], x[rows])
-    back.sum().backward()
-    np.testing.assert_array_equal(t.grad, np.array([1.0, 1.0, 0.0, 1.0, 0.0])[:, None] * np.ones(4))
-
-
 @pytest.mark.parametrize("rows, match", [
     (np.array([1, 1]), "rows must be distinct"),
     (np.array([0, 4]), r"rows must lie in 0\.\.3"),
@@ -220,10 +196,11 @@ def test_take_then_put_rows_round_trip():
     (np.array([[0, 1]]), "rows must be one-dimensional"),
 ], ids=["repeat", "past_end", "negative", "two_dim"])
 def test_row_ops_reject_bad_rows(rows, match):
-    with pytest.raises(ValueError, match="take_rows " + match):
-        ad.take_rows(Tensor(np.zeros((4, 2))), rows)
     with pytest.raises(ValueError, match="put_rows " + match):
         ad.put_rows(Tensor(np.zeros((rows.size, 2))), rows, 4)
+    qkv = [Tensor(np.zeros((rows.size, 2)))] * 3
+    with pytest.raises(ValueError, match="attention " + match):
+        ad.attention(*qkv, (2, 2), 1, rows=rows)
 
 
 def test_put_rows_needs_one_index_per_row():

@@ -367,6 +367,53 @@ def test_a_path_off_its_workspace_names_the_file_and_line(inputs, tmp_path, caps
     assert not out.exists()
 
 
+TOP = 2 ** 53  # the largest magnitude of a workspace bound or a target coordinate
+
+
+@pytest.mark.parametrize("x", [(TOP - 2, TOP), (-TOP, -TOP + 2)], ids=["top", "bottom"])
+def test_coordinates_of_plus_or_minus_2_pow_53_still_read(inputs, tmp_path, x):
+    corpus = gen(tmp_path, extra=["--box", *x, 0, 1, 0, 1, "--count", "10"])
+    gold = corpus / "corpus_validation.jsonl"
+    records = read_records(corpus / "corpus_train.jsonl") + read_records(gold)
+    assert any(abs(r.context.target.x) == TOP for r in records)
+    train(tmp_path, corpus)
+    out = tmp_path / "decoded"
+    assert run(["decode", "--checkpoint", inputs["<ckpt>"], "--records", gold, "--out", out]) == 0
+    for p in read_records(out / "predictions.jsonl"):
+        assert validate_path(p.trajectory, p.workspace).valid
+
+
+@pytest.mark.parametrize("command", ["decode", "train"])
+def test_a_target_past_2_pow_53_names_the_file_and_line(inputs, tmp_path, capsys, command):
+    """The pair a float64 sign read as level: a path cell at x = 2^53 and its target at x = 2^53 + 1."""
+    corpus = gen(tmp_path, extra=["--box", TOP - 2, TOP, 0, 1, 0, 1, "--count", "10"])
+    records = read_records(corpus / "corpus_train.jsonl")
+    i, cell = next((i, p) for i, r in enumerate(records) for p in r.trajectory.points if p.x == TOP)
+    bad_record = dataclasses.replace(records[i], context=dataclasses.replace(records[i].context,
+                                                                             target=cell.offset(1, 0, 0)))
+    bad = tmp_path / "bad.jsonl"
+    write_records(bad, [records[i - 1 if i else 1], bad_record])
+    out = tmp_path / "out"
+    capsys.readouterr()
+    if command == "decode":
+        argv = ["decode", "--checkpoint", inputs["<ckpt>"], "--records", bad, "--out", out]
+    else:
+        argv = ["train", "--corpus", bad, "--out", out, "--epochs", "1", "--embed-dim", "8", "--num-heads", "2"]
+    assert run(argv) == 1
+    target = [TOP + 1, cell.y, cell.z]
+    assert capsys.readouterr().err == (f"error: schema: {bad}: line 2: malformed record "
+                                       f"(context.target must lie within -2^53..2^53, got {target})\n")
+    assert not out.exists()
+
+
+def test_gen_refuses_a_box_past_2_pow_53(tmp_path, capsys):
+    out = tmp_path / "corpus"
+    assert run(["gen", "--out", out, "--box", 0, TOP + 1, 0, 1, 0, 1]) == 1
+    assert capsys.readouterr().err == (f"error: config: workspace bounds must lie within -2^53..2^53, "
+                                       f"got [0, {TOP + 1}, 0, 1, 0, 1]\n")
+    assert not out.exists()
+
+
 def test_decode_into_an_existing_file_writes_nothing(tmp_path, capsys):
     corpus = gen(tmp_path)
     model_dir = train(tmp_path, corpus)

@@ -66,6 +66,22 @@ def test_workspace_rejects_inverted_bounds():
         Workspace(1, 0, 0, 1, 0, 1)
 
 
+@pytest.mark.parametrize("bounds", [(0, 2 ** 53 + 1, 0, 1, 0, 1), (0, 1, -2 ** 53 - 1, 0, 0, 1),
+                                    (0, 1, 0, 1, 0, 2 ** 70)], ids=["x_max", "y_min", "z_max"])
+def test_workspace_rejects_a_bound_past_2_pow_53(bounds):
+    with pytest.raises(ValueError, match=r"^workspace bounds must lie within -2\^53\.\.2\^53, got \["):
+        Workspace(*bounds)
+    keys = ("x_min", "x_max", "y_min", "y_max", "z_min", "z_max")
+    with pytest.raises(ValueError, match="workspace bounds must lie within"):
+        Workspace.from_dict(dict(zip(keys, bounds)))
+
+
+def test_workspace_bounds_of_plus_or_minus_2_pow_53_are_kept():
+    w = Workspace(2 ** 53 - 1, 2 ** 53, -2 ** 53, -2 ** 53, 0, 1)
+    assert w.bounds == (2 ** 53 - 1, 2 ** 53, -2 ** 53, -2 ** 53, 0, 1) and w.volume() == 4
+    assert Workspace.from_dict(w.to_dict()) == w
+
+
 def test_workspace_rejects_outside_obstacle():
     with pytest.raises(ValueError):
         Workspace(0, 2, 0, 2, 0, 2, obstacles=frozenset({C(5, 0, 0)}))

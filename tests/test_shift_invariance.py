@@ -87,3 +87,17 @@ def test_decodes_of_a_shifted_batch_are_the_shifted_paths(items, models, name, c
     assert [(g.score, g.terminated_by) for g in got] == [(w.score, w.terminated_by) for w in want]
     if name == "trained":
         assert len({len(w.trajectory) for w in want}) > 2  # the paths are not all one length
+
+
+@pytest.mark.parametrize("name", ["random", "trained"])
+def test_goal_signs_are_exact_at_plus_or_minus_2_pow_53(items, models, name):
+    # a record moved so that its box and its target reach the edge of the coordinate range reads the same
+    # signs, and so the same logits
+    model = models[name]
+    for edge, side in ((2 ** 53, 1), (-2 ** 53, 0)):
+        traj, ctx, w = next(it for it in items if it[1].target is not None and it[1].target.x == it[2].bounds[side])
+        d = (edge - ctx.target.x, 0, 0)
+        batch, moved = (make_loss_batch([it], model.cfg) for it in ((traj, ctx, w), shift_item(traj, ctx, w, d)))
+        assert moved.ctx_mat[0, -4] == edge
+        np.testing.assert_array_equal(model.forward_batch(moved.points, moved.ctx_mat).data,
+                                      model.forward_batch(batch.points, batch.ctx_mat).data)

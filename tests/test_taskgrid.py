@@ -104,6 +104,14 @@ def test_context_round_trips_through_dict():
     assert TaskContext.from_dict(no_target.to_dict()) == no_target
 
 
+def test_a_target_past_2_pow_53_is_refused_and_one_at_it_is_read():
+    ctx = build_context(diamond_graph(), 1, sequence_length_hint=3, target=LatticeCoord(2 ** 53, -2 ** 53, 0))
+    assert TaskContext.from_dict(ctx.to_dict()) == ctx
+    for target in ([2 ** 53 + 1, 0, 0], [0, -2 ** 53 - 1, 0], [0, 0, 1e300]):
+        with pytest.raises(ValueError, match=r"^context.target must lie within -2\^53\.\.2\^53, got \["):
+            TaskContext.from_dict({**ctx.to_dict(), "target": target})
+
+
 def test_negative_length_hint_rejected():
     with pytest.raises(ValueError):
         TaskContext(task_feature_vector=(0.0,), active_task_kind="reach", sequence_length_hint=-1)
