@@ -275,8 +275,9 @@ def cmd_train(args) -> int:
 
     model = mcfg = None
     if cfg["resume"] is not None:
-        model, optimizer, _ = load_checkpoint(cfg["resume"])
-        mcfg = model.cfg  # the checkpoint's architecture and optimizer win on resume
+        model, saved, _ = load_checkpoint(cfg["resume"])
+        mcfg = model.cfg  # the checkpoint's architecture and, if it saved one, its optimizer win on resume
+        optimizer = saved or optimizer
 
     def check(record):
         nonlocal mcfg
@@ -351,10 +352,7 @@ def cmd_decode(args) -> int:
     if cfg["checkpoint"] is None or cfg["records"] is None:
         raise CliError("config", "decode requires --checkpoint and --records")
     model, _, _ = load_checkpoint(cfg["checkpoint"])
-    if cfg["max_steps"] is None:
-        cfg["max_steps"] = model.cfg.max_seq_len
-    dcfg = _decode_config(cfg)
-    _check_search_length(dcfg, model)
+    dcfg = _decode_config(cfg, model)
     records = read_records(cfg["records"], check=lambda r: _check_decodable(model.cfg, r))
     counters = DecodeCounters()
     preds = decode_records(model, records, dcfg, counters)
@@ -364,20 +362,23 @@ def cmd_decode(args) -> int:
     return 0
 
 
-def _decode_config(cfg: dict) -> DecodeConfig:
-    """The search settings of a decode or sim config (sim has no coverage penalty key)."""
+def _decode_config(cfg: dict, model: PathModel | None) -> DecodeConfig:
+    """The search settings of a decode or sim config (sim has no coverage penalty key).
+
+    An unset max_steps is the model's max_seq_len (DecodeConfig's default without one); a larger
+    one is refused before any decoding, which would fail only once some path outgrew the model.
+    """
+    if cfg["max_steps"] is None:
+        cfg["max_steps"] = DecodeConfig.max_steps if model is None else model.cfg.max_seq_len
     max_steps, beam_width = _integer(cfg, "max_steps"), _integer(cfg, "beam_width")
     penalty = _number(cfg, "coverage_penalty_weight") if "coverage_penalty_weight" in cfg else 0.0
     with _config_errors():
-        return DecodeConfig(max_steps=max_steps, beam_width=beam_width, coverage_penalty_weight=penalty,
+        dcfg = DecodeConfig(max_steps=max_steps, beam_width=beam_width, coverage_penalty_weight=penalty,
                             mode=str(cfg["mode"]))
-
-
-def _check_search_length(dcfg: DecodeConfig, model: PathModel) -> None:
-    """Refuse, before any decoding, a search that would fail only once some path outgrew the model."""
-    if dcfg.max_steps > model.cfg.max_seq_len:
-        raise CliError("config", f"max_steps {dcfg.max_steps} exceeds the checkpoint's max_seq_len "
+    if model is not None and max_steps > model.cfg.max_seq_len:
+        raise CliError("config", f"max_steps {max_steps} exceeds the checkpoint's max_seq_len "
                                  f"{model.cfg.max_seq_len}")
+    return dcfg
 
 
 def _check_decodable(mcfg: ModelConfig, record) -> None:
@@ -415,18 +416,11 @@ def cmd_eval(args) -> int:
 
 def cmd_sim(args) -> int:
     defaults = {"seed": 0, "scenarios": None, "checkpoint": None,
-                "mode": "greedy", "beam_width": 5, "max_steps": 32}
-    file_cfg = _load_config_file(args.config)
-    cfg = _resolve(defaults, file_cfg, args)
+                "mode": "greedy", "beam_width": 5, "max_steps": None}
+    cfg = _resolve(defaults, _load_config_file(args.config), args)
     _integer(cfg, "seed")
-    dcfg = _decode_config(cfg)  # checked even when the BFS oracle plans, since the manifest echoes it
-    model = None
-    if cfg["checkpoint"] is not None:
-        model, _, _ = load_checkpoint(cfg["checkpoint"])
-        if "max_steps" not in file_cfg and args.max_steps is None:  # unset: the checkpoint's length, as in decode
-            cfg["max_steps"] = model.cfg.max_seq_len
-            dcfg = dataclasses.replace(dcfg, max_steps=model.cfg.max_seq_len)
-        _check_search_length(dcfg, model)
+    model = None if cfg["checkpoint"] is None else load_checkpoint(cfg["checkpoint"])[0]
+    dcfg = _decode_config(cfg, model)  # checked even when the BFS oracle plans, since the manifest echoes it
     scenarios = read_scenarios(cfg["scenarios"]) if cfg["scenarios"] is not None else default_scenario_pack()
     if not scenarios:
         raise CliError("config", "no scenarios to run")

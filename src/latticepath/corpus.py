@@ -21,11 +21,11 @@ import random
 import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import chain, starmap
+from itertools import starmap
 
 import numpy as np
 
-from .lattice import MOVES, LatticeCoord, LegalityGrid, Workspace, in_bounds, manhattan, read_cell, read_int
+from .lattice import MOVES, LatticeCoord, LegalityGrid, Workspace, in_bounds, manhattan, read_cells, read_int
 from .lattice import neighbors  # noqa: F401 (perfbench/tracer.py wraps corpus.neighbors)
 from .taskgrid import TaskContext, TaskGraph, build_context, chain_graph
 
@@ -466,7 +466,8 @@ def record_from_dict(d: dict, shared: dict | None = None) -> CorpusRecord:
     if type(version) is not int or version not in READABLE_SCHEMA_VERSIONS:
         raise CorpusFormatError(f"unsupported schema_version {version!r} (expected one of {READABLE_SCHEMA_VERSIONS})")
     task = _read_shared(shared, TaskGraph.from_dict, d["task_graph"]) if d.get("task_graph") is not None else None
-    traj = Trajectory(points=_read_points(d["points"]), task=task, seed=read_int(d["seed"], "seed"))
+    points = tuple(starmap(LatticeCoord, read_cells(d["points"], "points")))
+    traj = Trajectory(points=points, task=task, seed=read_int(d["seed"], "seed"))
     workspace = _read_shared(shared, Workspace.from_dict, d["workspace"])
     if version == 2 and "obstacle_bits" not in d["workspace"]:
         raise ValueError("workspace.obstacle_bits is missing")
@@ -494,14 +495,6 @@ def _read_shared(shared: dict | None, parse, entry):
     if value is None:
         value = shared[key] = parse(entry)
     return value
-
-
-def _read_points(points) -> tuple[LatticeCoord, ...]:
-    """A record's points, each as read_cell reads it; all-integer lists, the common case, skip the per-cell check."""
-    if (type(points) is list and set(map(type, points)) <= {list} and set(map(len, points)) <= {3}
-            and set(map(type, chain.from_iterable(points))) <= {int}):
-        return tuple(starmap(LatticeCoord, points))
-    return tuple(read_cell(p, f"points[{i}]") for i, p in enumerate(points))
 
 
 # One encoder for every line: the rows are the program's own acyclic dicts, so the cycle check is off.

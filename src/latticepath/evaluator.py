@@ -129,6 +129,8 @@ def evaluate_records(preds: list[CorpusRecord], golds: list[CorpusRecord]) -> Ev
     gold_by_seed = {r.trajectory.seed: r for r in golds}
     if len(gold_by_seed) != len(golds):
         raise ValueError("gold records have duplicate seeds; cannot pair")
+    if len({p.trajectory.seed for p in preds}) != len(preds):
+        raise ValueError("prediction records have duplicate seeds; cannot pair")
     triples = []
     for p in preds:
         g = gold_by_seed.pop(p.trajectory.seed, None)

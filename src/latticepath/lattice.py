@@ -238,8 +238,8 @@ class Workspace:
             if "obstacles" in d:
                 raise ValueError("workspace.obstacle_bits and workspace.obstacles are both present; give one")
             return box._with_rank_array(_unpack_ranks(d["obstacle_bits"], box.volume()))
-        obs = d.get("obstacles", [])
-        _check_obstacle_list(obs)
+        given = d.get("obstacles", [])
+        obs = read_cells(given, "workspace.obstacles")
         if not obs:
             return box
         x0, x1, y0, y1, z0, z1 = box.bounds
@@ -250,7 +250,7 @@ class Workspace:
         if cells is None or (cells.min(axis=0) < (x0, y0, z0)).any() or (cells.max(axis=0) > (x1, y1, z1)).any():
             i = next(i for i, (x, y, z) in enumerate(obs)
                      if not (x0 <= x <= x1 and y0 <= y <= y1 and z0 <= z <= z1))
-            raise ValueError(f"workspace.obstacles[{i}] = {_text(obs[i])} lies outside the workspace bounds")
+            raise ValueError(f"workspace.obstacles[{i}] = {_text(given[i])} lies outside the workspace bounds")
         _, ny, nz = box.shape
         return box._with_rank_array(_rank_array((cells - (x0, y0, z0)) @ (ny * nz, nz, 1)))
 
@@ -331,15 +331,17 @@ def read_step(v, name: str) -> int:
     return int(v)
 
 
-def _check_obstacle_list(obs) -> None:
-    """Raise ValueError, naming the entry, unless each entry is a cell as read_cell reads it."""
-    if not isinstance(obs, (list, tuple)):
-        raise ValueError(f"workspace.obstacles must be a list of [x, y, z] cells, got {_text(obs)}")
-    if not obs or (set(map(type, obs)) <= {list, tuple} and set(map(len, obs)) <= {3}
-            and set(map(type, chain.from_iterable(obs))) <= {int}):
-        return  # all-integer lists, the common case, are checked without a Python loop
-    for i, c in enumerate(obs):
-        read_cell(c, f"workspace.obstacles[{i}]")
+def read_cells(v, name: str) -> list | tuple:
+    """Entry `name` of a file as a list of (x, y, z) int cells, each as read_cell reads it, else a ValueError.
+
+    An all-integer list, the common case, is checked without a Python loop and returned unchanged.
+    """
+    if type(v) not in (list, tuple):
+        raise ValueError(f"{name} must be a list of [x, y, z] cells, got {_text(v)}")
+    if (set(map(type, v)) <= {list, tuple} and set(map(len, v)) <= {3}
+            and set(map(type, chain.from_iterable(v))) <= {int}):
+        return v
+    return [read_cell(c, f"{name}[{i}]").as_tuple() for i, c in enumerate(v)]
 
 
 @lru_cache(maxsize=64)

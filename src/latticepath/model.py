@@ -270,8 +270,6 @@ class PathModel:
         prefix = list(prefix)
         if not prefix:
             raise ValueError("prefix must be non-empty")
-        if len(prefix) > self.cfg.max_seq_len:
-            raise ValueError(f"prefix length {len(prefix)} exceeds max_seq_len {self.cfg.max_seq_len}")
         for p in prefix:
             if not in_bounds(p, w):
                 raise ValueError(f"prefix point {p} is out of bounds")

@@ -9,10 +9,11 @@ and, separately, the target.
 from __future__ import annotations
 
 import heapq
+import json
 import math
 from dataclasses import dataclass, field
 
-from .lattice import LatticeCoord, check_magnitude, read_cell, read_int, read_step
+from .lattice import LatticeCoord, check_magnitude, read_cell, read_int, read_number, read_step
 
 TASK_KINDS: tuple[str, ...] = ("reach", "grasp", "lift", "transport", "place", "release")
 
@@ -106,7 +107,11 @@ class TaskContext:
         if target is not None:
             target = read_cell(target, "context.target")
             check_magnitude(target.as_tuple(), "context.target")
-        feature = tuple(map(float, d["feature"]))
+        feature = d["feature"]
+        if type(feature) is not list:
+            raise ValueError(f"context.feature must be a list of numbers, got {json.dumps(feature)}")
+        feature = tuple(map(float, feature) if set(map(type, feature)) <= {float, int}  # all numbers: no loop
+                        else (read_number(v, f"context.feature[{i}]") for i, v in enumerate(feature)))
         if not all(map(math.isfinite, feature)):  # a NaN logit would defeat the decoder's legality mask
             i = next(i for i, v in enumerate(feature) if not math.isfinite(v))
             raise ValueError(f"context.feature[{i}] must be a finite number, got {feature[i]}")

@@ -9,7 +9,7 @@ import pytest
 from test_decoder_batched import decode_without_reuse
 
 from latticepath import cli
-from latticepath.checkpoint import load_checkpoint
+from latticepath.checkpoint import load_checkpoint, save_checkpoint
 from latticepath.cli import main
 from latticepath.corpus import read_records, write_records
 from latticepath.decoder import DecodeConfig, DecodeCounters, validate_path
@@ -786,7 +786,6 @@ WRONG_TYPE_CASES = {
     "decode-beam_width-null": ("decode", {"beam_width": None}),
     "eval-gold-pred-int": ("eval", {"gold": 0, "pred": 0}),
     "sim-scenarios-int": ("sim", {"scenarios": 1}),
-    "sim-max_steps-null": ("sim", {"checkpoint": "<ckpt>", "max_steps": None}),
 }
 
 
@@ -890,6 +889,19 @@ def test_train_resume_echoes_the_checkpoint_optimizer(tmp_path):
     echoed = json.loads((resumed / "manifest.json").read_text())["config"]
     assert echoed["optimizer"] == opt.cfg.to_dict()
     assert echoed["optimizer"] == json.loads((first / "manifest.json").read_text())["config"]["optimizer"]
+
+
+def test_train_resume_from_a_model_only_checkpoint_keeps_the_config_optimizer(tmp_path):
+    corpus = gen(tmp_path)
+    first = train(tmp_path, corpus, "first")
+    model, _, _ = load_checkpoint(first / "model.npz")
+    save_checkpoint(tmp_path / "model_only.npz", model)
+    resumed = tmp_path / "resumed"
+    assert run(["train", "--corpus", corpus / "corpus_train.jsonl", "--out", resumed, "--epochs", "1",
+                "--resume", tmp_path / "model_only.npz", "--lr", "0.5", "--optimizer", "momentum"]) == 0
+    _, opt, _ = load_checkpoint(resumed / "model.npz")
+    assert (opt.cfg.kind, opt.cfg.lr) == ("momentum", 0.5)
+    assert json.loads((resumed / "manifest.json").read_text())["config"]["optimizer"] == opt.cfg.to_dict()
 
 
 def test_sim_checkpoint_runs_scenes_outside_the_training_box(inputs, tmp_path):
@@ -1360,18 +1372,43 @@ NON_FINITE_FEATURE_ARGV = {  # a command, up to the flag that reads the broken r
 }
 
 
-@pytest.mark.parametrize("value", [math.nan, -math.inf], ids=["nan", "inf"])
+NON_NUMBER_FEATURES = {  # feature entry 3 (or, with no index, the whole feature) -> the error detail
+    "nan": (3, math.nan, "context.feature[3] must be a finite number, got nan"),
+    "inf": (3, -math.inf, "context.feature[3] must be a finite number, got -inf"),
+    "string": (3, "1.5", 'context.feature[3] must be a number, got "1.5"'),
+    "bool": (3, True, "context.feature[3] must be a number, got true"),
+    "not-a-list": (None, "123456789", 'context.feature must be a list of numbers, got "123456789"'),
+}
+
+
+@pytest.mark.parametrize("index, value, detail", NON_NUMBER_FEATURES.values(), ids=NON_NUMBER_FEATURES)
 @pytest.mark.parametrize("argv", NON_FINITE_FEATURE_ARGV.values(), ids=NON_FINITE_FEATURE_ARGV)
-def test_non_finite_context_feature_is_one_schema_error_naming_it(inputs, tmp_path, capsys, argv, value):
+def test_non_finite_context_feature_is_one_schema_error_naming_it(inputs, tmp_path, capsys, argv, index, value,
+                                                                   detail):
     rows = [json.loads(line) for line in inputs["<gold>"].read_text().splitlines()]
-    rows[1]["context"]["feature"][3] = value
+    if index is None:
+        rows[1]["context"]["feature"] = value
+    else:
+        rows[1]["context"]["feature"][index] = value
     bad = tmp_path / "bad.jsonl"
     bad.write_text("".join(json.dumps(r) + "\n" for r in rows))
     out = tmp_path / "never"
     capsys.readouterr()
     assert run([*(inputs.get(a, a) for a in argv), bad, "--out", out]) == 1
+    assert capsys.readouterr().err == f"error: schema: {bad}: line 2: malformed record ({detail})\n"
+    assert not out.exists()
+
+
+def test_points_that_are_not_a_list_are_one_schema_error(inputs, tmp_path, capsys):
+    rows = [json.loads(line) for line in inputs["<gold>"].read_text().splitlines()]
+    rows[1]["points"] = 5
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    out = tmp_path / "never"
+    capsys.readouterr()
+    assert run(["eval", "--gold", inputs["<gold>"], "--pred", bad, "--out", out]) == 1
     assert capsys.readouterr().err == (f"error: schema: {bad}: line 2: malformed record "
-                                       f"(context.feature[3] must be a finite number, got {value})\n")
+                                       f"(points must be a list of [x, y, z] cells, got 5)\n")
     assert not out.exists()
 
 
@@ -1391,11 +1428,15 @@ def test_max_steps_above_the_checkpoint_max_seq_len_is_one_config_error(tmp_path
 
 
 def test_sim_max_steps_defaults_to_the_checkpoint_max_seq_len(inputs, tmp_path):
-    model_sim, oracle_sim = tmp_path / "model_sim", tmp_path / "oracle_sim"
-    assert run(["sim", "--scenarios", inputs["<scenes>"], "--checkpoint", inputs["<ckpt>"], "--out", model_sim]) == 0
-    assert run(["sim", "--scenarios", inputs["<scenes>"], "--out", oracle_sim]) == 0
-    steps = [json.loads((d / "manifest.json").read_text())["config"]["max_steps"] for d in (model_sim, oracle_sim)]
-    assert steps == [24, 32]  # the fixture checkpoint's max_seq_len; without a checkpoint, 32
+    null = tmp_path / "null.json"
+    null.write_text(json.dumps({"max_steps": None}))  # null means unset, as in decode
+    for cfg in ([], ["--config", null]):
+        model_sim, oracle_sim = tmp_path / "model_sim", tmp_path / "oracle_sim"
+        assert run(["sim", *cfg, "--scenarios", inputs["<scenes>"], "--checkpoint", inputs["<ckpt>"],
+                    "--out", model_sim]) == 0
+        assert run(["sim", *cfg, "--scenarios", inputs["<scenes>"], "--out", oracle_sim]) == 0
+        steps = [json.loads((d / "manifest.json").read_text())["config"]["max_steps"] for d in (model_sim, oracle_sim)]
+        assert steps == [24, 32]  # the fixture checkpoint's max_seq_len; without a checkpoint, 32
 
 
 def test_gen_box_without_two_free_cells_is_one_config_error(tmp_path, capsys):

@@ -253,7 +253,8 @@ def test_points_read_as_read_cell_reads_them(tmp_path):
     for points, error in (([[float(x), y, z]], None), ([[x, y, True]], "points[0] must be three integers"),
                           ([[x, y, z], [x, y]], "points[1] must be three integers"),
                           ([[x, y, z, 0]], "points[0] must be three integers"),
-                          ([], "a trajectory needs at least one point")):
+                          ([], "a trajectory needs at least one point"),
+                          (5, "points must be a list of [x, y, z] cells, got 5")):
         write_jsonl(path, [{**row, "points": points}])
         if error is None:
             assert read_records(path)[0].trajectory.points == (C(x, y, z),)

@@ -235,8 +235,9 @@ def test_evaluate_records_rejects_unpaired_seeds():
 
 def test_evaluate_records_rejects_duplicate_gold_seeds():
     g = record(5, line((0, 0, 0), (1, 0, 0)))
-    with pytest.raises(ValueError, match="duplicate"):
-        evaluate_records([g], [g, g])
+    for side, preds, golds in (("gold", [g], [g, g]), ("prediction", [g, g], [g])):
+        with pytest.raises(ValueError, match=f"^{side} records have duplicate seeds; cannot pair$"):
+            evaluate_records(preds, golds)
 
 
 # formatting ----------------------------------------------------------------------

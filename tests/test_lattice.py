@@ -14,6 +14,7 @@ from latticepath.lattice import (
     move_index,
     neighbors,
     read_cell,
+    read_cells,
     read_step,
     voxelize,
 )
@@ -161,6 +162,24 @@ def test_read_cell_takes_three_integers_an_integral_float_counting():
     for bad in ([-0.6, -1, 4], [True, 0, 0], ["1", 0, 0], [0, 0], [0, 0, 0, 0], "abc", None, 5):
         with pytest.raises(ValueError, match=r"^points\[1\] must be three integers, got "):
             read_cell(bad, "points[1]")
+
+
+def test_read_cells_fast_path_and_per_cell_path_read_the_same_cells():
+    ints = [[1, -2, 3], (0, 0, 0)]
+    assert read_cells(ints, "points") is ints  # all integers: returned unchanged
+    assert read_cells([], "points") == []
+    for mixed in ([[1.0, -2, 3], (0, 0, 0)], [(1, -2.0, 3), [0.0, 0, 0.0]]):  # read cell by cell
+        assert read_cells(mixed, "points") == [tuple(c) for c in ints]
+
+
+def test_read_cells_names_the_first_bad_entry():
+    for bad, i in (([[0, 0, 0], [True, 0, 0], [0.5, 0, 0]], 1), ([[0, 0]], 0), ([[0, 0, 0], "abc"], 1),
+                   ([[1.0, 0, 0], [0, 0, 0, 0]], 1)):
+        with pytest.raises(ValueError, match=rf"^obstacles\[{i}\] must be three integers, got "):
+            read_cells(bad, "obstacles")
+    for bad in (5, "abc", None, {"x": 0}):
+        with pytest.raises(ValueError, match=r"^obstacles must be a list of \[x, y, z\] cells, got "):
+            read_cells(bad, "obstacles")
 
 
 def test_read_step_takes_non_negative_integers():
