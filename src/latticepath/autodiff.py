@@ -22,6 +22,19 @@ nothing is set. A 3-epoch d64/L2 desk `train` of 1,600 records (glibc 2.36,
 retaining sweep, 174k and 0.6 s with the freeing sweep alone, and 17k and
 0.07 s with both.
 
+What each op keeps for backward, besides its parents (whose data stays on
+the tape until the op's closure has run):
+- `+`, reshape, transpose, sum and mean: nothing;
+- `*`, `/` and `@`: nothing more, but they read both parents' data;
+- exp: its output; abs: nothing more (it reads its input);
+- gelu: its input and the tanh (x, t), its backward three buffers of x's size;
+- getitem: its index; put_rows: the row index;
+- linear: the 2-D view of its input;
+- embed: its int index arrays and its (N, 1) flag column;
+- softmax and log_softmax: the probabilities (log_softmax also its mask);
+- attention: the (B, H, T, T) probabilities and its row index;
+- layer_norm: the normalized input and the inverse deviation.
+
 attention() is causal multi-head attention as one node with a hand-written
 backward. Its tape keeps only the (B, H, T, T) probabilities; the backward
 places the packed q, k and v rows in the head layout again (three scatters)
@@ -245,8 +258,24 @@ class Tensor:
         out = _make(0.5 * x * (1.0 + t), (self,))
         if out._parents:
             def backward(g):
-                du = c * (1.0 + 3.0 * a * (x * x))
-                self._accumulate(g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t ** 2) * du))
+                # g * (0.5 * (1 + t) + 0.5 * x * (1 - t ** 2) * c * (1 + 3 * a * x * x)), in that
+                # expression's operations and order, in three buffers
+                du = np.multiply(x, x)
+                du *= 3.0 * a
+                du += 1.0
+                du *= c
+                s = np.square(t)
+                np.subtract(1.0, s, out=s)
+                h = np.multiply(0.5, x)
+                h *= s
+                h *= du
+                del du
+                np.add(1.0, t, out=s)
+                s *= 0.5
+                s += h
+                del h
+                s *= g
+                self._accumulate(s)
             out._backward = backward
         return out
 
@@ -369,6 +398,43 @@ def put_rows(x: Tensor, rows: np.ndarray, n: int) -> Tensor:
     if out._parents:
         def backward(g):
             x._accumulate(g[rows])
+        out._backward = backward
+    return out
+
+
+def _scatter_rows(rows: np.ndarray, g: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """Array of `shape` whose row r sums the rows g[i] with rows[i] == r, as getitem's backward sums them."""
+    return _bincount(rows[:, None] * shape[1] + np.arange(shape[1]), g, shape)
+
+
+def embed(signs: tuple[Tensor, Tensor, Tensor], sign_rows: np.ndarray, flag: np.ndarray,
+          task: Tensor, task_rows: np.ndarray, seq: Tensor, seq_rows: np.ndarray) -> Tensor:
+    """The (N, d) rows (signs[0][sign_rows[:, 0]] + signs[1][sign_rows[:, 1]] + signs[2][sign_rows[:, 2]])
+    * flag + task[task_rows] + seq[seq_rows] as one node.
+
+    The index arrays are int constants and flag an (N, 1) constant column.
+    The node keeps only those; its backward scatters its gradient, times flag
+    for the sign tables, into each table as getitem's backward does. It runs
+    the composition's numpy operations in its order, in place where it can,
+    so its output and gradients are bit-equal to it.
+    """
+    x = signs[0].data[sign_rows[:, 0]] + signs[1].data[sign_rows[:, 1]]
+    x += signs[2].data[sign_rows[:, 2]]
+    x *= flag
+    x += task.data[task_rows]
+    x += seq.data[seq_rows]
+    out = _make(x, (*signs, task, seq))
+    if out._parents:
+        def backward(g):
+            gf = g * flag
+            for s, rows in zip(signs, sign_rows.T):
+                if s.requires_grad:
+                    s._accumulate(_scatter_rows(rows, gf, s.data.shape))
+            del gf
+            if task.requires_grad:
+                task._accumulate(_scatter_rows(task_rows, g, task.data.shape))
+            if seq.requires_grad:
+                seq._accumulate(_scatter_rows(seq_rows, g, seq.data.shape))
         out._backward = backward
     return out
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 
 from .corpus import CorpusRecord, Trajectory, validate_path
-from .lattice import Workspace
+from .lattice import Workspace, read_number, read_object, read_step
 
 ERROR_LABELS = (
     "E1_tail_truncation",
@@ -47,10 +47,12 @@ class EvalReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EvalReport":
-        """Inverse of to_dict; a missing key is a KeyError (a missing error label counts 0)."""
-        return cls(**{m: float(d[m]) for m, _ in METRICS},
-                   error_counts={k: int(d["error_counts"].get(k, 0)) for k in ERROR_LABELS},
-                   n_pairs=int(d["n_pairs"]))
+        """Inverse of to_dict; a missing key is a KeyError (a missing error label counts 0), a value of the
+        wrong type a ValueError naming it."""
+        counts = read_object(read_object(d, "report")["error_counts"], "error_counts")
+        return cls(**{m: read_number(d[m], m) for m, _ in METRICS},
+                   error_counts={k: read_step(counts.get(k, 0), f"error_counts.{k}") for k in ERROR_LABELS},
+                   n_pairs=read_step(d["n_pairs"], "n_pairs"))
 
 
 def _pair_counts(pred: Trajectory, gold: Trajectory) -> tuple[int, int, int, int, int]:

@@ -232,6 +232,7 @@ class Workspace:
         A workspace carries `obstacles` or `obstacle_bits`, not both; with
         neither it has no obstacles.
         """
+        read_object(d, "workspace")
         bounds = (read_int(d[k], f"workspace.{k}") for k in ("x_min", "x_max", "y_min", "y_max", "z_min", "z_max"))
         box = cls(*bounds, resolution_mm=_read_resolution(d.get("resolution_mm", 20.0)))
         if "obstacle_bits" in d:
@@ -318,10 +319,24 @@ def read_int(v, name: str) -> int:
 
 
 def read_number(v, name: str) -> float:
-    """Entry `name` of a file as a float: an int or a float (not a bool), else a ValueError naming it."""
+    """Entry `name` of a file as a float: an int or a float (not a bool), else a ValueError naming it.
+
+    An int too large for a float is refused too.
+    """
     if type(v) not in (int, float):
         raise ValueError(f"{name} must be a number, got {_text(v)}")
-    return float(v)
+    try:
+        return float(v)
+    except OverflowError:
+        raise ValueError(f"{name} must be a number that fits a float, got an integer of {len(str(abs(v)))} digits"
+                         ) from None
+
+
+def read_object(v, name: str) -> dict:
+    """Entry `name` of a file as a JSON object, else a ValueError naming it."""
+    if type(v) is not dict:
+        raise ValueError(f"{name} must be an object, got {_text(v)}")
+    return v
 
 
 def read_step(v, name: str) -> int:

@@ -207,7 +207,7 @@ class PathModel:
         points is an int array (B, T, 3); ctx_mat is (B, task_feature_width +
         goal block) as produced by context_features: each position embeds the
         goal-sign rows of its cell against its row's target, its row's task
-        features and its position. Causal masking keeps
+        features and its position, in one tape node (ad.embed). Causal masking keeps
         position t blind to later positions, so right padding never leaks into
         real positions.
 
@@ -246,10 +246,9 @@ class PathModel:
         row, pos = np.divmod(real, T)
         goal = ctx_mat[row, -GOAL_FEATURE_WIDTH:]  # target x, y, z and has-target flag of each real position
         sign = (np.sign(goal[:, :3] - points.reshape(B * T, 3)[real]) + 1).astype(np.int64)
-        x = (P["sign_x"][sign[:, 0]] + P["sign_y"][sign[:, 1]] + P["sign_z"][sign[:, 2]]) * goal[:, 3:]
         task = ad.linear(Tensor(ctx_mat[:, :-GOAL_FEATURE_WIDTH]), P["task_w"], P["task_b"])
-        x = x + task[row]
-        x = x + P["seq"][t0 + pos]
+        flag = goal[:, 3:].copy()  # a column of its own, so the tape does not keep all of goal
+        x = ad.embed((P["sign_x"], P["sign_y"], P["sign_z"]), sign, flag, task, row, P["seq"], t0 + pos)
 
         for i in range(self.cfg.num_layers):
             h = ad.layer_norm(x, P[f"l{i}.ln1_g"], P[f"l{i}.ln1_b"])

@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .lattice import LatticeCoord, check_magnitude, read_cell, read_int, read_number, read_step
+from .lattice import LatticeCoord, check_magnitude, read_cell, read_int, read_number, read_object, read_step
 
 TASK_KINDS: tuple[str, ...] = ("reach", "grasp", "lift", "transport", "place", "release")
 
@@ -65,13 +65,14 @@ class TaskGraph:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TaskGraph":
-        nodes = tuple(
-            TaskNode(read_int(n["id"], f"task_graph.nodes[{i}].id"), str(n["kind"]), dict(n.get("attributes", {})))
-            for i, n in enumerate(d["nodes"])
-        )
+        nodes = []
+        for i, n in enumerate(read_object(d, "task_graph")["nodes"]):
+            name = f"task_graph.nodes[{i}]"
+            attributes = read_object(read_object(n, name).get("attributes", {}), f"{name}.attributes")
+            nodes.append(TaskNode(read_int(n["id"], f"{name}.id"), str(n["kind"]), dict(attributes)))
         edges = tuple((read_int(a, f"task_graph.edges[{i}][0]"), read_int(b, f"task_graph.edges[{i}][1]"))
                       for i, (a, b) in enumerate(d["edges"]))
-        return cls(nodes, edges)
+        return cls(tuple(nodes), edges)
 
 
 @dataclass(frozen=True)
@@ -103,15 +104,19 @@ class TaskContext:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TaskContext":
-        target = d.get("target")
+        target = read_object(d, "context").get("target")
         if target is not None:
             target = read_cell(target, "context.target")
             check_magnitude(target.as_tuple(), "context.target")
-        feature = d["feature"]
-        if type(feature) is not list:
-            raise ValueError(f"context.feature must be a list of numbers, got {json.dumps(feature)}")
-        feature = tuple(map(float, feature) if set(map(type, feature)) <= {float, int}  # all numbers: no loop
-                        else (read_number(v, f"context.feature[{i}]") for i, v in enumerate(feature)))
+        given = d["feature"]
+        if type(given) is not list:
+            raise ValueError(f"context.feature must be a list of numbers, got {json.dumps(given)}")
+        try:  # all numbers: no loop
+            feature = tuple(map(float, given)) if set(map(type, given)) <= {float, int} else None
+        except OverflowError:  # an int too large for a float, which read_number names
+            feature = None
+        if feature is None:
+            feature = tuple(read_number(v, f"context.feature[{i}]") for i, v in enumerate(given))
         if not all(map(math.isfinite, feature)):  # a NaN logit would defeat the decoder's legality mask
             i = next(i for i, v in enumerate(feature) if not math.isfinite(v))
             raise ValueError(f"context.feature[{i}] must be a finite number, got {feature[i]}")

@@ -52,7 +52,7 @@ import numpy as np
 
 from .corpus import Trajectory, UnreachableGoalError, oracle_path, read_jsonl, write_jsonl
 from .decoder import DecodeConfig, DecodeCounters, decode_batch
-from .lattice import LatticeCoord, Workspace, in_bounds, manhattan, read_cell, read_step
+from .lattice import LatticeCoord, Workspace, in_bounds, manhattan, read_cell, read_object, read_step
 from .taskgrid import build_context, reach_only_graph
 
 FAILURE_MODES = ("no_state", "occlusion_cluster", "nested_block", "mis_id", "mechanical_slip")
@@ -105,7 +105,7 @@ class Scene:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Scene":
-        container = d.get("container")
+        container = read_object(d, "scene").get("container")
         if not (container is None or (type(container) is list and container)):
             raise ValueError(f"container must be null or a non-empty list of cells, got {json.dumps(container)}")
         return cls(
@@ -171,7 +171,7 @@ class Event:
     @classmethod
     def from_dict(cls, d: dict) -> "Event":
         return cls(
-            kind=str(d["kind"]),
+            kind=str(read_object(d, "event")["kind"]),
             step=d["step"],
             cell=read_cell(d["cell"], "event.cell") if d.get("cell") is not None else None,
             mode=d.get("mode"),

@@ -8,14 +8,17 @@ the weight and bias gradients summed down by _unbroadcast; the scatters run
 np.add.at into zeros; softmax and log_softmax each check and fill their own
 mask; attention is the composition of put_rows, the head reshape and
 transpose, q @ k^T, the scale, the masked softmax, @ v, the merge and
-take_rows, whose tape keeps every intermediate; make_loss_batch derives
+take_rows, whose tape keeps every intermediate; embed is the three sign
+gathers and their sum, the has-target multiply and the task-row and position
+gathers and adds, ten nodes whose tape keeps every gather and sum; make_loss_batch derives
 every record's rows inside the batch loop, its on-path mask from a set of
 the path's cells. composite_loss is the loss with the coord term over the
 whole box of the batch's workspace: successor mass scattered onto flat cell
 indices (plus a dump slot for cells outside the box) and compared with dense
 gold-cell and start indicators. reference_engine() installs the autodiff
 ones in latticepath.autodiff, so a whole forward and backward pass of the
-model runs on this code; reference_attention() installs attention alone.
+model runs on this code; reference_attention() and reference_embedding()
+install attention alone and embed alone.
 """
 
 import math
@@ -230,6 +233,13 @@ def attention(q, k, v, shape, heads, rows=None, extend=None):
     return out if rows is None else take_rows(out, rows)
 
 
+def embed(signs, sign_rows, flag, task, task_rows, seq, seq_rows):
+    """ad.embed as the composition of autodiff ops it replaced (same arguments)."""
+    x = (signs[0][sign_rows[:, 0]] + signs[1][sign_rows[:, 1]] + signs[2][sign_rows[:, 2]]) * flag
+    x = x + task[task_rows]
+    return x + seq[seq_rows]
+
+
 def make_loss_batch(items, cfg):
     if not items:
         raise ValueError("batch must be non-empty")
@@ -357,6 +367,7 @@ _PATCHES = (
     (ad, "softmax", softmax),
     (ad, "log_softmax", log_softmax),
     (ad, "attention", attention),
+    (ad, "embed", embed),
 )
 
 
@@ -380,3 +391,8 @@ def reference_engine():
 def reference_attention():
     """Run the block with the attention composition above and the fast code for everything else."""
     return _installed(((ad, "attention", attention),))
+
+
+def reference_embedding():
+    """Run the block with the embedding composition above and the fast code for everything else."""
+    return _installed(((ad, "embed", embed),))

@@ -1,6 +1,7 @@
 """The fused training hot path against the code it replaced (tests/reference_autodiff.py)."""
 
 import contextlib
+import math
 
 import numpy as np
 import pytest
@@ -94,6 +95,30 @@ def test_gelu_matches_pow_cube_reference(shape):
     ref_out, (rg,) = grads(ref.gelu, x)
     close(out, ref_out)
     close(g, rg)
+
+
+def expression_gelu_grad(x, g):
+    """Tensor.gelu's input gradient as the one numpy expression its backward evaluated before it took buffers."""
+    c, a = math.sqrt(2.0 / math.pi), 0.044715
+    t = np.tanh(c * (x + a * (x * x * x)))
+    du = c * (1.0 + 3.0 * a * (x * x))
+    return g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t ** 2) * du)
+
+
+GELU_SCALES = {"unit": 1.0, "wide": 30.0, "huge": 1e150}
+GELU_EDGES = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e-160, 3.0, -3.0, 40.0, -40.0, 1e154, -1e154,
+                       1e200, -1e200, 1.7e308, -1.7e308])  # x * x overflows from about 1.3e154
+
+
+@pytest.mark.parametrize("scale", GELU_SCALES.values(), ids=GELU_SCALES.keys())
+def test_gelu_backward_equals_the_expression_it_replaced_byte_for_byte(scale):
+    x = np.concatenate([rng(11).normal(size=(40, 24)).ravel() * scale, GELU_EDGES]).reshape(-1, 8)
+    g = rng(12).normal(size=x.shape) * np.where(rng(13).random(x.shape) < 0.1, 1e200, 1.0)
+    t = Tensor(x, requires_grad=True)
+    with np.errstate(all="ignore"):
+        t.gelu()._backward(g)
+        want = expression_gelu_grad(x, g)
+    assert t.grad.tobytes() == want.tobytes()
 
 
 # scatters ----------------------------------------------------------------------

@@ -752,6 +752,84 @@ def test_malformed_obstacles_in_record_and_scenario_files_are_schema_errors(tmp_
         assert err.count("\n") == 1 and not out.exists()
 
 
+# input files edited by hand ----------------------------------------------------------
+
+HUGE = 10 ** 400  # a JSON integer that no float holds
+
+
+def _set(*path_and_value):
+    """The edit of a JSON object that sets the entry at the key path to the value."""
+    *path, value = path_and_value
+
+    def edit(row):
+        for k in path[:-1]:
+            row = row[k]
+        row[path[-1]] = value
+    return edit
+
+
+DECODE, SIM, REPORT = ["decode", "--checkpoint", "<ckpt>", "--records"], ["sim", "--scenarios"], ["report"]
+EVAL_GOLD = ["eval", "--pred", "<pred>", "--gold"]
+READER_CASES = {  # command (the edited file last), the file edited, the edit of its first row (or the row that
+    # replaces it), the one error line
+    "eval-context-int": (EVAL_GOLD, "<gold>", _set("context", 5),
+                         "malformed record (context must be an object, got 5)"),
+    "decode-workspace-int": (DECODE, "<gold>", _set("workspace", 5),
+                             "malformed record (workspace must be an object, got 5)"),
+    "decode-task_graph-int": (DECODE, "<gold>", _set("task_graph", 5),
+                              "malformed record (task_graph must be an object, got 5)"),
+    "eval-task_graph-node-list": (EVAL_GOLD, "<gold>", _set("task_graph", "nodes", 0, [0]),
+                                  "malformed record (task_graph.nodes[0] must be an object, got [0])"),
+    "eval-feature-huge": (EVAL_GOLD, "<gold>", _set("context", "feature", 0, HUGE),
+                          "malformed record (context.feature[0] must be a number that fits a float, "
+                          "got an integer of 401 digits)"),
+    "decode-feature-huge-among-floats": (DECODE, "<gold>", _set("context", "feature", 3, -HUGE),
+                                         "malformed record (context.feature[3] must be a number that fits a "
+                                         "float, got an integer of 401 digits)"),
+    "sim-scene-int": (SIM, "<scenes>", _set("scene", 5), "malformed record (scene must be an object, got 5)"),
+    "sim-scene-workspace-list": (SIM, "<scenes>", _set("scene", "workspace", []),
+                                 "malformed record (workspace must be an object, got [])"),
+    "sim-event-string": (SIM, "<scenes>", _set("events", ["slip"]),
+                         'malformed record (event must be an object, got "slip")'),
+    "report-error_counts-int": (REPORT, "<report>", _set("error_counts", 5),
+                                "not an eval report (error_counts must be an object, got 5)"),
+    "report-error_count-fraction": (REPORT, "<report>", _set("error_counts", "E2_adjacent_swap", 1.5),
+                                    "not an eval report (error_counts.E2_adjacent_swap must be a non-negative "
+                                    "integer, got 1.5)"),
+    "report-n_pairs-string": (REPORT, "<report>", _set("n_pairs", "8"),
+                              'not an eval report (n_pairs must be a non-negative integer, got "8")'),
+    "report-f1-huge": (REPORT, "<report>", _set("f1", HUGE),
+                       "not an eval report (f1 must be a number that fits a float, got an integer of 401 digits)"),
+    "report-int": (REPORT, "<report>", lambda row: 5, "not an eval report (report must be an object, got 5)"),
+}
+
+
+@pytest.mark.parametrize("argv, source, edit, detail", READER_CASES.values(), ids=READER_CASES)
+def test_an_input_file_edited_by_hand_is_one_schema_error(inputs, tmp_path, capsys, argv, source, edit, detail):
+    if source == "<report>":
+        rows = [dataclasses.asdict(cli.EvalReport(0.5, 0.5, 0.5, 0.5, 100.0, {"E1_tail_truncation": 1}, 8))]
+    else:
+        rows = [json.loads(line) for line in inputs[source].read_text().splitlines()]
+    rows[0] = edit(rows[0]) or rows[0]
+    bad = tmp_path / "bad.json"
+    bad.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    out = tmp_path / "never"
+    capsys.readouterr()
+    assert run([inputs.get(a, a) for a in argv] + [bad, "--out", out]) == 1
+    where = f"{bad}: line 1:" if source != "<report>" else f"{bad}:"
+    assert capsys.readouterr().err == f"error: schema: {where} {detail}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, cfg, key", [
+    ("train", {"optimizer": {"lr": HUGE}}, "optimizer.lr"),
+    ("gen", {"obstacle_density": -HUGE}, "obstacle_density"),
+], ids=["train-lr-huge", "gen-obstacle_density-huge"])
+def test_an_integer_too_large_for_a_float_is_one_config_error(inputs, tmp_path, capsys, command, cfg, key):
+    err = config_error(inputs, tmp_path, capsys, command, cfg)
+    assert err == f"error: config: {key} must be a number that fits a float, got an integer of 401 digits\n"
+
+
 # config values and flags -----------------------------------------------------------
 
 
