@@ -339,14 +339,12 @@ def _model_config(m: dict, first) -> ModelConfig:
 # decode ---------------------------------------------------------------------------
 
 
+# The search keys of decode and sim; an unset max_steps comes from the checkpoint (see _decode_config).
+SEARCH_DEFAULTS = {"mode": DecodeConfig.mode, "beam_width": DecodeConfig.beam_width, "max_steps": None}
+
+
 def cmd_decode(args) -> int:
-    defaults = {
-        **dataclasses.asdict(DecodeConfig()),
-        "seed": 0,
-        "checkpoint": None,
-        "records": None,
-        "max_steps": None,
-    }
+    defaults = {"seed": 0, "checkpoint": None, "records": None, **SEARCH_DEFAULTS}
     cfg = _resolve(defaults, _load_config_file(args.config), args)
     _integer(cfg, "seed")
     if cfg["checkpoint"] is None or cfg["records"] is None:
@@ -363,7 +361,7 @@ def cmd_decode(args) -> int:
 
 
 def _decode_config(cfg: dict, model: PathModel | None) -> DecodeConfig:
-    """The search settings of a decode or sim config (sim has no coverage penalty key).
+    """The search settings of a decode or sim config.
 
     An unset max_steps is the model's max_seq_len (DecodeConfig's default without one); a larger
     one is refused before any decoding, which would fail only once some path outgrew the model.
@@ -371,10 +369,8 @@ def _decode_config(cfg: dict, model: PathModel | None) -> DecodeConfig:
     if cfg["max_steps"] is None:
         cfg["max_steps"] = DecodeConfig.max_steps if model is None else model.cfg.max_seq_len
     max_steps, beam_width = _integer(cfg, "max_steps"), _integer(cfg, "beam_width")
-    penalty = _number(cfg, "coverage_penalty_weight") if "coverage_penalty_weight" in cfg else 0.0
     with _config_errors():
-        dcfg = DecodeConfig(max_steps=max_steps, beam_width=beam_width, coverage_penalty_weight=penalty,
-                            mode=str(cfg["mode"]))
+        dcfg = DecodeConfig(max_steps=max_steps, beam_width=beam_width, mode=str(cfg["mode"]))
     if model is not None and max_steps > model.cfg.max_seq_len:
         raise CliError("config", f"max_steps {max_steps} exceeds the checkpoint's max_seq_len "
                                  f"{model.cfg.max_seq_len}")
@@ -415,8 +411,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sim(args) -> int:
-    defaults = {"seed": 0, "scenarios": None, "checkpoint": None,
-                "mode": "greedy", "beam_width": 5, "max_steps": None}
+    defaults = {"seed": 0, "scenarios": None, "checkpoint": None, **SEARCH_DEFAULTS}
     cfg = _resolve(defaults, _load_config_file(args.config), args)
     _integer(cfg, "seed")
     model = None if cfg["checkpoint"] is None else load_checkpoint(cfg["checkpoint"])[0]
@@ -516,7 +511,6 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--records", help="gold records supplying start cells and contexts")
     d.add_argument("--mode", choices=("greedy", "beam"))
     d.add_argument("--beam-width", type=int)
-    d.add_argument("--coverage-weight", dest="coverage_penalty_weight", type=float)
     d.add_argument("--max-steps", type=int)
     d.set_defaults(func=cmd_decode)
 

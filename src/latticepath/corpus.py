@@ -25,7 +25,8 @@ from itertools import starmap
 
 import numpy as np
 
-from .lattice import MOVES, LatticeCoord, LegalityGrid, Workspace, in_bounds, manhattan, read_cells, read_int
+from .lattice import (MOVES, LatticeCoord, LegalityGrid, Workspace, in_bounds, manhattan, read_cells, read_int,
+                      read_str)
 from .lattice import neighbors  # noqa: F401 (perfbench/tracer.py wraps corpus.neighbors)
 from .taskgrid import TaskContext, TaskGraph, build_context, chain_graph
 
@@ -116,6 +117,10 @@ class CorpusRecord:
             raise ValueError(f"terminated_by must be one of {', '.join(TERMINATION_KINDS)}, got {self.terminated_by!r}")
 
 
+# The largest count: the split rule ranks the whole seed chain first, about 215 B a seed (10^6: ~270 MB).
+MAX_COUNT = 1_000_000
+
+
 @dataclass(frozen=True)
 class GenerationConfig:
     workspace: Workspace
@@ -128,8 +133,8 @@ class GenerationConfig:
     def __post_init__(self) -> None:
         if not (0.0 <= self.obstacle_density <= 0.2):
             raise ValueError("obstacle_density must lie in [0, 0.2]")
-        if self.count < 0:
-            raise ValueError("count must be non-negative")
+        if not 0 <= self.count <= MAX_COUNT:
+            raise ValueError(f"count must lie in [0, {MAX_COUNT}], got {self.count}")
         if not (0.0 < self.train_fraction < 1.0):
             raise ValueError("train_fraction must lie strictly between 0 and 1")
         if self.max_path_length < 2:
@@ -480,7 +485,7 @@ def record_from_dict(d: dict, shared: dict | None = None) -> CorpusRecord:
         trajectory=traj,
         workspace=workspace,
         context=TaskContext.from_dict(d["context"]),
-        split_tag=str(d["split_tag"]),
+        split_tag=read_str(d["split_tag"], "split_tag"),
         score=None if score is None else float(score),
         terminated_by=d.get("terminated_by"),
     )

@@ -19,9 +19,7 @@ rows in four on desk inputs), so only the other rows run through the
 model, and it stops stepping the hypotheses that can no longer win against
 the floor or against a finished hypothesis (see _search). A hypothesis
 score is the sum of chosen-action log-probabilities (math.log, so scores
-do not depend on numpy's log) minus an optional coverage penalty (weighted
-Manhattan distance from the hypothesis end to the context target), which
-discourages early truncation. DecodeCounters tallies model steps, rows
+do not depend on numpy's log). DecodeCounters tallies model steps, rows
 stepped, rows reused, candidates ranked, rows pruned, jobs decoded again
 and terminations.
 """
@@ -50,7 +48,6 @@ Job = tuple[LatticeCoord, TaskContext, Workspace]
 class DecodeConfig:
     max_steps: int = 32
     beam_width: int = 5
-    coverage_penalty_weight: float = 0.0
     mode: str = "greedy"
 
     def __post_init__(self) -> None:
@@ -58,10 +55,6 @@ class DecodeConfig:
             raise ValueError("max_steps must be non-negative")
         if self.beam_width < 1:
             raise ValueError("beam_width must be at least 1")
-        if not math.isfinite(self.coverage_penalty_weight):
-            raise ValueError(f"coverage_penalty_weight must be finite, got {self.coverage_penalty_weight}")
-        if self.coverage_penalty_weight < 0:
-            raise ValueError("coverage_penalty_weight must be non-negative")
         if self.mode not in ("greedy", "beam"):
             raise ValueError(f"mode must be 'greedy' or 'beam', got {self.mode!r}")
 
@@ -163,33 +156,19 @@ def _position_in_job(job: np.ndarray) -> np.ndarray:
     return np.arange(len(job)) - np.searchsorted(job, job)
 
 
-def _best(pool: _Rows, score: np.ndarray, width: int) -> _Rows:
-    """The best `width` rows of every job, in rank order, ranked afresh.
+def _best(pool: _Rows, width: int) -> _Rows:
+    """The best `width` rows of every job by log_sum, in rank order, ranked afresh.
 
-    A row's key is (job, -score, rank, action): a child's move sequence is
+    A row's key is (job, -log_sum, rank, action): a child's move sequence is
     its parent's plus one action, and a finished row (action STOP, no
     children) compares with every child of another row as with that row,
-    so the key orders each job as (-score, move sequence) does.
+    so the key orders each job as (-log_sum, move sequence) does.
     """
-    order = np.lexsort((pool.action, pool.rank, -score, pool.job))
+    order = np.lexsort((pool.action, pool.rank, -pool.log_sum, pool.job))
     kept = pool.take(order[_position_in_job(pool.job[order]) < width])
     lex = np.lexsort((kept.action, kept.rank, kept.job))
     kept.rank[lex] = _position_in_job(kept.job[lex])
     return kept
-
-
-def _scorer(jobs: list[Job], cfg: DecodeConfig):
-    """Row scores: log-probability sum minus the weighted distance from the row's cell to its target."""
-    if cfg.coverage_penalty_weight == 0.0:
-        return lambda rows: rows.log_sum
-    weight = np.array([0.0 if ctx.target is None else cfg.coverage_penalty_weight for _, ctx, _ in jobs])
-    target = np.array([(0, 0, 0) if ctx.target is None else ctx.target.as_tuple() for _, ctx, _ in jobs],
-                      dtype=np.int64).reshape(-1, 3)
-
-    def score(rows: _Rows) -> np.ndarray:
-        return rows.log_sum - weight[rows.job] * np.abs(rows.path[:, -1] - target[rows.job]).sum(axis=1)
-
-    return score
 
 
 # the search ---------------------------------------------------------------------------
@@ -294,19 +273,18 @@ def _search(model, batch: _Batch, cfg: DecodeConfig, width: int, counters: Decod
     product can differ in its last bits from the same row computed
     alongside others, and so can a score.
 
-    Given `floor` (each job's greedy path; no coverage penalty), every step
-    but the last drops the live rows whose log_sum is below their job's bar:
-    the higher of the floor (the greedy score if that rollout stopped, else
-    -inf) and the best finished hypothesis in the job's beam. This returns
-    what decode_batch returns unpruned:
+    Given `floor` (each job's greedy path), every step but the last drops
+    the live rows whose log_sum is below their job's bar: the higher of the
+    floor (the greedy score if that rollout stopped, else -inf) and the best
+    finished hypothesis in the job's beam. This returns what decode_batch
+    returns unpruned:
     - math.log(p) <= 0, so a row's log_sum, and in floating point every
       descendant's too, is at most its own;
-    - with no coverage penalty a row's score is its log_sum, so every row at
-      or above the bar ranks above every row below it. Rows below the bar
-      never displace one at or above it, and the rows at or above the bar
-      evolve as they do unpruned. When a finished row leaves the beam and
-      the bar falls, B rows ranked above it, so the beam is the unpruned
-      beam again;
+    - a row's score is its log_sum, so every row at or above the bar ranks
+      above every row below it. Rows below the bar never displace one at or
+      above it, and the rows at or above the bar evolve as they do unpruned.
+      When a finished row leaves the beam and the bar falls, B rows ranked
+      above it, so the beam is the unpruned beam again;
     - decode_batch returns `g if g.score > b.score else b`, so an answer
       below the floor is never returned: a job that pruning left with no
       row returns its floor.
@@ -319,7 +297,6 @@ def _search(model, batch: _Batch, cfg: DecodeConfig, width: int, counters: Decod
     """
     ctx_mat, grids = batch.ctx_mat, batch.grids
     cache = KVCache()  # keys and values of the rows that step (those off the greedy prefix), in row order
-    score = _scorer(batch.jobs, cfg)
     n = len(batch.jobs)
     none = np.full(n, -1)
     starts = np.array([start.as_tuple() for start, _, _ in batch.jobs], dtype=np.int64).reshape(n, 1, 3)
@@ -367,7 +344,7 @@ def _search(model, batch: _Batch, cfg: DecodeConfig, width: int, counters: Decod
                 pool, done = pool + done.take(waiting), done.take(~waiting)
         counters.candidates += len(pool)
         if width > 1:  # at width 1 every job has one candidate: nothing to rank
-            pool = _best(pool, score(pool), width)
+            pool = _best(pool, width)
         finished = pool.action == STOP
         if finished.any():
             done, pool = done + pool.take(finished), pool.take(~finished)
@@ -399,15 +376,14 @@ def _search(model, batch: _Batch, cfg: DecodeConfig, width: int, counters: Decod
         live = pool
 
     rows = done + live
-    scores = score(rows)
-    order = np.lexsort((rows.rank, -scores, rows.action != STOP, rows.job))
+    order = np.lexsort((rows.rank, -rows.log_sum, rows.action != STOP, rows.job))
     kept, first = np.unique(rows.job[order], return_index=True)
     best = order[first]
     out = list(floor) if floor is not None else [None] * n  # a job left with no row returns its floor
     for j, b, path in zip(kept.tolist(), best.tolist(), rows.path[best].tolist()):
         while len(path) > 1 and path[-1] == path[-2]:  # a finished row repeats its last cell
             path.pop()
-        out[j] = _Found(path, float(scores[b]), "stop_token" if rows.action[b] == STOP else "max_steps")
+        out[j] = _Found(path, float(rows.log_sum[b]), "stop_token" if rows.action[b] == STOP else "max_steps")
     if floor is not None:
         above = np.zeros(n, dtype=bool)
         above[done.job[done.log_sum >= floor_score[done.job]]] = True
@@ -429,11 +405,10 @@ def decode_batch(model, jobs: list[Job], cfg: DecodeConfig, counters: DecodeCoun
     _search): on seed-1 desk_decode inputs that is about three rows in four.
     The greedy rollout is also a floor: where the width-B search ends below
     it, the greedy path is returned, so the beam score never falls below
-    the greedy score. With no coverage penalty the greedy paths also go
-    into the width-B search, which drops the hypotheses that can no longer
-    beat them; with a penalty, scores can rise as a row nears its target,
-    so that search runs unpruned. Width 1 returns the greedy paths. Both
-    stages share one batch of context features and legality grids.
+    the greedy score. The greedy paths also go into the width-B search,
+    which drops the hypotheses that can no longer beat them. Width 1
+    returns the greedy paths. Both stages share one batch of context
+    features and legality grids.
     """
     for start, _, w in jobs:
         if not in_bounds(start, w):
@@ -444,8 +419,7 @@ def decode_batch(model, jobs: list[Job], cfg: DecodeConfig, counters: DecodeCoun
     greedy = [] if beam else None
     found = _search(model, batch, cfg, 1, counters, greedy=greedy)
     if beam:
-        floor = found if cfg.coverage_penalty_weight == 0.0 else None
-        beams = _search(model, batch, cfg, cfg.beam_width, counters, floor, greedy)
+        beams = _search(model, batch, cfg, cfg.beam_width, counters, found, greedy)
         found = [g if g.score > b.score else b for g, b in zip(found, beams)]
     for f in found:
         counters.terminated[f.terminated_by] += 1

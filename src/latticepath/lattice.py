@@ -339,6 +339,24 @@ def read_object(v, name: str) -> dict:
     return v
 
 
+def read_str(v, name: str) -> str:
+    """Entry `name` of a file as a string, else a ValueError naming it."""
+    if type(v) is not str:
+        raise ValueError(f"{name} must be a string, got {_text(v)}")
+    return v
+
+
+def read_list(v, name: str, pairs: bool = False) -> list:
+    """Entry `name` of a file as a list (with `pairs`, of two-entry lists), else a ValueError naming it."""
+    if type(v) is not list:
+        raise ValueError(f"{name} must be a list, got {_text(v)}")
+    if pairs:
+        for i, e in enumerate(v):
+            if not (type(e) is list and len(e) == 2):
+                raise ValueError(f"{name}[{i}] must be a pair, got {_text(e)}")
+    return v
+
+
 def read_step(v, name: str) -> int:
     """A tick or count `name` as an int: a non-negative integer (an integral float counts), else a ValueError."""
     if not (_integral(v) and v >= 0):

@@ -13,7 +13,8 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .lattice import LatticeCoord, check_magnitude, read_cell, read_int, read_number, read_object, read_step
+from .lattice import (LatticeCoord, check_magnitude, read_cell, read_int, read_list, read_number, read_object,
+                      read_step, read_str)
 
 TASK_KINDS: tuple[str, ...] = ("reach", "grasp", "lift", "transport", "place", "release")
 
@@ -66,12 +67,13 @@ class TaskGraph:
     @classmethod
     def from_dict(cls, d: dict) -> "TaskGraph":
         nodes = []
-        for i, n in enumerate(read_object(d, "task_graph")["nodes"]):
+        for i, n in enumerate(read_list(read_object(d, "task_graph")["nodes"], "task_graph.nodes")):
             name = f"task_graph.nodes[{i}]"
             attributes = read_object(read_object(n, name).get("attributes", {}), f"{name}.attributes")
-            nodes.append(TaskNode(read_int(n["id"], f"{name}.id"), str(n["kind"]), dict(attributes)))
+            nodes.append(TaskNode(read_int(n["id"], f"{name}.id"), read_str(n["kind"], f"{name}.kind"),
+                                  dict(attributes)))
         edges = tuple((read_int(a, f"task_graph.edges[{i}][0]"), read_int(b, f"task_graph.edges[{i}][1]"))
-                      for i, (a, b) in enumerate(d["edges"]))
+                      for i, (a, b) in enumerate(read_list(d["edges"], "task_graph.edges", pairs=True)))
         return cls(tuple(nodes), edges)
 
 
@@ -122,7 +124,7 @@ class TaskContext:
             raise ValueError(f"context.feature[{i}] must be a finite number, got {feature[i]}")
         return cls(
             task_feature_vector=feature,
-            active_task_kind=str(d["active_kind"]),
+            active_task_kind=read_str(d["active_kind"], "context.active_kind"),
             sequence_length_hint=read_step(d.get("sequence_length_hint", 0), "context.sequence_length_hint"),
             target=target,
         )

@@ -12,8 +12,8 @@ scripted events perturb the run:
   without any global re-plan. Slips after the grasp, or to a cell outside
   the box or blocked, are ignored.
 * dynamic obstacle: if the remaining route crosses the activated cell, a
-  minimal local bypass (at most two extra cells) rejoins the original route
-  at the earliest shared cell; otherwise the episode fails as an
+  planned local bypass (at most two extra cells) rejoins the original route
+  at the earliest cell it can; otherwise the episode fails as an
   occlusion_cluster. An obstacle landing on the live target or the drop
   cell fails immediately.
 * fail: scripted outcome injection (no_state, mis_id, nested_block,
@@ -28,18 +28,17 @@ deterministic: scripted events, BFS with canonical tie-breaking, no RNG.
 
 Planning is lock-step. An episode is a generator that yields each plan
 request (start, goal, workspace) as it reaches it (the approach leg, then
-the transport leg from the approach's last cell, and both again after each
-slip) and is sent the planned trajectory, or has the request's
-UnreachableGoalError thrown into it. One driver steps every episode of a run
-to its next request and answers all pending requests with a single
-plan_batch call, so a model planner decodes a round of legs as one batch
-rather than one leg per call. A planner offers plan(start, goal, w), which
-returns a trajectory or raises UnreachableGoalError, and plan_batch(requests),
-which returns one answer per request: a trajectory or the
-UnreachableGoalError instance for that request only. run_scenarios drives
-all its scenes through plan_batch; run_episode_detailed drives one scene
-through plan, one call per request. Detours do not go through the planner:
-they call the BFS oracle directly.
+the transport leg from the approach's last cell, both again after each
+slip, and each bypass candidate) and is sent the planned trajectory, or has
+the request's UnreachableGoalError thrown into it. One driver steps every
+episode of a run to its next request and answers all pending requests with
+a single plan_batch call, so a model planner decodes a round of requests as
+one batch rather than one per call. A planner offers plan(start, goal, w),
+which returns a trajectory or raises UnreachableGoalError, and
+plan_batch(requests), which returns one answer per request: a trajectory or
+the UnreachableGoalError instance for that request only. run_scenarios
+drives all its scenes through plan_batch; run_episode_detailed drives one
+scene through plan, one call per request.
 """
 
 from __future__ import annotations
@@ -52,7 +51,8 @@ import numpy as np
 
 from .corpus import Trajectory, UnreachableGoalError, oracle_path, read_jsonl, write_jsonl
 from .decoder import DecodeConfig, DecodeCounters, decode_batch
-from .lattice import LatticeCoord, Workspace, in_bounds, manhattan, read_cell, read_object, read_step
+from .lattice import (LatticeCoord, Workspace, in_bounds, manhattan, read_cell, read_list, read_object, read_step,
+                      read_str)
 from .taskgrid import build_context, reach_only_graph
 
 FAILURE_MODES = ("no_state", "occlusion_cluster", "nested_block", "mis_id", "mechanical_slip")
@@ -119,7 +119,7 @@ class Scene:
             ),
             dynamic_obstacles=tuple(
                 (read_cell(c, f"dynamic_obstacles[{i}][0]"), step)
-                for i, (c, step) in enumerate(d.get("dynamic_obstacles", []))
+                for i, (c, step) in enumerate(read_list(d.get("dynamic_obstacles", []), "dynamic_obstacles", True))
             ),
         )
 
@@ -171,10 +171,10 @@ class Event:
     @classmethod
     def from_dict(cls, d: dict) -> "Event":
         return cls(
-            kind=str(read_object(d, "event")["kind"]),
+            kind=read_str(read_object(d, "event")["kind"], "event.kind"),
             step=d["step"],
             cell=read_cell(d["cell"], "event.cell") if d.get("cell") is not None else None,
-            mode=d.get("mode"),
+            mode=read_str(d["mode"], "event.mode") if d.get("mode") is not None else None,
         )
 
 
@@ -243,9 +243,10 @@ def with_activated(w: Workspace, cells) -> Workspace:
 class TwinCounters:
     """Seed-determined tallies of a lock-step run; no timings.
 
-    plan_requests counts the legs asked for, plan_batches the plan_batch
-    calls that answered them; ticks, regrounds and detours sum over the
-    episodes, and failure_modes counts the failed episodes by mode.
+    plan_requests counts the legs and bypass candidates asked for,
+    plan_batches the plan_batch calls that answered them; ticks, regrounds
+    and detours sum over the episodes, and failure_modes counts the failed
+    episodes by mode.
     """
 
     plan_requests: int = 0
@@ -334,8 +335,8 @@ def episode(scene: Scene, event_script: tuple[Event, ...] = ()) -> Generator[Pla
     def live_drop() -> LatticeCoord:
         return scene.drop_cell if scene.container is not None else current_target
 
-    def apply_detour(cell: LatticeCoord) -> bool:
-        """Local bypass around an activated obstacle; False means occlusion."""
+    def apply_detour(cell: LatticeCoord) -> Generator[PlanRequest, Trajectory, bool]:
+        """Local bypass around an activated obstacle, each candidate a plan request; False means occlusion."""
         nonlocal detours
         # (leg, index reached) for each part of the route not yet executed
         remaining = {"approach": [(leg_a, pos), (leg_t, 0)], "engage": [(leg_t, 0)],
@@ -352,11 +353,11 @@ def episode(scene: Scene, event_script: tuple[Event, ...] = ()) -> Generator[Pla
                 if leg[k] in active:
                     continue
                 try:
-                    bypass = oracle_path(leg[j - 1], leg[k], w)
+                    bypass = yield leg[j - 1], leg[k], w
                 except UnreachableGoalError:
                     continue
                 extra = (len(bypass) - 1) - (k - (j - 1))
-                if extra <= 2:
+                if bypass.points[-1] == leg[k] and extra <= 2:
                     leg[j - 1 : k + 1] = list(bypass.points)
                     detours += 1
                     return True
@@ -400,7 +401,7 @@ def episode(scene: Scene, event_script: tuple[Event, ...] = ()) -> Generator[Pla
             active.add(cell)
             if (cell == current_target and not grasped) or (cell == live_drop() and not released):
                 return result("occlusion_cluster")
-            if not apply_detour(cell):
+            if not (yield from apply_detour(cell)):
                 return result("occlusion_cluster")
 
         # one tick of execution
@@ -453,18 +454,17 @@ class Scenario:
         version = d.get("schema_version")
         if version != SCENARIO_SCHEMA_VERSION:
             raise ValueError(f"unsupported scenario schema_version {version!r}")
-        tags, expected = d.get("tags", []), d.get("expected")
-        if not isinstance(tags, list) or not all(isinstance(t, str) for t in tags):
-            raise ValueError(f"scenario tags must be a list of strings, got {tags!r}")
+        tags = [read_str(t, f"tags[{i}]") for i, t in enumerate(read_list(d.get("tags", []), "tags"))]
+        expected = d.get("expected")
         if expected is not None and not isinstance(expected, dict):
             raise ValueError(f"scenario expected must be null or an object, got {expected!r}")
         outcome_fields = [f.name for f in fields(EpisodeOutcome)]
         if unknown := sorted(set(expected or ()) - set(outcome_fields)):
             raise ValueError(f"scenario expected has unknown keys {unknown}; outcome fields are {outcome_fields}")
         return cls(
-            name=str(d["name"]),
+            name=read_str(d["name"], "name"),
             scene=Scene.from_dict(d["scene"]),
-            events=tuple(Event.from_dict(e) for e in d.get("events", [])),
+            events=tuple(Event.from_dict(e) for e in read_list(d.get("events", []), "events")),
             tags=tuple(tags),
             expected=expected,
         )

@@ -23,7 +23,7 @@ from latticepath import autodiff as ad
 from latticepath.autodiff import Tensor
 from latticepath.corpus import Trajectory
 from latticepath.decoder import DecodeConfig, DecodeCounters, DecodedPath
-from latticepath.lattice import MOVES, STOP, LatticeCoord, Workspace, in_bounds, manhattan
+from latticepath.lattice import MOVES, STOP, LatticeCoord, Workspace, in_bounds
 from latticepath.model import KVCache, PathModel, context_features, masked_softmax
 from latticepath.taskgrid import TaskContext
 
@@ -31,12 +31,6 @@ from latticepath.taskgrid import TaskContext
 def apply_move(p: LatticeCoord, idx: int) -> LatticeCoord:
     """Cell reached from p by canonical move idx (0..5)."""
     return p.offset(*MOVES[idx])
-
-
-def coverage_penalty(end: LatticeCoord, ctx: TaskContext, cfg: DecodeConfig) -> float:
-    if ctx.target is None or cfg.coverage_penalty_weight == 0.0:
-        return 0.0
-    return cfg.coverage_penalty_weight * max(0, manhattan(end, ctx.target))
 
 
 def log_prob(p: float) -> float:
@@ -59,8 +53,7 @@ def reference_greedy(model, start: LatticeCoord, ctx: TaskContext, w: Workspace,
             terminated = "stop_token"
             break
         points.append(apply_move(points[-1], action))
-    score = log_sum - coverage_penalty(points[-1], ctx, cfg)
-    return DecodedPath(trajectory=Trajectory(points=tuple(points)), score=score, terminated_by=terminated)
+    return DecodedPath(trajectory=Trajectory(points=tuple(points)), score=log_sum, terminated_by=terminated)
 
 
 @dataclass(frozen=True)
@@ -69,9 +62,6 @@ class Hypothesis:
     moves: tuple[int, ...]
     log_sum: float
     finished: bool
-
-    def score(self, ctx: TaskContext, cfg: DecodeConfig) -> float:
-        return self.log_sum - coverage_penalty(self.points[-1], ctx, cfg)
 
     def extend(self, action: int, p: float) -> "Hypothesis":
         lp = self.log_sum + log_prob(p)
@@ -89,7 +79,7 @@ def reference_beam(model, start: LatticeCoord, ctx: TaskContext, w: Workspace,
         return greedy
 
     def rank_key(h: Hypothesis):
-        return (-h.score(ctx, cfg), h.moves)
+        return (-h.log_sum, h.moves)
 
     beam = [Hypothesis(points=(start,), moves=(), log_sum=0.0, finished=False)]
     for _ in range(cfg.max_steps):
@@ -117,7 +107,7 @@ def reference_beam(model, start: LatticeCoord, ctx: TaskContext, w: Workspace,
     best = min(finished or beam, key=rank_key)
     result = DecodedPath(
         trajectory=Trajectory(points=best.points),
-        score=best.score(ctx, cfg),
+        score=best.log_sum,
         terminated_by="stop_token" if best.finished else "max_steps",
     )
     return greedy if greedy.score > result.score else result
@@ -176,8 +166,8 @@ def reference_search(model, jobs, cfg: DecodeConfig, width: int, counters: Decod
     beams = [[Hypothesis((start,), (), 0.0, False)] for start, _, _ in jobs]
     rows = [(j, beam[0]) for j, beam in enumerate(beams)]
 
-    def rank(j: int, h: Hypothesis):
-        return (-h.score(jobs[j][1], cfg), h.moves)
+    def rank(h: Hypothesis):
+        return (-h.log_sum, h.moves)
 
     for _ in range(cfg.max_steps):
         if not rows:
@@ -196,7 +186,7 @@ def reference_search(model, jobs, cfg: DecodeConfig, width: int, counters: Decod
         rows = []
         parents = []
         for j, pool in pools.items():
-            pool.sort(key=lambda c: rank(j, c[0]))
+            pool.sort(key=lambda c: rank(c[0]))
             beams[j] = [h for h, _ in pool[:width]]
             for h, r in pool[:width]:
                 if not h.finished:
@@ -206,10 +196,10 @@ def reference_search(model, jobs, cfg: DecodeConfig, width: int, counters: Decod
 
     out = []
     for j, beam in enumerate(beams):
-        best = min([h for h in beam if h.finished] or beam, key=lambda h: rank(j, h))
+        best = min([h for h in beam if h.finished] or beam, key=rank)
         out.append(DecodedPath(
             trajectory=Trajectory(points=best.points),
-            score=best.score(jobs[j][1], cfg),
+            score=best.log_sum,
             terminated_by="stop_token" if best.finished else "max_steps",
         ))
     return out

@@ -3,17 +3,17 @@
 latticepath.twinsim runs every episode as a generator that yields its plan
 requests, and run_scenarios answers the pending requests of all episodes
 with one plan_batch call. This module keeps the plain loop, which calls
-planner.plan for each leg as the episode reaches it, as the oracle the
-lock-step driver is tested against.
+planner.plan for each leg and each bypass candidate as the episode reaches
+it, as the oracle the lock-step driver is tested against.
 """
 
-from latticepath.corpus import Trajectory, UnreachableGoalError, oracle_path
+from latticepath.corpus import Trajectory, UnreachableGoalError
 from latticepath.lattice import LatticeCoord, Workspace, in_bounds
 from latticepath.twinsim import EpisodeOutcome, EpisodeResult, Event, Scene, with_activated
 
 
 def run_episode_detailed(scene: Scene, planner, event_script: tuple[Event, ...] = ()) -> EpisodeResult:
-    """Tick-by-tick execution, one planner.plan call per leg."""
+    """Tick-by-tick execution, one planner.plan call per leg or bypass candidate."""
     events = sorted(event_script, key=lambda e: e.step)
     pending_obstacles = sorted(scene.dynamic_obstacles, key=lambda o: o[1])
     active: set[LatticeCoord] = set()
@@ -56,11 +56,11 @@ def run_episode_detailed(scene: Scene, planner, event_script: tuple[Event, ...] 
                 if leg[k] in active:
                     continue
                 try:
-                    bypass = oracle_path(leg[j - 1], leg[k], w)
+                    bypass = planner.plan(leg[j - 1], leg[k], w)
                 except UnreachableGoalError:
                     continue
                 extra = (len(bypass) - 1) - (k - (j - 1))
-                if extra <= 2:
+                if bypass.points[-1] == leg[k] and extra <= 2:
                     leg[j - 1 : k + 1] = list(bypass.points)
                     detours += 1
                     return True

@@ -905,7 +905,6 @@ FLAG_CASES = [  # command, flag, config key (dotted: nested block), config-file 
     ("decode", "--records", "records", "missing.jsonl", "<gold>"),
     ("decode", "--mode", "mode", "greedy", "beam"),
     ("decode", "--beam-width", "beam_width", 3, 2),
-    ("decode", "--coverage-weight", "coverage_penalty_weight", 0.0, 0.5),
     ("decode", "--max-steps", "max_steps", 12, 16),
     ("eval", "--gold", "gold", "missing.jsonl", "<gold>"),
     ("eval", "--pred", "pred", "missing.jsonl", "<pred>"),
@@ -1062,16 +1061,17 @@ NON_NUMBER_CASES = {  # command, config, the one error line after "error: config
     "train-eps-string": ("train", {"optimizer": {"eps": "1e-8"}}, 'optimizer.eps must be a number, got "1e-8"'),
     "train-beta2-null": ("train", {"optimizer": {"kind": "adam", "beta2": None}},
                          "optimizer.beta2 must be a number, got null"),
-    "decode-coverage-null": ("decode", {"coverage_penalty_weight": None},
-                             "coverage_penalty_weight must be a number, got null"),
-    "decode-coverage-false": ("decode", {"coverage_penalty_weight": False},
-                              "coverage_penalty_weight must be a number, got false"),
 }
 
 
 @pytest.mark.parametrize("command, cfg, line", NON_NUMBER_CASES.values(), ids=NON_NUMBER_CASES)
 def test_non_number_config_value_is_one_config_error_naming_its_key(inputs, tmp_path, capsys, command, cfg, line):
     assert config_error(inputs, tmp_path, capsys, command, cfg) == f"error: config: {line}\n"
+
+
+def test_decode_has_no_coverage_penalty_key(inputs, tmp_path, capsys):
+    err = config_error(inputs, tmp_path, capsys, "decode", {"coverage_penalty_weight": 0.5})
+    assert err == "error: config: unknown config key 'coverage_penalty_weight'\n"
 
 
 TRAIN_FLAG_CASES = {  # train flags, the one error line after "error: config: "
@@ -1107,10 +1107,6 @@ def test_train_non_finite_optimizer_value_in_a_config_file_is_one_config_error(i
 
 
 NON_FINITE_CASES = {  # command, config, the one error line after "error: config: "
-    "decode-coverage-nan": ("decode", {"mode": "beam", "coverage_penalty_weight": math.nan},
-                            "coverage_penalty_weight must be finite, got nan"),
-    "decode-coverage-inf": ("decode", {"coverage_penalty_weight": math.inf},
-                            "coverage_penalty_weight must be finite, got inf"),
     "train-lambda_len-inf": ("train", {"loss": {"lambda_len": math.inf}}, "lambda_len must be finite, got inf"),
     "train-lambda_coord-nan": ("train", {"loss": {"lambda_coord": math.nan}},
                                "lambda_coord must be finite, got nan"),
@@ -1223,8 +1219,8 @@ def test_json_line_that_is_not_an_object_is_one_schema_error(inputs, tmp_path, c
 SCENARIO_FIELD_CASES = {
     "expected-list": ("expected", [1], "scenario expected must be null or an object, got [1]"),
     "expected-unknown-key": ("expected", {"success": True, "nope": 1}, "scenario expected has unknown keys ['nope']"),
-    "tags-string": ("tags", "abc", "scenario tags must be a list of strings, got 'abc'"),
-    "tags-int": ("tags", ["ok", 3], "scenario tags must be a list of strings, got ['ok', 3]"),
+    "tags-string": ("tags", "abc", 'tags must be a list, got "abc"'),
+    "tags-int": ("tags", ["ok", 3], "tags[1] must be a string, got 3"),
 }
 
 
@@ -1437,6 +1433,48 @@ def test_integral_float_counts_bounds_seeds_and_node_ids_in_a_file_read_as_integ
     row["scene"]["workspace"]["x_max"] = float(row["scene"]["workspace"]["x_max"])
     (tmp_path / "scenes.jsonl").write_text(json.dumps(row) + "\n")
     assert read_scenarios(tmp_path / "scenes.jsonl") == pack
+
+
+OBJ = {"a": 1}
+SHAPE_CASES = {  # file, the entry's keys, its new value, the error detail
+    "active_kind": ("records", ("context", "active_kind"), OBJ, 'context.active_kind must be a string, got {"a": 1}'),
+    "node-kind": ("records", ("task_graph", "nodes", 0, "kind"), OBJ,
+                  'task_graph.nodes[0].kind must be a string, got {"a": 1}'),
+    "split_tag": ("records", ("split_tag",), OBJ, 'split_tag must be a string, got {"a": 1}'),
+    "nodes": ("records", ("task_graph", "nodes"), 5, "task_graph.nodes must be a list, got 5"),
+    "edges": ("records", ("task_graph", "edges"), 5, "task_graph.edges must be a list, got 5"),
+    "edge": ("records", ("task_graph", "edges"), [5], "task_graph.edges[0] must be a pair, got 5"),
+    "name": ("scenes", ("name",), OBJ, 'name must be a string, got {"a": 1}'),
+    "events": ("scenes", ("events",), 5, "events must be a list, got 5"),
+    "event-kind": ("scenes", ("events",), [{"kind": OBJ, "step": 0}], 'event.kind must be a string, got {"a": 1}'),
+    "event-mode": ("scenes", ("events",), [{"kind": "fail", "step": 0, "mode": OBJ}],
+                   'event.mode must be a string, got {"a": 1}'),
+    "dynamic_obstacles": ("scenes", ("scene", "dynamic_obstacles"), 5, "dynamic_obstacles must be a list, got 5"),
+    "dynamic_obstacle": ("scenes", ("scene", "dynamic_obstacles"), [5], "dynamic_obstacles[0] must be a pair, got 5"),
+}
+
+
+@pytest.mark.parametrize("file, keys, value, detail", SHAPE_CASES.values(), ids=SHAPE_CASES)
+def test_a_string_or_list_field_of_another_type_is_one_schema_error_naming_it(inputs, tmp_path, capsys,
+                                                                              file, keys, value, detail):
+    rows, _, lineno = _rows(inputs, tmp_path, file)
+    entry = rows[lineno - 1]
+    for k in keys[:-1]:
+        entry = entry[k]
+    entry[keys[-1]] = value
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    if file == "records":
+        runs = [["decode", "--checkpoint", inputs["<ckpt>"], "--records", bad],
+                ["eval", "--gold", inputs["<gold>"], "--pred", bad]]
+    else:
+        runs = [["sim", "--scenarios", bad]]
+    for argv in runs:
+        out = tmp_path / "never"
+        capsys.readouterr()
+        assert run([*argv, "--out", out]) == 1
+        assert capsys.readouterr().err == f"error: schema: {bad}: line {lineno}: malformed record ({detail})\n"
+        assert not out.exists()
 
 
 # non-finite numbers and search lengths -----------------------------------------------

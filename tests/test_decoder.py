@@ -47,15 +47,7 @@ def test_decode_config_validation():
     with pytest.raises(ValueError):
         DecodeConfig(beam_width=0)
     with pytest.raises(ValueError):
-        DecodeConfig(coverage_penalty_weight=-0.5)
-    with pytest.raises(ValueError):
         DecodeConfig(mode="sampled")
-
-
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
-def test_decode_config_rejects_a_non_finite_coverage_weight(value):
-    with pytest.raises(ValueError, match=f"^coverage_penalty_weight must be finite, got {value}$"):
-        DecodeConfig(coverage_penalty_weight=value)
 
 
 def test_decoded_path_rejects_unknown_termination():
@@ -138,12 +130,12 @@ def test_greedy_rejects_out_of_bounds_start():
         decode_greedy(ScriptedModel({}), C(9, 9, 9), ctx_for(None), desk_workspace(), DecodeConfig())
 
 
-def test_coverage_penalty_subtracts_weighted_distance():
+@pytest.mark.parametrize("mode", ["greedy", "beam"])
+def test_score_is_the_log_probability_sum_however_far_the_target(mode):
     ctx = ctx_for(C(3, 0, 2))
-    cfg = DecodeConfig(coverage_penalty_weight=0.5)
-    d = decode_greedy(ScriptedModel({C(0, 0, 2): stop_heavy()}), C(0, 0, 2), ctx, desk_workspace(), cfg)
+    d = decode(ScriptedModel({C(0, 0, 2): stop_heavy()}), C(0, 0, 2), ctx, desk_workspace(), DecodeConfig(mode=mode))
     p_stop = masked_softmax(StepLogits(raw=stop_heavy(), legal_mask=np.ones(7, dtype=bool)))[6]
-    assert d.score == pytest.approx(math.log(p_stop) - 0.5 * 3, abs=1e-9)
+    assert (d.trajectory.points, d.score) == ((C(0, 0, 2),), math.log(p_stop))
 
 
 # beam --------------------------------------------------------------------------

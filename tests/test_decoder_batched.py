@@ -81,11 +81,11 @@ def models():
 DECODE_CONFIGS = [
     DecodeConfig(max_steps=10, mode="greedy"),
     DecodeConfig(max_steps=8, mode="beam", beam_width=5),
-    DecodeConfig(max_steps=8, mode="beam", beam_width=3, coverage_penalty_weight=0.5),
+    DecodeConfig(max_steps=8, mode="beam", beam_width=3),
 ]
 
 
-@pytest.mark.parametrize("cfg", DECODE_CONFIGS, ids=["greedy", "beam5", "beam3_coverage"])
+@pytest.mark.parametrize("cfg", DECODE_CONFIGS, ids=["greedy", "beam5", "beam3"])
 def test_batched_decode_matches_full_prefix_reference(models, cfg):
     for i, model in enumerate(models):
         jobs = desk_jobs(100 + i, 40)
@@ -114,7 +114,7 @@ def test_batch_composition_does_not_change_results(models, cfg):
         assert abs(a.score - b.score) <= 1e-9
 
 
-@pytest.mark.parametrize("cfg", DECODE_CONFIGS, ids=["greedy", "beam5", "beam3_coverage"])
+@pytest.mark.parametrize("cfg", DECODE_CONFIGS, ids=["greedy", "beam5", "beam3"])
 def test_search_matches_reference_on_ties_and_vanishing_moves(cfg):
     """Scripted logits with exact ties, underflowing moves and early stops, decoded as one batch."""
     rng = np.random.default_rng(3)
@@ -176,7 +176,7 @@ def mixed_jobs(seed, n, boxes):
     """Jobs cycling over workspaces of different shapes, so per-row strides differ in one batch.
 
     Every fourth job's goal is its start and every fifth has no target, so
-    early stops and target-free rows (no coverage penalty) share the batch.
+    early stops and target-free rows share the batch.
     """
     rng = np.random.default_rng(seed)
     jobs = []
@@ -221,8 +221,7 @@ def decode_without_reuse(model, jobs, cfg, counters):
     batch = _Batch.of(model, jobs)
     paths = _search(model, batch, cfg, 1, counters)
     if cfg.mode == "beam" and cfg.beam_width > 1:
-        floor = paths if cfg.coverage_penalty_weight == 0.0 else None
-        beams = _search(model, batch, cfg, cfg.beam_width, counters, floor)
+        beams = _search(model, batch, cfg, cfg.beam_width, counters, paths)
         paths = [g if g.score > b.score else b for g, b in zip(paths, beams)]
     for d in paths:
         counters.terminated[d.terminated_by] += 1
@@ -244,12 +243,12 @@ def assert_same_as_object_pool(model, jobs, cfg):
     assert got == ref == decode_without_reuse(model, jobs, cfg, own_counters)  # bit for bit
     assert_reuse_counts(got_counters, own_counters)
     assert got_counters.terminated == ref_counters.terminated
-    if not (cfg.mode == "beam" and cfg.beam_width > 1 and cfg.coverage_penalty_weight == 0.0):  # unpruned
+    if not (cfg.mode == "beam" and cfg.beam_width > 1):  # unpruned
         assert_reuse_counts(got_counters, ref_counters)
     return got, got_counters
 
 
-@pytest.mark.parametrize("cfg", DECODE_CONFIGS, ids=["greedy", "beam5", "beam3_coverage"])
+@pytest.mark.parametrize("cfg", DECODE_CONFIGS, ids=["greedy", "beam5", "beam3"])
 def test_search_equals_object_pool_search_on_mixed_boxes(pool_models, cfg):
     for k, (name, model, boxes) in enumerate(pool_models):
         jobs = mixed_jobs(200 + k, 48, boxes)
@@ -270,10 +269,9 @@ def stop_or_run_model(stoppers):
 
 
 @pytest.mark.parametrize("max_steps", [0, 1, 2, 6])
-@pytest.mark.parametrize("cfg", DECODE_CONFIGS, ids=["greedy", "beam5", "beam3_coverage"])
+@pytest.mark.parametrize("cfg", DECODE_CONFIGS, ids=["greedy", "beam5", "beam3"])
 def test_search_equals_object_pool_search_when_jobs_stop_early_or_run_out(pool_models, cfg, max_steps):
-    cfg = DecodeConfig(max_steps=max_steps, mode=cfg.mode, beam_width=cfg.beam_width,
-                       coverage_penalty_weight=cfg.coverage_penalty_weight)
+    cfg = replace(cfg, max_steps=max_steps)
     jobs = mixed_jobs(300, 40, [desk_workspace(), OFFSET_BOX, PAIR_BOX, None])
     model = stop_or_run_model({start for start, _, _ in jobs[::2]})
     got, _ = assert_same_as_object_pool(model, jobs, cfg)
@@ -343,25 +341,18 @@ def test_pruned_beam_equals_unpruned_search(pool_models, width):
 
 @pytest.mark.parametrize("width", [2, 5, 8])
 def test_reused_greedy_steps_equal_the_object_pool_search(pool_models, width):
-    """Batches on mixed boxes and one-record jobs (each greedy product then has one row), with and
-    without a coverage penalty, where greedy rollouts stop early or run out at max_steps."""
+    """Batches on mixed boxes and one-record jobs (each greedy product then has one row), where greedy
+    rollouts stop early or run out at max_steps."""
     reused, stepped, ends = 0, 0, set()
     for k, (name, model, boxes) in enumerate(pool_models):
-        for max_steps, penalty in ((2, 0.0), (6, 0.0), (6, 0.5)):
-            cfg = DecodeConfig(max_steps=max_steps, mode="beam", beam_width=width, coverage_penalty_weight=penalty)
+        for max_steps in (2, 4, 6):
+            cfg = DecodeConfig(max_steps=max_steps, mode="beam", beam_width=width)
             jobs = mixed_jobs(600 + 10 * k + width, 16, boxes)
             for part in [jobs] + [[job] for job in jobs[:4]]:
                 counters = assert_same_as_unpruned(model, part, cfg, exact=name == "scripted")
                 reused, stepped = reused + counters.rows_reused, stepped + counters.rows_stepped
                 ends.update(kind for kind, count in counters.terminated.items() if count)
     assert reused > stepped / 4 and ends == {"stop_token", "max_steps"}
-
-
-def test_a_coverage_penalty_prunes_nothing(pool_models):
-    cfg = DecodeConfig(max_steps=6, mode="beam", beam_width=5, coverage_penalty_weight=0.5)
-    for k, (_, model, boxes) in enumerate(pool_models):
-        got, counters = assert_same_as_object_pool(model, mixed_jobs(500 + k, 32, boxes), cfg)
-        assert (counters.rows_pruned, counters.jobs_redecoded) == (0, 0)
 
 
 ACTIONS = ("px", "nx", "py", "ny", "pz", "nz", "stop")  # +x, -x, ..., STOP in canonical order
@@ -385,11 +376,11 @@ FORK = {S: dist(px=0.5, py=0.48, pz=0.02),
 W1, W2 = C(0, 2, 2), C(0, 1, 3)
 
 
-def one_job(table, cfg, default=None, start=S, goal=None):
+def one_job(table, cfg, default=None, start=S):
     """decode_batch and the unpruned reference on one scripted job; returns the result, the counters
     and whether the pruned width-B search returned the greedy floor itself."""
     model = ScriptedModel(table, default)
-    job = (start, ctx_for(goal, 5), desk_workspace())
+    job = (start, ctx_for(None, 5), desk_workspace())
     counters, stepped = DecodeCounters(), DecodeCounters()
     d = decode_batch(model, [job], cfg, counters)[0]
     assert d == reference_decode(model, *job, cfg) == reference_decode_batch(model, [job], cfg)[0]
@@ -422,15 +413,15 @@ def test_a_job_left_with_fewer_than_b_rows_above_its_floor_is_decoded_again():
 
 
 def test_a_beam_that_outlives_its_greedy_rollout_steps_its_own_rows():
-    """The greedy rollout stops at X in two steps. With a coverage penalty nothing is pruned, and the rows
-    through W step on past the end of the greedy record."""
-    table = {**FORK, W1: dist(py=0.5, stop=0.5), W2: dist(pz=0.5, stop=0.5)}
-    cfg = DecodeConfig(max_steps=5, mode="beam", beam_width=2, coverage_penalty_weight=0.5)
-    d, counters, _ = one_job(table, cfg, goal=C(0, 3, 2))
-    assert d.trajectory.points[:2] == (S, W)
-    # greedy: steps 0 and 1; width 2: S and X reused, W stepped at step 1, then two rows at step 2 and one
-    # at step 3, past the two greedy steps
-    assert (counters.model_steps, counters.rows_stepped, counters.rows_reused) == (2 + 3, 2 + 4, 2)
+    """The greedy rollout stops at X in two steps. W1 and W2 stay above its floor, so nothing is pruned,
+    and the rows through W step on past the end of the greedy record."""
+    table = {**FORK, W1: dist(stop=0.9, py=0.1), W2: dist(stop=0.9, pz=0.1)}
+    d, counters, _ = one_job(table, DecodeConfig(max_steps=5, mode="beam", beam_width=2))
+    assert (d.trajectory.points, d.terminated_by) == ((S, W, W1), "stop_token")
+    # greedy: steps 0 and 1; width 2: S and X reused, W stepped at step 1, then W1 and W2 at step 2,
+    # past the two greedy steps
+    assert (counters.model_steps, counters.rows_stepped, counters.rows_reused) == (2 + 2, 2 + 3, 2)
+    assert counters.rows_pruned == 0
 
 
 def test_the_bar_falls_when_its_finished_row_leaves_the_beam():

@@ -73,8 +73,8 @@ def test_a_context_without_a_target_is_shift_free_too(items, models):
 
 
 @pytest.mark.parametrize("cfg", [DecodeConfig(max_steps=16), DecodeConfig(max_steps=16, mode="beam"),
-                                 DecodeConfig(max_steps=16, mode="beam", beam_width=3, coverage_penalty_weight=0.5)],
-                         ids=["greedy", "beam5", "beam3_coverage"])
+                                 DecodeConfig(max_steps=16, mode="beam", beam_width=3)],
+                         ids=["greedy", "beam5", "beam3"])
 @pytest.mark.parametrize("name", ["random", "trained"])
 def test_decodes_of_a_shifted_batch_are_the_shifted_paths(items, models, name, cfg):
     model = models[name]

@@ -12,9 +12,11 @@ import tracemalloc
 
 import pytest
 
+from latticepath import corpus
 from latticepath.cli import main
 from latticepath.corpus import (
     _TASK_TEMPLATES,
+    MAX_COUNT,
     GenerationConfig,
     GenerationCounters,
     _task_template,
@@ -109,3 +111,18 @@ def test_a_record_that_fails_mid_stream_leaves_no_file(tmp_path, capsys):
     assert err.startswith("error: config: could not generate a feasible record after 1 attempts")
     assert err.count("\n") == 1, err
     assert list(out.iterdir()) == []  # the directory stays, empty, as after a failed checkpoint save
+
+
+@pytest.mark.parametrize("count", [MAX_COUNT + 1, 10 ** 8])
+def test_gen_refuses_a_count_above_max_count_before_drawing_a_seed(tmp_path, capsys, monkeypatch, count):
+    def no_seed(state):
+        raise AssertionError("a seed was drawn")
+
+    monkeypatch.setattr(corpus, "splitmix64", no_seed)
+    out = tmp_path / "never"
+    assert run(["gen", "--out", out, "--count", count]) == 1
+    assert capsys.readouterr().err == f"error: config: count must lie in [0, {MAX_COUNT}], got {count}\n"
+    assert not out.exists()
+    with pytest.raises(ValueError, match="^count must lie in"):
+        GenerationConfig(desk_workspace(), count=-1)
+    assert GenerationConfig(desk_workspace(), count=MAX_COUNT).count == MAX_COUNT

@@ -139,7 +139,7 @@ class RefusingPlanner(OraclePlanner):
 
 def test_plan_batch_is_called_once_per_round_not_once_per_leg():
     scenarios = default_scenario_pack() + desk_scenes(1, 30)
-    legs = []  # plan calls each episode makes in the one-call loop
+    legs = []  # plan calls (legs and bypass candidates) each episode makes in the one-call loop
     for s in scenarios:
         one_call = RefusingPlanner()
         reference_twin.run_episode_detailed(s.scene, one_call, s.events)
@@ -148,6 +148,8 @@ def test_plan_batch_is_called_once_per_round_not_once_per_leg():
     results = run_scenarios(scenarios, planner, counters)
     assert len(planner.batches) == max(legs) < sum(legs)
     assert [len(b) for b in planner.batches] == [sum(n > k for n in legs) for k in range(max(legs))]
+    # the legs of each round, plus 4, 1 and 1 bypass candidates in rounds 3 to 5
+    assert [len(b) for b in planner.batches] == [66, 66, 34, 30, 2, 1]
     assert (counters.plan_batches, counters.plan_requests) == (max(legs), sum(legs))
     assert counters.ticks == sum(r.ticks for _, r in results)
     assert counters.regrounds == sum(r.outcome.regrounds for _, r in results)
@@ -183,3 +185,79 @@ def test_model_planner_plan_is_its_plan_batch_of_one_and_counts_decodes(trained)
     counters = planner.counters
     assert sum(counters.terminated.values()) == 2 * len(requests)
     assert counters.model_steps > 0 and counters.rows_stepped >= counters.model_steps
+
+
+# pop-up bypasses are plan requests -------------------------------------------------------------
+
+CORRIDOR = Scene(workspace=Workspace(-3, 3, -3, 3, 0, 4), end_effector=C(-3, 0, 0), target=C(3, 0, 0),
+                 dynamic_obstacles=((C(-1, 0, 0), 1),))
+# At tick 1 the effector is on (-2, 0, 0) and (-1, 0, 0) blocks the straight approach: the bypass candidates
+# run from (-2, 0, 0) to each later cell of the route.
+BYPASS_START, BYPASS_GOALS = C(-2, 0, 0), [C(0, 0, 0), C(1, 0, 0), C(2, 0, 0), C(3, 0, 0)]
+
+
+class BypassSpoiler(OraclePlanner):
+    """The BFS oracle, but its answers to the bypass candidates follow `answers`, one a candidate:
+    "unreachable" raises, "off_goal" stops one cell short of the goal, "too_long" adds four cells,
+    and "bfs" is the oracle's path."""
+
+    def __init__(self, answers):
+        self.answers = list(answers)
+        self.asked = []
+
+    def plan(self, start, goal, w):
+        path = super().plan(start, goal, w)
+        if start != BYPASS_START:
+            return path
+        self.asked.append(goal)
+        answer = self.answers[len(self.asked) - 1]
+        if answer == "unreachable":
+            raise UnreachableGoalError(f"goal {goal} refused")
+        if answer == "off_goal":
+            return Trajectory(points=path.points[:-1])
+        if answer == "too_long":
+            up = goal.offset(0, 0, 1)
+            return Trajectory(points=path.points + (up, goal, up, goal))
+        return path
+
+
+@pytest.mark.parametrize("last", ["bfs", "off_goal"])
+def test_each_rejected_bypass_moves_on_to_the_next_route_cell(last):
+    planner = BypassSpoiler(["unreachable", "off_goal", "too_long", last])
+    want = reference_twin.run_episode_detailed(CORRIDOR, BypassSpoiler(planner.answers))
+    got = run_episode_detailed(CORRIDOR, planner)
+    assert got == want == run_scenarios([Scenario("corridor", CORRIDOR)], BypassSpoiler(planner.answers))[0][1]
+    assert planner.asked == BYPASS_GOALS
+    if last == "bfs":
+        assert (got.outcome.success, got.outcome.detours) == (True, 1)
+        assert got.trace.points[:3] == (C(-3, 0, 0), C(-2, 0, 0), C(-2, 1, 0))
+    else:
+        assert (got.outcome.failure_mode, got.outcome.detours, got.ticks) == ("occlusion_cluster", 0, 1)
+
+
+def steer(*actions):
+    """Logits preferring `actions` (move indices) in the order given."""
+    row = np.full(7, -9.0)
+    for rank, a in enumerate(actions):
+        row[a] = 5.0 - rank
+    return row
+
+
+def test_model_planner_plans_its_own_bypasses(monkeypatch):
+    """A scripted model drives along y = 0 (or, blocked, up to y = 1, along it and back) and stops on (3, 0, 0),
+    so every bypass candidate ends there: the three to earlier route cells are refused, the last is spliced
+    in. No BFS runs, and each candidate is one decoded plan request of its own round."""
+    from latticepath import twinsim
+
+    monkeypatch.setattr(twinsim, "oracle_path", lambda *a: pytest.fail("the BFS oracle planned a leg"))
+    px, py, ny, stop = 0, 2, 3, 6
+    table = {**{C(x, 0, 0): steer(px, py) for x in range(-3, 3)}, C(3, 0, 0): steer(stop),
+             C(-2, 1, 0): steer(px), C(-1, 1, 0): steer(px), C(0, 1, 0): steer(ny)}
+    planner, counters = ModelPlanner(ScriptedModel(table), DecodeConfig(mode="greedy")), TwinCounters()
+    got = run_scenarios([Scenario("corridor", CORRIDOR)], planner, counters)[0][1]
+    assert got == reference_twin.run_episode_detailed(CORRIDOR, ModelPlanner(ScriptedModel(table), DecodeConfig()))
+    assert (got.outcome.success, got.outcome.detours) == (True, 1)
+    assert got.trace.points == (C(-3, 0, 0), C(-2, 0, 0), C(-2, 1, 0), C(-1, 1, 0), C(0, 1, 0), C(0, 0, 0),
+                                C(1, 0, 0), C(2, 0, 0), C(3, 0, 0))
+    assert (counters.plan_requests, counters.plan_batches) == (2 + len(BYPASS_GOALS), 2 + len(BYPASS_GOALS))
+    assert sum(planner.counters.terminated.values()) == counters.plan_requests
